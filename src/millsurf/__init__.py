@@ -12,26 +12,10 @@ from .engine import (
     time_step,
 )
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
-from .kinematics import (
-    ProcessParameters,
-    WorkpiecePoint,
-    compose_transforms,
-    derive_kinematics,
-    edge_to_tool_transform,
-    spindle_to_workpiece_transform,
-    tool_to_spindle_transform,
-    transform_point,
-)
+from .kinematics import ProcessParameters, derive_kinematics
 from .roughness import ArealMetrics, LineProfile, areal_metrics, extract_profile, line_roughness
-from .surface_grid import (
-    GridSpec,
-    HeightField,
-    TrajectoryRecord,
-    locate,
-    record_trajectory,
-    update_min,
-)
-from .surface_io import export_views, read_surface, write_surface
+from .surface_grid import GridSpec, HeightField, TrajectoryRecord
+from .surface_io import read_surface, write_surface
 from .tool_geometry import (
     CuttingEdgePoint,
     EdgeDiscretization,
@@ -62,31 +46,21 @@ __all__ = [
     "SurfaceFormatError",
     "ToolDefinition",
     "TrajectoryRecord",
-    "WorkpiecePoint",
     "areal_metrics",
-    "compose_transforms",
     "derive_kinematics",
     "discretize_edge",
     "edge_point",
-    "edge_to_tool_transform",
     "effective_half_length",
-    "export_views",
     "extract_profile",
     "generate_dataset",
     "lhs_sample",
     "line_roughness",
-    "locate",
     "parse_config",
     "read_surface",
-    "record_trajectory",
     "run_benchmark",
     "serialize_config",
     "simulate",
     "simulate_reference",
-    "spindle_to_workpiece_transform",
     "time_step",
-    "tool_to_spindle_transform",
-    "transform_point",
-    "update_min",
     "write_surface",
 ]

@@ -19,17 +19,15 @@ from .config import parse_config
 from .dataset import ParameterRange, generate_dataset
 from .engine import run_benchmark, simulate
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
-from .roughness import areal_metrics, extract_profile, line_roughness
+from .roughness import MM_TO_UM, areal_metrics, extract_profile, line_roughness
 from .surface_io import (
     atomic_write_bytes,
-    export_views,
     read_surface,
     write_graymap,
     write_heights_csv,
     write_surface,
+    write_trajectory_csv,
 )
-
-MM_TO_UM = 1000.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +60,8 @@ def _parse_roi(field, roi_text: str | None):
         x0, y0, x1, y1 = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--roi expects numbers, got {roi_text!r}") from exc
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ConfigError(f"--roi expects finite numbers, got {roi_text!r}")
     if x1 <= x0 or y1 <= y0:
         raise ConfigError(f"--roi must satisfy x0 < x1 and y0 < y1, got {roi_text!r}")
     grid = field.spec
@@ -120,14 +120,7 @@ def _cmd_simulate(args) -> int:
 
     if result.trajectory is not None:
         path = out_dir / f"{base}_trajectory.csv"
-        rec = result.trajectory
-        lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
-        for k in range(len(rec)):
-            lines.append(
-                f"{float(rec.t_s[k])!r},{int(rec.tooth[k])},"
-                f"{float(rec.x_mm[k])!r},{float(rec.y_mm[k])!r},{float(rec.z_mm[k])!r}"
-            )
-        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+        write_trajectory_csv(result.trajectory, path)
         written.append(path)
 
     # wall time goes to stderr only: output files stay byte-identical across runs
@@ -202,7 +195,13 @@ def _cmd_dataset(args) -> int:
     for k, item in enumerate(ranges_raw):
         if not isinstance(item, dict) or set(item) != {"name", "low", "high"}:
             raise ConfigError(f"dataset config: ranges[{k}] must be {{name, low, high}}")
-        ranges.append(ParameterRange(item["name"], float(item["low"]), float(item["high"])))
+        low, high = item["low"], item["high"]
+        if any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+            for v in (low, high)
+        ):
+            raise ConfigError(f"dataset config: ranges[{k}] low and high must be finite numbers")
+        ranges.append(ParameterRange(item["name"], float(low), float(high)))
 
     count = args.samples if args.samples is not None else raw.get("count")
     seed = args.seed if args.seed is not None else raw.get("seed")

@@ -35,16 +35,6 @@ SPEED_CONSISTENCY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class EngineSettings:
-    edge_point_count: int | None = None
-    max_step_angle_rad: float = DEFAULT_MAX_STEP_ANGLE_RAD
-    time_step_s: float | None = None
-    span_s: tuple[float, float] | None = None
-    worker_count: int = 1
-    record_trajectory: bool = False
-
-
-@dataclass(frozen=True)
 class OutputSettings:
     formats: tuple[str, ...] = ("surface",)
     basename: str = "surface"
@@ -52,24 +42,11 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class ConfigDocument:
-    tool: ToolDefinition
-    process: ProcessParameters
-    grid: GridSpec
-    engine: EngineSettings = field(default_factory=EngineSettings)
+    simulation: SimulationConfig
     output: OutputSettings = field(default_factory=OutputSettings)
 
     def to_simulation_config(self) -> SimulationConfig:
-        return SimulationConfig(
-            tool=self.tool,
-            process=self.process,
-            grid=self.grid,
-            edge_point_count=self.engine.edge_point_count,
-            max_step_angle_rad=self.engine.max_step_angle_rad,
-            time_step_s=self.engine.time_step_s,
-            span_s=self.engine.span_s,
-            record_trajectory=self.engine.record_trajectory,
-            worker_count=self.engine.worker_count,
-        )
+        return self.simulation
 
 
 def _require_dict(value, path: str) -> dict:
@@ -290,9 +267,16 @@ def _parse_grid(block: dict, path: str = "grid") -> GridSpec:
     return GridSpec.from_extents(spacing, (x_lo, x_hi), (y_lo, y_hi))
 
 
-def _parse_engine(block: dict | None, path: str = "engine") -> EngineSettings:
+def _parse_engine(
+    block: dict | None,
+    tool: ToolDefinition,
+    process: ProcessParameters,
+    grid: GridSpec,
+    path: str = "engine",
+) -> SimulationConfig:
+    """The engine block's settings applied to the parsed tool, process and grid."""
     if block is None:
-        return EngineSettings()
+        return SimulationConfig(tool=tool, process=process, grid=grid)
     _require_dict(block, path)
     _check_keys(
         block,
@@ -323,12 +307,19 @@ def _parse_engine(block: dict | None, path: str = "engine") -> EngineSettings:
             raise ConfigError(f"{path}.span_s: expected [t_start_s, t_end_s]")
         if span[0] < 0 or span[1] <= span[0]:
             raise ConfigError(f"{path}.span_s: must satisfy 0 <= start < end, got {span}")
+        if process.initial_position_mm[1] is None:
+            raise ConfigError(
+                f"process.initial_position_mm.y is required when {path}.span_s is explicit"
+            )
         span = (float(span[0]), float(span[1]))
     workers = _integer(block, path, "workers", default=1, minimum=1)
     record = block.get("record_trajectory", False)
     if not isinstance(record, bool):
         raise ConfigError(f"{path}.record_trajectory: expected true/false, got {record!r}")
-    return EngineSettings(
+    return SimulationConfig(
+        tool=tool,
+        process=process,
+        grid=grid,
         edge_point_count=edge_points,
         max_step_angle_rad=max_angle,
         time_step_s=dt,
@@ -368,13 +359,8 @@ def config_from_dict(raw: dict) -> ConfigDocument:
     tool = _parse_tool(raw["tool"])
     process = _parse_process(raw["process"], tool)
     grid = _parse_grid(raw["grid"])
-    engine = _parse_engine(raw.get("engine"))
-    output = _parse_output(raw.get("output"))
-    if engine.span_s is not None and process.initial_position_mm[1] is None:
-        raise ConfigError(
-            "process.initial_position_mm.y is required when engine.span_s is explicit"
-        )
-    return ConfigDocument(tool=tool, process=process, grid=grid, engine=engine, output=output)
+    simulation = _parse_engine(raw.get("engine"), tool, process, grid)
+    return ConfigDocument(simulation=simulation, output=_parse_output(raw.get("output")))
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -390,37 +376,38 @@ def serialize_config(doc: ConfigDocument) -> dict:
 
     Angles are emitted in radians so the round trip is exact.
     """
-    x, y, z = doc.process.initial_position_mm
+    sim = doc.simulation
+    x, y, z = sim.process.initial_position_mm
     raw: dict = {
         "tool": {
-            "cutting_diameter_mm": doc.tool.cutting_diameter_mm,
-            "insert_radius_mm": doc.tool.insert_radius_mm,
-            "tooth_count": doc.tool.tooth_count,
-            "radial_rake_rad": doc.tool.radial_rake_rad,
-            "axial_rake_rad": doc.tool.axial_rake_rad,
-            "runouts_mm": [list(pair) for pair in doc.tool.runouts_mm],
+            "cutting_diameter_mm": sim.tool.cutting_diameter_mm,
+            "insert_radius_mm": sim.tool.insert_radius_mm,
+            "tooth_count": sim.tool.tooth_count,
+            "radial_rake_rad": sim.tool.radial_rake_rad,
+            "axial_rake_rad": sim.tool.axial_rake_rad,
+            "runouts_mm": [list(pair) for pair in sim.tool.runouts_mm],
         },
         "process": {
-            "spindle_speed_rpm": doc.process.spindle_speed_rpm,
-            "feed_per_tooth_mm": doc.process.feed_per_tooth_mm,
-            "depth_of_cut_mm": doc.process.depth_of_cut_mm,
-            "phase_rad": doc.process.phase_rad,
+            "spindle_speed_rpm": sim.process.spindle_speed_rpm,
+            "feed_per_tooth_mm": sim.process.feed_per_tooth_mm,
+            "depth_of_cut_mm": sim.process.depth_of_cut_mm,
+            "phase_rad": sim.process.phase_rad,
             "initial_position_mm": {"x": x, "y": y, "z": z},
         },
         "grid": {
-            "spacing_mm": doc.grid.spacing_mm,
-            "x_min_mm": doc.grid.x_min_mm,
-            "x_max_mm": doc.grid.x_max_mm,
-            "y_min_mm": doc.grid.y_min_mm,
-            "y_max_mm": doc.grid.y_max_mm,
+            "spacing_mm": sim.grid.spacing_mm,
+            "x_min_mm": sim.grid.x_min_mm,
+            "x_max_mm": sim.grid.x_max_mm,
+            "y_min_mm": sim.grid.y_min_mm,
+            "y_max_mm": sim.grid.y_max_mm,
         },
         "engine": {
-            "edge_points": doc.engine.edge_point_count,
-            "max_step_angle_rad": doc.engine.max_step_angle_rad,
-            "time_step_s": doc.engine.time_step_s,
-            "span_s": list(doc.engine.span_s) if doc.engine.span_s is not None else None,
-            "workers": doc.engine.worker_count,
-            "record_trajectory": doc.engine.record_trajectory,
+            "edge_points": sim.edge_point_count,
+            "max_step_angle_rad": sim.max_step_angle_rad,
+            "time_step_s": sim.time_step_s,
+            "span_s": list(sim.span_s) if sim.span_s is not None else None,
+            "workers": sim.worker_count,
+            "record_trajectory": sim.record_trajectory,
         },
         "output": {
             "formats": list(doc.output.formats),

@@ -73,15 +73,21 @@ class LineProfile:
     spacing_mm: float
 
 
-def _roi_heights(field: HeightField, roi: tuple[int, int, int, int] | None) -> np.ndarray:
+def _check_roi(
+    field: HeightField, roi: tuple[int, int, int, int] | None
+) -> tuple[int, int, int, int]:
+    """The node range (i_lo, j_lo, i_hi, j_hi); None means the whole grid."""
     grid = field.spec
     if roi is None:
-        roi = (0, 0, grid.m, grid.n)
+        return (0, 0, grid.m, grid.n)
     i_lo, j_lo, i_hi, j_hi = roi
     if not (0 <= i_lo <= i_hi <= grid.m and 0 <= j_lo <= j_hi <= grid.n):
-        raise DomainError(
-            f"roi {roi} outside grid [0, {grid.m}] x [0, {grid.n}] or empty"
-        )
+        raise DomainError(f"roi {roi} outside grid [0, {grid.m}] x [0, {grid.n}] or empty")
+    return roi
+
+
+def _roi_heights(field: HeightField, roi: tuple[int, int, int, int] | None) -> np.ndarray:
+    i_lo, j_lo, i_hi, j_hi = _check_roi(field, roi)
     block = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1]
     if np.any(block >= field.initial_height_mm):
         raise DomainError(
@@ -148,11 +154,7 @@ def extract_profile(
     """
     grid = field.spec
     arr = field.as_array()
-    if roi is None:
-        roi = (0, 0, grid.m, grid.n)
-    i_lo, j_lo, i_hi, j_hi = roi
-    if not (0 <= i_lo <= i_hi <= grid.m and 0 <= j_lo <= j_hi <= grid.n):
-        raise DomainError(f"roi {roi} outside grid [0, {grid.m}] x [0, {grid.n}] or empty")
+    i_lo, j_lo, i_hi, j_hi = _check_roi(field, roi)
 
     if direction == "feed":
         idx = round(grid.m / 2) if index is None else index

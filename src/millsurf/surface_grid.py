@@ -222,20 +222,3 @@ class TrajectoryRecord:
             and np.array_equal(self.z_mm[:c], other.z_mm[:c])
         )
 
-
-def record_trajectory(
-    record: TrajectoryRecord,
-    t_s: float,
-    tooth: int,
-    x_mm: np.ndarray,
-    y_mm: np.ndarray,
-    z_mm: np.ndarray,
-) -> None:
-    """Append the minimum-z point among the supplied edge points.
-
-    Ties are broken by the smallest edge-point index.
-    """
-    if len(z_mm) == 0:
-        raise DomainError("record_trajectory needs at least one edge point")
-    p = int(np.argmin(z_mm))
-    record.append(t_s, tooth, float(x_mm[p]), float(y_mm[p]), float(z_mm[p]))

@@ -1,4 +1,4 @@
-"""Surface file format (SRTF) plus CSV / graymap / metrics exports.
+"""Every file format millsurf writes: SRTF, heights CSV, PGM and trajectory CSV.
 
 SRTF layout, little-endian throughout:
 
@@ -16,13 +16,16 @@ SRTF layout, little-endian throughout:
 
 Cells still at the sentinel value are uncut. write/read round-trips a
 HeightField bit-exactly; the reader rejects bad magic, unknown versions, and
-payloads whose length does not match the header. All file writes in this
-module are whole-file atomic (write to a temp name, then rename).
+payloads whose length does not match the header.
+
+The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
+holds one row per (time step, tooth) minimum-z point with floats in ``repr``
+form, so it round-trips exactly. All file writes in this module are
+whole-file atomic (write to a temp name, then rename).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from pathlib import Path
@@ -30,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, SurfaceFormatError
-from .roughness import MM_TO_UM, areal_metrics
-from .surface_grid import GridSpec, HeightField
+from .roughness import MM_TO_UM
+from .surface_grid import GridSpec, HeightField, TrajectoryRecord
 
 MAGIC = b"SRTF"
 VERSION = 1
@@ -83,34 +86,25 @@ def read_surface(path: Path) -> HeightField:
     return HeightField(spec, sentinel, heights)
 
 
-def write_heights_csv(field: HeightField, path: Path, roi: tuple[int, int, int, int] | None = None) -> None:
+def write_heights_csv(field: HeightField, path: Path) -> None:
     """Heights in micrometres; header row = x coordinates (mm), one data row per y node."""
-    grid = field.spec
-    if roi is None:
-        roi = (0, 0, grid.m, grid.n)
-    i_lo, j_lo, i_hi, j_hi = roi
-    block = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1] * MM_TO_UM
-    xs = grid.x_coords()[i_lo : i_hi + 1]
-    lines = [",".join(f"{x:.6f}" for x in xs)]
+    block = field.as_array() * MM_TO_UM
+    lines = [",".join(f"{x:.6f}" for x in field.spec.x_coords())]
     for j in range(block.shape[1]):
         lines.append(",".join(f"{v:.6f}" for v in block[:, j]))
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
 
 
-def write_graymap(field: HeightField, path: Path, roi: tuple[int, int, int, int] | None = None) -> None:
+def write_graymap(field: HeightField, path: Path) -> None:
     """16-bit binary PGM (P5), min-max normalized over machined cells.
 
     Uncut cells map to 0; a flat machined surface maps to mid-gray. Image rows
     run along y (top row = y_min), columns along x.
     """
-    grid = field.spec
-    if roi is None:
-        roi = (0, 0, grid.m, grid.n)
-    i_lo, j_lo, i_hi, j_hi = roi
-    block = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1]
+    block = field.as_array()
     machined = block < field.initial_height_mm
     if not machined.any():
-        raise DomainError("graymap export needs at least one machined cell in the roi")
+        raise DomainError("graymap export needs at least one machined cell")
     z_lo = block[machined].min()
     z_hi = block[machined].max()
     pixels = np.zeros(block.shape, dtype=np.uint16)
@@ -125,22 +119,12 @@ def write_graymap(field: HeightField, path: Path, roi: tuple[int, int, int, int]
     atomic_write_bytes(Path(path), header + pixels.T.astype(">u2").tobytes())
 
 
-def export_views(
-    field: HeightField,
-    out_dir: Path,
-    roi: tuple[int, int, int, int] | None = None,
-    basename: str = "surface",
-) -> dict[str, Path]:
-    """Write the CSV grid, the graymap, and the metrics JSON for a roi."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{basename}.csv"
-    pgm_path = out_dir / f"{basename}.pgm"
-    metrics_path = out_dir / f"{basename}_metrics.json"
-    write_heights_csv(field, csv_path, roi)
-    write_graymap(field, pgm_path, roi)
-    metrics = areal_metrics(field, roi)
-    atomic_write_bytes(
-        metrics_path, (json.dumps(metrics.to_json_dict(), indent=2) + "\n").encode()
-    )
-    return {"csv": csv_path, "graymap": pgm_path, "metrics": metrics_path}
+def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
+    """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per recorded point, floats in repr form."""
+    lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
+    for k in range(len(record)):
+        lines.append(
+            f"{float(record.t_s[k])!r},{int(record.tooth[k])},"
+            f"{float(record.x_mm[k])!r},{float(record.y_mm[k])!r},{float(record.z_mm[k])!r}"
+        )
+    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())

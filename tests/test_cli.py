@@ -122,8 +122,9 @@ class TestRoughnessCommand:
         assert main(["roughness", "--surface", str(surface_path),
                      "--profile", "feed:notanumber"]) == 1
 
-    def test_bad_roi(self, surface_path):
-        assert main(["roughness", "--surface", str(surface_path), "--roi", "1,2,3"]) == 1
+    @pytest.mark.parametrize("roi", ["1,2,3", "nan,0,1,1", "-inf,0,1,1"])
+    def test_bad_roi(self, surface_path, roi):
+        assert main(["roughness", "--surface", str(surface_path), f"--roi={roi}"]) == 1
 
     def test_corrupt_surface(self, tmp_path):
         path = tmp_path / "junk.srtf"
@@ -163,6 +164,17 @@ class TestDatasetCommand:
         }))
         assert main(["dataset", "--config", str(ds_config), "--samples", "2",
                      "--seed", "3", "--out", str(tmp_path / "d")]) == 1
+
+    @pytest.mark.parametrize("low", ["abc", None, True, -math.inf])
+    def test_non_numeric_range_bound(self, config_path, tmp_path, capsys, low):
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json",
+            "ranges": [{"name": "feed_per_tooth_mm", "low": low, "high": 0.4}],
+        }))
+        assert main(["dataset", "--config", str(ds_config), "--samples", "2",
+                     "--seed", "3", "--out", str(tmp_path / "d")]) == 1
+        assert "ranges[0]" in capsys.readouterr().err
 
 
 class TestBenchCommand:

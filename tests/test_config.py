@@ -47,12 +47,12 @@ _DELETE = object()
 class TestParseConfig:
     def test_case1_derives_kinematics(self):
         doc = parse_config(json.dumps(case1_raw()))
-        assert doc.process.angular_velocity_rad_s == pytest.approx(566.667, abs=5e-4)
-        assert doc.process.spindle_speed_rpm == pytest.approx(5411.27, abs=5e-3)
-        assert doc.tool.radial_rake_rad == pytest.approx(math.radians(0.6), abs=1e-15)
-        assert doc.grid.m == 1000 and doc.grid.n == 500
-        assert doc.engine.edge_point_count == 40
-        assert doc.engine.worker_count == 2
+        assert doc.simulation.process.angular_velocity_rad_s == pytest.approx(566.667, abs=5e-4)
+        assert doc.simulation.process.spindle_speed_rpm == pytest.approx(5411.27, abs=5e-3)
+        assert doc.simulation.tool.radial_rake_rad == pytest.approx(math.radians(0.6), abs=1e-15)
+        assert doc.simulation.grid.m == 1000 and doc.simulation.grid.n == 500
+        assert doc.simulation.edge_point_count == 40
+        assert doc.simulation.worker_count == 2
         assert doc.output.formats == ("surface", "csv")
 
     def test_malformed_json(self):
@@ -81,7 +81,7 @@ class TestParseConfig:
         rpm = 1000.0 * 170.0 / (math.pi * 10.0)
         raw = case1_raw(**{"process.spindle_speed_rpm": rpm})
         doc = parse_config(json.dumps(raw))
-        assert doc.process.spindle_speed_rpm == pytest.approx(rpm, rel=1e-12)
+        assert doc.simulation.process.spindle_speed_rpm == pytest.approx(rpm, rel=1e-12)
 
     def test_inconsistent_feed_pair_cites_both(self):
         raw = case1_raw(**{"process.feed_speed_mm_min": 1000.0})
@@ -138,10 +138,29 @@ class TestParseConfig:
         del raw["engine"]
         del raw["output"]
         doc = parse_config(json.dumps(raw))
-        assert doc.engine.edge_point_count is None
-        assert doc.engine.max_step_angle_rad == pytest.approx(math.radians(0.5), abs=1e-15)
-        assert doc.engine.worker_count == 1
+        assert doc.simulation.edge_point_count is None
+        assert doc.simulation.max_step_angle_rad == pytest.approx(math.radians(0.5), abs=1e-15)
+        assert doc.simulation.worker_count == 1
         assert doc.output.formats == ("surface",)
+
+    def test_every_engine_key_reaches_simulation_config(self):
+        raw = case1_raw()
+        raw["process"]["initial_position_mm"]["y"] = -7.5
+        raw["engine"] = {
+            "edge_points": 12,
+            "max_step_angle_deg": 0.25,
+            "time_step_s": 3e-5,
+            "span_s": [0.001, 0.004],
+            "workers": 3,
+            "record_trajectory": True,
+        }
+        sim = parse_config(json.dumps(raw)).to_simulation_config()
+        assert sim.edge_point_count == 12
+        assert sim.max_step_angle_rad == math.radians(0.25)
+        assert sim.time_step_s == 3e-5
+        assert sim.span_s == (0.001, 0.004)
+        assert sim.worker_count == 3
+        assert sim.record_trajectory is True
 
 
 class TestRoundTrip:

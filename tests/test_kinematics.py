@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from millsurf import (
-    ConfigError,
-    DomainError,
-    ToolDefinition,
+from millsurf import ConfigError, DomainError, ToolDefinition, derive_kinematics, edge_point
+from millsurf.kinematics import (
     compose_transforms,
-    derive_kinematics,
-    edge_point,
     edge_to_tool_transform,
     spindle_to_workpiece_transform,
     tool_to_spindle_transform,

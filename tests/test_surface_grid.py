@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from millsurf import (
-    DomainError,
-    GridSpec,
-    HeightField,
-    TrajectoryRecord,
-    locate,
-    record_trajectory,
-    update_min,
-)
+from millsurf import DomainError, GridSpec, HeightField, TrajectoryRecord
+from millsurf.surface_grid import locate, update_min
 
 
 def make_spec(spacing=0.01, m=10, n=10, x_min=0.0, y_min=0.0):
@@ -165,26 +158,6 @@ class TestHeightField:
 
 
 class TestTrajectoryRecord:
-    def test_argmin_point_recorded(self):
-        rec = TrajectoryRecord(4)
-        record_trajectory(rec, 0.1, 1,
-                          np.array([1.0, 2.0, 3.0]),
-                          np.array([4.0, 5.0, 6.0]),
-                          np.array([0.3, 0.1, 0.2]))
-        assert len(rec) == 1
-        assert (rec.x_mm[0], rec.y_mm[0], rec.z_mm[0]) == (2.0, 5.0, 0.1)
-
-    def test_tie_breaks_to_first_point(self):
-        rec = TrajectoryRecord(4)
-        record_trajectory(rec, 0.0, 1,
-                          np.array([9.0, 8.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-        assert rec.x_mm[0] == 9.0
-
-    def test_empty_point_set_rejected(self):
-        rec = TrajectoryRecord(4)
-        with pytest.raises(DomainError):
-            record_trajectory(rec, 0.0, 1, np.array([]), np.array([]), np.array([]))
-
     def test_capacity_enforced(self):
         rec = TrajectoryRecord(1)
         rec.append(0.0, 1, 0.0, 0.0, 0.0)

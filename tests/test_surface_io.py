@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from millsurf import GridSpec, HeightField, read_surface, write_surface
+from millsurf import GridSpec, HeightField, TrajectoryRecord, read_surface, write_surface
 from millsurf.errors import DomainError, SurfaceFormatError
-from millsurf.surface_io import export_views, write_graymap, write_heights_csv
+from millsurf.surface_io import write_graymap, write_heights_csv, write_trajectory_csv
 
 
 def random_field(seed=0, m=6, n=9, sentinel=0.5):
@@ -128,14 +128,16 @@ class TestGraymap:
             write_graymap(field, tmp_path / "g.pgm")
 
 
-class TestExportViews:
-    def test_writes_three_files(self, tmp_path):
-        spec = GridSpec(spacing_mm=0.5, x_min_mm=0.0, y_min_mm=0.0, m=4, n=4)
-        rng = np.random.default_rng(1)
-        field = HeightField(spec, 1.0, rng.uniform(0.0, 0.5, 25))
-        paths = export_views(field, tmp_path, basename="view")
-        assert sorted(p.name for p in paths.values()) == [
-            "view.csv", "view.pgm", "view_metrics.json",
-        ]
-        for p in paths.values():
-            assert p.exists()
+class TestTrajectoryCsv:
+    def test_floats_round_trip(self, tmp_path):
+        rec = TrajectoryRecord(2)
+        rec.append(0.1, 1, 1.0 / 3.0, -2.5e-7, 0.1 + 0.2)
+        rec.append(0.2, 2, -4.0, 5.0, -0.0625)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(rec, path)
+        header, *rows = path.read_text().splitlines()
+        assert header == "t_s,tooth,x_mm,y_mm,z_mm"
+        first = rows[0].split(",")
+        assert int(first[1]) == 1
+        assert [float(v) for v in first[2:]] == [1.0 / 3.0, -2.5e-7, 0.1 + 0.2]
+        assert rows[1] == "0.2,2,-4.0,5.0,-0.0625"
