@@ -91,6 +91,7 @@ def _cmd_simulate(args) -> int:
     result = simulate(sim_config)
     _info(
         f"done: {result.time_steps} steps, {result.trajectory_points} trajectory points, "
+        f"{result.evaluated_points} evaluated, {result.in_grid_points} in grid, "
         f"{result.cells_updated} cells updated, main loop {result.main_loop_seconds:.3f} s"
     )
 

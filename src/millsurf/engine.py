@@ -6,10 +6,23 @@ Two kernels share one simulation plan and produce bit-identical results:
     Vectorized kernel. Per (time chunk, tooth) it evaluates the composite
     transform entries as arrays over the chunk, applies them to the whole edge
     by broadcasting, and scatters the z values into the height field with an
-    elementwise minimum. Rows whose edge x-extent provably misses the grid are
-    skipped via a conservative interval bound. Work is split over contiguous
-    time-step ranges, one private height field per worker, merged with an
-    elementwise minimum, so results are independent of the worker count.
+    elementwise minimum. Work that provably cannot reach the grid is skipped
+    before it is computed, against the grid window widened by 1.5 cells:
+
+    - step cull: every edge point lies in an annulus about the spindle axis
+      (the teeth's radial range in the tool frame); steps whose annulus misses
+      the window are dropped before the trig, or, when the trajectory is
+      recorded and every step is needed for it, before the point stage;
+    - row cull: per (step, tooth), interval bounds on the edge's x and y
+      extent drop rows whose edge misses the window.
+
+    The kept rows run through the point stage (transform, cell index,
+    scatter) in blocks of about ``_POINT_BLOCK`` elements so temporaries stay
+    in cache; the cell index is computed in place with the same operations as
+    ``surface_grid.locate``. Work is split over contiguous time-step ranges,
+    one private height field per worker, merged with an elementwise minimum,
+    so results are independent of the worker count. ``evaluated_points`` and
+    ``in_grid_points`` count the points computed and the points that landed.
 
 ``simulate_reference``
     Deliberately naive baseline: for every time step, tooth, and edge point it
@@ -55,9 +68,14 @@ from .tool_geometry import (
 
 DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 
-# Elements per (time, edge-point) block in the vectorized kernel; bounds peak
-# temporary memory, not results.
-_BLOCK_TARGET = 2_000_000
+# Vectorized-kernel block sizes; they bound temporary memory, not results.
+# The row stage (step cull, trig, row bounds, transform entries) runs over
+# chunks of _STEP_CHUNK steps, long enough that per-call overhead stays small;
+# the point stage runs over the kept rows in blocks of about _POINT_BLOCK
+# (row, edge-point) elements, 1 MB per float64 temporary, so its working set
+# stays in cache.
+_STEP_CHUNK = 32_768
+_POINT_BLOCK = 131_072
 
 
 @dataclass(frozen=True)
@@ -81,6 +99,8 @@ class SimulationResult:
     trajectory_points: int
     cells_updated: int
     main_loop_seconds: float
+    evaluated_points: int  # trajectory points whose coordinates were computed
+    in_grid_points: int  # evaluated points that landed in a grid cell
 
 
 def time_step(config: SimulationConfig) -> float:
@@ -105,6 +125,7 @@ class _ToothData:
     min_index: int  # argmin of z_workpiece, ties to the lowest index
     x_tool_range: tuple[float, float]
     y_tool_range: tuple[float, float]
+    r_tool_range: tuple[float, float]  # distance from the spindle axis
 
 
 @dataclass(frozen=True)
@@ -182,6 +203,7 @@ def _plan(config: SimulationConfig) -> _Plan:
         zw = ((e[2][0] * xp + e[2][1] * yp) + e[2][2] * zp) + tz
         xt = ((e[0][0] * xp + e[0][1] * yp) + e[0][2] * zp) + e[0][3]
         yt = ((e[1][0] * xp + e[1][1] * yp) + e[1][2] * zp) + e[1][3]
+        rt = np.hypot(xt, yt)
         teeth.append(
             _ToothData(
                 rows=tuple(tuple(r) for r in e),
@@ -189,6 +211,7 @@ def _plan(config: SimulationConfig) -> _Plan:
                 min_index=int(np.argmin(zw)),
                 x_tool_range=(float(xt.min()), float(xt.max())),
                 y_tool_range=(float(yt.min()), float(yt.max())),
+                r_tool_range=(float(rt.min()), float(rt.max())),
             )
         )
 
@@ -213,96 +236,128 @@ def _plan(config: SimulationConfig) -> _Plan:
 
 
 def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
-    """Vectorized sweep over global steps [step_lo, step_hi) into a private field."""
+    """Vectorized sweep over global steps [step_lo, step_hi) into a private field.
+
+    Returns ``(trajectory chunks, evaluated points, in-grid points)``.
+    """
     grid = plan.grid
     hflat = field.heights
     m, n = grid.m, grid.n
     n1 = n + 1
     dd = grid.spacing_mm
     x_min, y_min = grid.x_min_mm, grid.y_min_mm
-    # Conservative in-grid x window for the row prefilter: one extra cell of
-    # slack absorbs the difference between the bound's and the kernel's
+    # Conservative in-grid window for the culls: one extra cell of slack
+    # absorbs the difference between the bounds' and the kernel's
     # floating-point evaluation orders.
-    win_lo = x_min - 1.5 * dd
-    win_hi = x_min + m * dd + 1.5 * dd
+    wx_lo = x_min - 1.5 * dd
+    wx_hi = x_min + m * dd + 1.5 * dd
+    wy_lo = y_min - 1.5 * dd
+    wy_hi = y_min + n * dd + 1.5 * dd
+    # Every edge point of every tooth lies in the annulus [r_lo, r_hi] about
+    # the spindle axis (x0, ty); x0 is fixed, so the x part of the nearest and
+    # farthest axis-to-window distances is too.
+    r_lo = min(td.r_tool_range[0] for td in plan.teeth)
+    r_hi = max(td.r_tool_range[1] for td in plan.teeth)
+    x0 = plan.x0
+    near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
+    far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
 
     xp = np.ascontiguousarray(plan.edge.x)
     yp = np.ascontiguousarray(plan.edge.y)
     zp = np.ascontiguousarray(plan.edge.z)
     n_teeth = plan.tool.tooth_count
-    chunk = max(64, _BLOCK_TARGET // max(plan.edge.point_count, 1))
+    n_points = max(plan.edge.point_count, 1)
+    block_rows = max(1, _POINT_BLOCK // n_points)
+    xw_buf = np.empty((block_rows, n_points))
+    yw_buf = np.empty((block_rows, n_points))
+    tmp_buf = np.empty((block_rows, n_points))
 
     traj_chunks: list[tuple[np.ndarray, ...]] = []
+    evaluated = 0
+    in_grid = 0
 
     lo = step_lo
     while lo < step_hi:
-        hi = min(lo + chunk, step_hi)
+        hi = min(lo + _STEP_CHUNK, step_hi)
         t = plan.t_start + np.arange(lo, hi, dtype=np.float64) * plan.dt
         ty = plan.y0 + plan.feed_speed * t
+        near_y = np.maximum(np.maximum(wy_lo - ty, 0.0), ty - wy_hi)
+        far_y = np.maximum(np.abs(ty - wy_lo), np.abs(ty - wy_hi))
+        reach = (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
         if plan.record:
+            # Every row feeds the trajectory, so the step cull joins the row cull.
             size = hi - lo
             rec_t = np.repeat(t, n_teeth)
             rec_tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), size)
             rec_x = np.empty((size, n_teeth))
             rec_y = np.empty((size, n_teeth))
             rec_z = np.empty((size, n_teeth))
+        else:
+            t = t[reach]
+            ty = ty[reach]
 
         for k_idx, td in enumerate(plan.teeth):
-            e = td.rows
             th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t)
             c = np.cos(th)
             s = np.sin(th)
             ns = -s
 
-            m00 = c * e[0][0] + s * e[1][0]
-            m01 = c * e[0][1] + s * e[1][1]
-            m02 = c * e[0][2] + s * e[1][2]
-            m03 = (c * e[0][3] + s * e[1][3]) + plan.x0
-            m10 = ns * e[0][0] + c * e[1][0]
-            m11 = ns * e[0][1] + c * e[1][1]
-            m12 = ns * e[0][2] + c * e[1][2]
-            m13 = (ns * e[0][3] + c * e[1][3]) + ty
-
-            if plan.record:
-                p = td.min_index
-                rec_x[:, k_idx] = ((m00 * xp[p] + m01 * yp[p]) + m02 * zp[p]) + m03
-                rec_y[:, k_idx] = ((m10 * xp[p] + m11 * yp[p]) + m12 * zp[p]) + m13
-                rec_z[:, k_idx] = td.z_workpiece[p]
-
-            # Interval bound on this tooth's x extent per step; rows that
-            # cannot reach the grid are dropped before the big block math.
+            # Interval bound on this tooth's x and y extent per step; rows
+            # that cannot reach the grid are dropped before the point stage.
             axl, axh = td.x_tool_range
             ayl, ayh = td.y_tool_range
-            x_lo = np.minimum(c * axl, c * axh) + np.minimum(s * ayl, s * ayh) + plan.x0
-            x_hi = np.maximum(c * axl, c * axh) + np.maximum(s * ayl, s * ayh) + plan.x0
-            keep = (x_hi >= win_lo) & (x_lo <= win_hi)
-            if not keep.any():
+            x_lo = np.minimum(c * axl, c * axh) + np.minimum(s * ayl, s * ayh) + x0
+            x_hi = np.maximum(c * axl, c * axh) + np.maximum(s * ayl, s * ayh) + x0
+            y_lo = np.minimum(ns * axl, ns * axh) + np.minimum(c * ayl, c * ayh) + ty
+            y_hi = np.maximum(ns * axl, ns * axh) + np.maximum(c * ayl, c * ayh) + ty
+            keep = (x_hi >= wx_lo) & (x_lo <= wx_hi) & (y_hi >= wy_lo) & (y_lo <= wy_hi)
+
+            if plan.record:
+                mat = _transform_entries(td.rows, c, s, x0, ty)
+                p = td.min_index
+                rec_x[:, k_idx] = ((mat[0] * xp[p] + mat[1] * yp[p]) + mat[2] * zp[p]) + mat[3]
+                rec_y[:, k_idx] = ((mat[4] * xp[p] + mat[5] * yp[p]) + mat[6] * zp[p]) + mat[7]
+                rec_z[:, k_idx] = td.z_workpiece[p]
+                keep &= reach
+            ki = np.flatnonzero(keep)
+            if ki.size == 0:
                 continue
-            if not keep.all():
-                ki = np.flatnonzero(keep)
-                m00k, m01k, m02k, m03k = m00[ki], m01[ki], m02[ki], m03[ki]
-                m10k, m11k, m12k, m13k = m10[ki], m11[ki], m12[ki], m13[ki]
-            else:
-                m00k, m01k, m02k, m03k = m00, m01, m02, m03
-                m10k, m11k, m12k, m13k = m10, m11, m12, m13
+            mat = _transform_entries(td.rows, c[ki], s[ki], x0, ty[ki])
 
-            xw = m00k[:, None] * xp
-            xw += m01k[:, None] * yp
-            xw += m02k[:, None] * zp
-            xw += m03k[:, None]
-            yw = m10k[:, None] * xp
-            yw += m11k[:, None] * yp
-            yw += m12k[:, None] * zp
-            yw += m13k[:, None]
+            rows = ki.size
+            evaluated += rows * n_points
+            for b in range(0, rows, block_rows):
+                r = min(block_rows, rows - b)
+                m00, m01, m02, m03, m10, m11, m12, m13 = (a[b : b + r, None] for a in mat)
+                xw, yw, tmp = xw_buf[:r], yw_buf[:r], tmp_buf[:r]
+                np.multiply(m00, xp, out=xw)
+                xw += np.multiply(m01, yp, out=tmp)
+                xw += np.multiply(m02, zp, out=tmp)
+                xw += m03
+                np.multiply(m10, xp, out=yw)
+                yw += np.multiply(m11, yp, out=tmp)
+                yw += np.multiply(m12, zp, out=tmp)
+                yw += m13
 
-            gi = np.floor((xw - x_min) / dd + 0.5)
-            gj = np.floor((yw - y_min) / dd + 0.5)
-            ok = (gi >= 0.0) & (gi <= m) & (gj >= 0.0) & (gj <= n)
-            if ok.any():
-                ii = gi[ok].astype(np.int64)
-                jj = gj[ok].astype(np.int64)
-                zvals = np.broadcast_to(td.z_workpiece, xw.shape)[ok]
-                np.minimum.at(hflat, ii * n1 + jj, zvals)
+                # Cell index floor((w - w_min)/dd + 1/2), computed in place
+                # in the same operation order as surface_grid.locate.
+                xw -= x_min
+                xw /= dd
+                xw += 0.5
+                np.floor(xw, out=xw)
+                yw -= y_min
+                yw /= dd
+                yw += 0.5
+                np.floor(yw, out=yw)
+                ok = (xw >= 0.0) & (xw <= m) & (yw >= 0.0) & (yw <= n)
+                flat = xw[ok]
+                if flat.size:
+                    # Exact in float64: both indices are small integers.
+                    flat *= n1
+                    flat += yw[ok]
+                    in_grid += flat.size
+                    zvals = np.broadcast_to(td.z_workpiece, xw.shape)[ok]
+                    np.minimum.at(hflat, flat.astype(np.int64), zvals)
 
         if plan.record:
             traj_chunks.append(
@@ -310,7 +365,23 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
             )
         lo = hi
 
-    return traj_chunks
+    return traj_chunks, evaluated, in_grid
+
+
+def _transform_entries(e, c, s, x0: float, ty):
+    """Top two rows of the edge->workpiece transform per step, as arrays:
+    ``(m00, m01, m02, m03, m10, m11, m12, m13)``."""
+    ns = -s
+    return (
+        c * e[0][0] + s * e[1][0],
+        c * e[0][1] + s * e[1][1],
+        c * e[0][2] + s * e[1][2],
+        (c * e[0][3] + s * e[1][3]) + x0,
+        ns * e[0][0] + c * e[1][0],
+        ns * e[0][1] + c * e[1][1],
+        ns * e[0][2] + c * e[1][2],
+        (ns * e[0][3] + c * e[1][3]) + ty,
+    )
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
@@ -328,14 +399,13 @@ def simulate(config: SimulationConfig) -> SimulationResult:
 
     t0 = time.perf_counter()
     if len(ranges) == 1:
-        all_chunks = _run_step_range(plan, ranges[0][0], ranges[0][1], fields[0])
+        parts = [_run_step_range(plan, ranges[0][0], ranges[0][1], fields[0])]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            chunk_lists = list(
+            parts = list(
                 pool.map(lambda rf: _run_step_range(plan, rf[0][0], rf[0][1], rf[1]),
                          zip(ranges, fields))
             )
-        all_chunks = [chunk for chunks in chunk_lists for chunk in chunks]
     field = fields[0]
     for other in fields[1:]:
         field.merge_min(other)
@@ -344,8 +414,9 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     trajectory = None
     if plan.record:
         trajectory = TrajectoryRecord(plan.steps * plan.tool.tooth_count)
-        for chunk in all_chunks:
-            trajectory.extend_block(*chunk)
+        for chunks, _, _ in parts:
+            for chunk in chunks:
+                trajectory.extend_block(*chunk)
 
     return SimulationResult(
         field=field,
@@ -354,6 +425,8 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),
         main_loop_seconds=wall,
+        evaluated_points=sum(part[1] for part in parts),
+        in_grid_points=sum(part[2] for part in parts),
     )
 
 
@@ -373,6 +446,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
         for p in range(n_points)
     ]
 
+    in_grid = 0
     t0 = time.perf_counter()
     for step in range(plan.steps):
         t = plan.t_start + step * plan.dt
@@ -388,6 +462,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
                 idx = locate(x, y, grid)
                 if idx is not None:
                     update_min(field, idx, z)
+                    in_grid += 1
                 if z < best_z:
                     best_z = z
                     best_x = x
@@ -403,6 +478,8 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),
         main_loop_seconds=wall,
+        evaluated_points=plan.trajectory_points,
+        in_grid_points=in_grid,
     )
 
 

@@ -21,7 +21,9 @@ payloads whose length does not match the header.
 The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
 holds one row per (time step, tooth) minimum-z point with floats in ``repr``
 form, so it round-trips exactly. All file writes in this module are
-whole-file atomic (write to a temp name, then rename).
+whole-file atomic: each write goes to its own uniquely named temp file in the
+target directory, which is renamed over the target on success and removed on
+failure, so concurrent writers of one path never share a temp file.
 """
 
 from __future__ import annotations
@@ -45,10 +47,18 @@ GRAY_MID = 32768  # degenerate normalization (flat surface) maps machined cells 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
+    # O_EXCL makes the temp name ours alone. Unlike tempfile.mkstemp, which
+    # creates 0600 files, mode 0666 lets the umask set the output's mode, as
+    # a plain open() would.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_surface(field: HeightField, path: Path) -> None:
@@ -89,9 +99,9 @@ def read_surface(path: Path) -> HeightField:
 def write_heights_csv(field: HeightField, path: Path) -> None:
     """Heights in micrometres; header row = x coordinates (mm), one data row per y node."""
     block = field.as_array() * MM_TO_UM
-    lines = [",".join(f"{x:.6f}" for x in field.spec.x_coords())]
-    for j in range(block.shape[1]):
-        lines.append(",".join(f"{v:.6f}" for v in block[:, j]))
+    row_format = ",".join(["%.6f"] * block.shape[0])
+    lines = [row_format % tuple(field.spec.x_coords().tolist())]
+    lines.extend(row_format % tuple(row) for row in block.T.tolist())
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
 
 

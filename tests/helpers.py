@@ -88,6 +88,64 @@ def small_random_config(seed: int) -> SimulationConfig:
     )
 
 
+def wide_cutter_config(seed: int) -> SimulationConfig:
+    """Randomized scaled-down am_smooth: a cutter 5-8x wider than a small grid
+    that lies wholly to one side of the spindle path. Most (step, tooth) rows
+    miss the grid along x or y, and whole steps miss it because the grid lies
+    outside the edge annulus (the span starts and ends a quarter diameter or
+    more beyond the edge's reach) or inside its hole (while the spindle axis
+    passes the grid)."""
+    rng = np.random.default_rng(seed)
+    tooth_count = int(rng.integers(2, 5))
+    spacing = float(rng.uniform(0.02, 0.04))
+    grid_w = float(rng.uniform(0.8, 1.2))
+    grid_l = float(rng.uniform(0.4, 0.8))
+    diameter = float(rng.uniform(5.0, 8.0)) * grid_w
+    radius = float(rng.uniform(0.1, 0.2)) * diameter
+    feed = float(rng.uniform(0.1, 0.4))
+    depth = float(rng.uniform(0.2, 0.5)) * radius
+    tool = ToolDefinition(
+        cutting_diameter_mm=diameter,
+        insert_radius_mm=radius,
+        tooth_count=tooth_count,
+        radial_rake_rad=float(rng.uniform(-0.035, 0.035)),
+        axial_rake_rad=float(rng.uniform(-0.035, 0.035)),
+        runouts_mm=tuple(
+            (float(rng.uniform(-0.02, 0.02)), float(rng.uniform(-0.02, 0.02)))
+            for _ in range(tooth_count)
+        ),
+    )
+    half = effective_half_length(radius, depth, feed, tool.radial_rake_rad)
+    reach = diameter / 2.0 + half + float(rng.uniform(0.25, 0.5)) * diameter
+    x0 = float(rng.uniform(-1.0, 1.0))
+    offset = grid_w / 2.0 + 2.0 * spacing + float(rng.uniform(0.0, 0.1)) * diameter
+    x_centre = x0 + offset * float(rng.choice([-1.0, 1.0]))
+    process = derive_kinematics(
+        tooth_count=tooth_count,
+        cutting_diameter_mm=diameter,
+        depth_of_cut_mm=depth,
+        cutting_speed_m_min=float(rng.uniform(80.0, 250.0)),
+        feed_per_tooth_mm=feed,
+        phase_rad=float(rng.uniform(0.0, 6.28)),
+        initial_position_mm=(x0, -reach, 0.0),
+    )
+    grid = GridSpec.from_extents(
+        spacing, (x_centre - grid_w / 2.0, x_centre + grid_w / 2.0), (0.0, grid_l)
+    )
+    n_points = int(rng.integers(4, 10))
+    steps = 40_000 // (tooth_count * n_points)
+    t_end = (grid_l + 2.0 * reach) / process.feed_speed_mm_s
+    return SimulationConfig(
+        tool=tool,
+        process=process,
+        grid=grid,
+        edge_point_count=n_points,
+        time_step_s=t_end / steps,
+        span_s=(0.0, t_end),
+        worker_count=1,
+    )
+
+
 def front_cut_config(feed_per_tooth_mm: float, spacing_mm: float, runouts=(),
                      roi_len_mm: float = 5.0, x_half_mm: float = 0.05) -> SimulationConfig:
     """Case-1 geometry restricted to a leading-edge window.

@@ -86,6 +86,7 @@ def test_criterion_1_kernel_oracle_equivalence(random_config_results):
         assert opt.trajectory_points <= 50_000
         worst = max(worst, float(np.max(np.abs(opt.field.heights - ref.field.heights))))
         trajectories_equal &= opt.trajectory.equals(ref.trajectory)
+        assert opt.in_grid_points == ref.in_grid_points
     ok = worst <= 1e-12 and trajectories_equal
     report(1, "kernel-oracle equivalence", ok,
            f"(20 configs, max height deviation {worst:.2e} mm, "

@@ -14,7 +14,7 @@ from millsurf import (
     time_step,
 )
 
-from helpers import case1_tool, case1_process, small_random_config
+from helpers import case1_tool, case1_process, small_random_config, wide_cutter_config
 
 
 def tiny_config(**overrides):
@@ -124,17 +124,44 @@ class TestSimulate:
             simulate(cfg)
 
 
+def assert_kernels_agree(opt, ref):
+    assert np.array_equal(opt.field.heights, ref.field.heights)
+    if ref.trajectory is None:
+        assert opt.trajectory is None
+    else:
+        assert opt.trajectory.equals(ref.trajectory)
+    assert opt.time_steps == ref.time_steps
+    assert opt.trajectory_points == ref.trajectory_points
+    assert opt.cells_updated == ref.cells_updated
+    # Equal heights can hide a culled in-grid point that was not the minimum.
+    assert opt.in_grid_points == ref.in_grid_points
+    assert ref.evaluated_points == ref.trajectory_points
+    assert opt.in_grid_points <= opt.evaluated_points <= opt.trajectory_points
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fields_and_trajectories_identical(self, seed):
         cfg = small_random_config(seed)
-        opt = simulate(cfg)
+        assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_fields_identical_without_trajectory(self, seed):
+        # Without a trajectory the vectorized kernel skips the trig of culled
+        # steps, a path the recording configs above never take.
+        cfg = dataclasses.replace(small_random_config(seed), record_trajectory=False)
+        assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_cutter_culls_and_agrees(self, seed, record):
+        cfg = dataclasses.replace(wide_cutter_config(seed), record_trajectory=record)
         ref = simulate_reference(cfg)
-        assert np.array_equal(opt.field.heights, ref.field.heights)
-        assert opt.trajectory.equals(ref.trajectory)
-        assert opt.time_steps == ref.time_steps
-        assert opt.trajectory_points == ref.trajectory_points
-        assert opt.cells_updated == ref.cells_updated
+        assert ref.in_grid_points > 0
+        for workers in (1, 2):
+            opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+            assert opt.evaluated_points < opt.trajectory_points
+            assert_kernels_agree(opt, ref)
 
 
 class TestBenchmark:

@@ -1,9 +1,18 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from millsurf import GridSpec, HeightField, TrajectoryRecord, read_surface, write_surface
 from millsurf.errors import DomainError, SurfaceFormatError
-from millsurf.surface_io import write_graymap, write_heights_csv, write_trajectory_csv
+from millsurf.roughness import MM_TO_UM
+from millsurf.surface_io import (
+    atomic_write_bytes,
+    write_graymap,
+    write_heights_csv,
+    write_trajectory_csv,
+)
 
 
 def random_field(seed=0, m=6, n=9, sentinel=0.5):
@@ -78,6 +87,55 @@ class TestSurfaceRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["s.srtf"]
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        payload = "not bytes"  # the file handle's write raises TypeError
+        if fail_at == "rename":
+            payload = b"new"
+
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((TypeError, OSError)):
+            atomic_write_bytes(path, payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert path.read_bytes() == b"old"
+
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o640
+
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        path = tmp_path / "out.bin"
+        payloads = [bytes([k]) * 200_000 for k in range(4)]
+        errors = []
+
+        def writer(payload):
+            try:
+                for _ in range(20):
+                    atomic_write_bytes(path, payload)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
 class TestHeightsCsv:
     def test_shape_five_by_five(self, tmp_path):
         spec = GridSpec(spacing_mm=0.5, x_min_mm=0.0, y_min_mm=0.0, m=4, n=4)
@@ -95,6 +153,20 @@ class TestHeightsCsv:
         write_heights_csv(field, path)
         data_row = path.read_text().strip().split("\n")[1]
         assert data_row == "1.000000,1.000000"
+
+    def test_matches_per_value_formatting(self, tmp_path):
+        # Signed zeros, tiny values that round to -0.000000, huge and
+        # non-finite values, each formatted as f"{v:.6f}" would.
+        field = random_field(seed=3, m=40, n=25)
+        special = np.array([-0.0, 0.0, -1e-12, 4e-10, 1e9 / MM_TO_UM, -1e300,
+                            np.inf, -np.inf, np.nan, 0.1234565e-3, -2.5e-10])
+        field.heights[: special.size * 7 : 7] = special
+        path = tmp_path / "grid.csv"
+        write_heights_csv(field, path)
+        block = field.as_array() * MM_TO_UM
+        lines = [",".join(f"{x:.6f}" for x in field.spec.x_coords())]
+        lines += [",".join(f"{v:.6f}" for v in block[:, j]) for j in range(block.shape[1])]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
 
 class TestGraymap:
