@@ -206,13 +206,14 @@ def _cmd_dataset(args) -> int:
 
     count = args.samples if args.samples is not None else raw.get("count")
     seed = args.seed if args.seed is not None else raw.get("seed")
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError("sample count required: pass --samples or set count in the config")
-    if not isinstance(seed, int):
-        raise ConfigError("seed required: pass --seed or set seed in the config")
     workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("dataset config: workers must be an integer >= 1")
+    if count is None:
+        raise ConfigError("sample count required: pass --samples or set count in the config")
+    if seed is None:
+        raise ConfigError("seed required: pass --seed or set seed in the config")
+    for name, value, minimum in (("count", count, 1), ("seed", seed, 0), ("workers", workers, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"dataset {name} must be an integer >= {minimum}, got {value!r}")
 
     _info(f"generating {count} samples (seed {seed}) into {args.out} ...")
     manifest = generate_dataset(ranges, count, seed, base, Path(args.out), workers=workers)

@@ -150,10 +150,10 @@ def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
             ):
                 raise ConfigError(f"{path}.runouts_mm[{k - 1}]: expected [radial_mm, axial_mm]")
-            if abs(pair[0]) >= radius or abs(pair[1]) >= radius:
+            if not all(abs(v) < radius for v in pair):  # also rejects NaN
                 raise ConfigError(
-                    f"{path}.runouts_mm[{k - 1}]: run-out must be small against the "
-                    f"insert radius {radius} mm"
+                    f"{path}.runouts_mm[{k - 1}]: run-out must be finite and small against "
+                    f"the insert radius {radius} mm, got {pair}"
                 )
             out.append((float(pair[0]), float(pair[1])))
         pairs = tuple(out)
@@ -305,8 +305,10 @@ def _parse_engine(
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in span)
         ):
             raise ConfigError(f"{path}.span_s: expected [t_start_s, t_end_s]")
-        if span[0] < 0 or span[1] <= span[0]:
-            raise ConfigError(f"{path}.span_s: must satisfy 0 <= start < end, got {span}")
+        if not 0 <= span[0] < span[1] < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"{path}.span_s: must be finite and satisfy 0 <= start < end, got {span}"
+            )
         if process.initial_position_mm[1] is None:
             raise ConfigError(
                 f"process.initial_position_mm.y is required when {path}.span_s is explicit"

@@ -93,6 +93,8 @@ def lhs_sample(ranges: list[ParameterRange], count: int, seed: int) -> np.ndarra
     stratum in every dimension, identical output for identical inputs."""
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not ranges:
         raise ConfigError("at least one parameter range is required")
     rng = np.random.default_rng(seed)

@@ -11,8 +11,7 @@ Two kernels share one simulation plan and produce bit-identical results:
 
     - step cull: every edge point lies in an annulus about the spindle axis
       (the teeth's radial range in the tool frame); steps whose annulus misses
-      the window are dropped before the trig, or, when the trajectory is
-      recorded and every step is needed for it, before the point stage;
+      the window are dropped before the trig;
     - row cull: per (step, tooth), interval bounds on the edge's x and y
       extent drop rows whose edge misses the window.
 
@@ -23,6 +22,9 @@ Two kernels share one simulation plan and produce bit-identical results:
     one private height field per worker, merged with an elementwise minimum,
     so results are independent of the worker count. ``evaluated_points`` and
     ``in_grid_points`` count the points computed and the points that landed.
+
+    The sweep computes heights only; a recorded trajectory is derived from
+    the plan after the timed loop (``_trajectory``).
 
 ``simulate_reference``
     Deliberately naive baseline: for every time step, tooth, and edge point it
@@ -35,7 +37,7 @@ same libm routines, evaluate matrix entries in the same fixed floating-point
 order, and use an order-insensitive minimum reduction.
 
 Wall time covers only the main loop (and the final min-merge); planning,
-validation, and export are excluded.
+validation, the trajectory pass, and export are excluded.
 """
 
 from __future__ import annotations
@@ -182,8 +184,10 @@ def _plan(config: SimulationConfig) -> _Plan:
         t_end = (grid.y_max_mm + margin - y0) / proc.feed_speed_mm_s
     else:
         t_start, t_end = config.span_s
-        if t_start < 0 or t_end <= t_start:
-            raise ConfigError(f"span_s must satisfy 0 <= start < end, got {config.span_s}")
+        if not 0 <= t_start < t_end < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"span_s must be finite and satisfy 0 <= start < end, got {config.span_s}"
+            )
         if y0 is None:
             raise ConfigError("initial position y is required when span_s is explicit")
     if z0 is None:
@@ -238,7 +242,7 @@ def _plan(config: SimulationConfig) -> _Plan:
 def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
     """Vectorized sweep over global steps [step_lo, step_hi) into a private field.
 
-    Returns ``(trajectory chunks, evaluated points, in-grid points)``.
+    Returns ``(evaluated points, in-grid points)``.
     """
     grid = plan.grid
     hflat = field.heights
@@ -272,7 +276,6 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
     yw_buf = np.empty((block_rows, n_points))
     tmp_buf = np.empty((block_rows, n_points))
 
-    traj_chunks: list[tuple[np.ndarray, ...]] = []
     evaluated = 0
     in_grid = 0
 
@@ -284,17 +287,8 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
         near_y = np.maximum(np.maximum(wy_lo - ty, 0.0), ty - wy_hi)
         far_y = np.maximum(np.abs(ty - wy_lo), np.abs(ty - wy_hi))
         reach = (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
-        if plan.record:
-            # Every row feeds the trajectory, so the step cull joins the row cull.
-            size = hi - lo
-            rec_t = np.repeat(t, n_teeth)
-            rec_tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), size)
-            rec_x = np.empty((size, n_teeth))
-            rec_y = np.empty((size, n_teeth))
-            rec_z = np.empty((size, n_teeth))
-        else:
-            t = t[reach]
-            ty = ty[reach]
+        t = t[reach]
+        ty = ty[reach]
 
         for k_idx, td in enumerate(plan.teeth):
             th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t)
@@ -311,14 +305,6 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
             y_lo = np.minimum(ns * axl, ns * axh) + np.minimum(c * ayl, c * ayh) + ty
             y_hi = np.maximum(ns * axl, ns * axh) + np.maximum(c * ayl, c * ayh) + ty
             keep = (x_hi >= wx_lo) & (x_lo <= wx_hi) & (y_hi >= wy_lo) & (y_lo <= wy_hi)
-
-            if plan.record:
-                mat = _transform_entries(td.rows, c, s, x0, ty)
-                p = td.min_index
-                rec_x[:, k_idx] = ((mat[0] * xp[p] + mat[1] * yp[p]) + mat[2] * zp[p]) + mat[3]
-                rec_y[:, k_idx] = ((mat[4] * xp[p] + mat[5] * yp[p]) + mat[6] * zp[p]) + mat[7]
-                rec_z[:, k_idx] = td.z_workpiece[p]
-                keep &= reach
             ki = np.flatnonzero(keep)
             if ki.size == 0:
                 continue
@@ -358,14 +344,37 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
                     in_grid += flat.size
                     zvals = np.broadcast_to(td.z_workpiece, xw.shape)[ok]
                     np.minimum.at(hflat, flat.astype(np.int64), zvals)
-
-        if plan.record:
-            traj_chunks.append(
-                (rec_t, rec_tooth, rec_x.reshape(-1), rec_y.reshape(-1), rec_z.reshape(-1))
-            )
         lo = hi
 
-    return traj_chunks, evaluated, in_grid
+    return evaluated, in_grid
+
+
+def _trajectory(plan: _Plan) -> TrajectoryRecord:
+    """Per-(step, tooth) minimum-z edge point over every step of the plan.
+
+    A tooth's workpiece z does not depend on time, so that point is always
+    edge point ``min_index``; it is transformed as in the sweep's point stage,
+    over chunks of steps shared among ``plan.workers`` threads.
+    """
+    n_teeth = plan.tool.tooth_count
+    t = plan.t_start + np.arange(plan.steps, dtype=np.float64) * plan.dt
+    ty = plan.y0 + plan.feed_speed * t
+    xyz = np.empty((3, plan.steps, n_teeth))
+
+    def fill(lo: int) -> None:
+        chunk = slice(lo, lo + _STEP_CHUNK)
+        for k_idx, td in enumerate(plan.teeth):
+            th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t[chunk])
+            mat = _transform_entries(td.rows, np.cos(th), np.sin(th), plan.x0, ty[chunk])
+            px, py, pz = (a[td.min_index] for a in (plan.edge.x, plan.edge.y, plan.edge.z))
+            xyz[0, chunk, k_idx] = ((mat[0] * px + mat[1] * py) + mat[2] * pz) + mat[3]
+            xyz[1, chunk, k_idx] = ((mat[4] * px + mat[5] * py) + mat[6] * pz) + mat[7]
+            xyz[2, chunk, k_idx] = td.z_workpiece[td.min_index]
+
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+        list(pool.map(fill, range(0, plan.steps, _STEP_CHUNK)))
+    tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), plan.steps)
+    return TrajectoryRecord(np.repeat(t, n_teeth), tooth, *xyz.reshape(3, -1))
 
 
 def _transform_entries(e, c, s, x0: float, ty):
@@ -387,14 +396,11 @@ def _transform_entries(e, c, s, x0: float, ty):
 def simulate(config: SimulationConfig) -> SimulationResult:
     """Run the optimized sweep. Deterministic and independent of worker_count."""
     plan = _plan(config)
-    workers = min(plan.workers, plan.steps) or 1
+    workers = min(plan.workers, plan.steps)
 
     # All buffers exist before the timed main loop starts.
-    if workers == 1:
-        ranges = [(0, plan.steps)]
-    else:
-        bounds = [round(w * plan.steps / workers) for w in range(workers + 1)]
-        ranges = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
+    bounds = [round(w * plan.steps / workers) for w in range(workers + 1)]
+    ranges = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
     fields = [HeightField(plan.grid, plan.initial_height) for _ in ranges]
 
     t0 = time.perf_counter()
@@ -411,22 +417,15 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         field.merge_min(other)
     wall = time.perf_counter() - t0
 
-    trajectory = None
-    if plan.record:
-        trajectory = TrajectoryRecord(plan.steps * plan.tool.tooth_count)
-        for chunks, _, _ in parts:
-            for chunk in chunks:
-                trajectory.extend_block(*chunk)
-
     return SimulationResult(
         field=field,
-        trajectory=trajectory,
+        trajectory=_trajectory(plan) if plan.record else None,
         time_steps=plan.steps,
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),
         main_loop_seconds=wall,
-        evaluated_points=sum(part[1] for part in parts),
-        in_grid_points=sum(part[2] for part in parts),
+        evaluated_points=sum(part[0] for part in parts),
+        in_grid_points=sum(part[1] for part in parts),
     )
 
 
@@ -436,9 +435,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
     plan = _plan(config)
     grid = plan.grid
     field = HeightField(grid, plan.initial_height)
-    trajectory = (
-        TrajectoryRecord(plan.steps * plan.tool.tooth_count) if plan.record else None
-    )
+    minima = []  # (t, tooth, x, y, z) per (step, tooth)
     n_teeth = plan.tool.tooth_count
     n_points = plan.edge.point_count
     edge_xyz = [
@@ -467,13 +464,12 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
                     best_z = z
                     best_x = x
                     best_y = y
-            if trajectory is not None:
-                trajectory.append(t, k, best_x, best_y, best_z)
+            minima.append((t, k, best_x, best_y, best_z))
     wall = time.perf_counter() - t0
 
     return SimulationResult(
         field=field,
-        trajectory=trajectory,
+        trajectory=TrajectoryRecord(*map(np.array, zip(*minima))) if plan.record else None,
         time_steps=plan.steps,
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),

@@ -15,7 +15,7 @@ border cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -158,67 +158,24 @@ def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
     return False
 
 
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Per-(time step, tooth) minimum-z edge point in workpiece coordinates.
 
-    Entries are ordered by time, ties by tooth index ascending. Storage is
-    reserved up front; ``append`` past capacity is an error.
+    Five equal-length arrays, built whole (no capacity is reserved), ordered
+    by time, ties by tooth index ascending.
     """
 
-    __slots__ = ("t_s", "tooth", "x_mm", "y_mm", "z_mm", "_cursor")
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise DomainError(f"capacity must be >= 0, got {capacity}")
-        self.t_s = np.empty(capacity, dtype=np.float64)
-        self.tooth = np.empty(capacity, dtype=np.int64)
-        self.x_mm = np.empty(capacity, dtype=np.float64)
-        self.y_mm = np.empty(capacity, dtype=np.float64)
-        self.z_mm = np.empty(capacity, dtype=np.float64)
-        self._cursor = 0
+    t_s: np.ndarray
+    tooth: np.ndarray
+    x_mm: np.ndarray
+    y_mm: np.ndarray
+    z_mm: np.ndarray
 
     def __len__(self) -> int:
-        return self._cursor
-
-    def append(self, t_s: float, tooth: int, x_mm: float, y_mm: float, z_mm: float) -> None:
-        c = self._cursor
-        if c >= self.t_s.shape[0]:
-            raise DomainError("trajectory record capacity exceeded")
-        self.t_s[c] = t_s
-        self.tooth[c] = tooth
-        self.x_mm[c] = x_mm
-        self.y_mm[c] = y_mm
-        self.z_mm[c] = z_mm
-        self._cursor = c + 1
-
-    def extend_block(
-        self,
-        t_s: np.ndarray,
-        tooth: np.ndarray,
-        x_mm: np.ndarray,
-        y_mm: np.ndarray,
-        z_mm: np.ndarray,
-    ) -> None:
-        c = self._cursor
-        k = t_s.shape[0]
-        if c + k > self.t_s.shape[0]:
-            raise DomainError("trajectory record capacity exceeded")
-        self.t_s[c : c + k] = t_s
-        self.tooth[c : c + k] = tooth
-        self.x_mm[c : c + k] = x_mm
-        self.y_mm[c : c + k] = y_mm
-        self.z_mm[c : c + k] = z_mm
-        self._cursor = c + k
+        return len(self.t_s)
 
     def equals(self, other: "TrajectoryRecord") -> bool:
-        if len(self) != len(other):
-            return False
-        c = self._cursor
-        return (
-            np.array_equal(self.t_s[:c], other.t_s[:c])
-            and np.array_equal(self.tooth[:c], other.tooth[:c])
-            and np.array_equal(self.x_mm[:c], other.x_mm[:c])
-            and np.array_equal(self.y_mm[:c], other.y_mm[:c])
-            and np.array_equal(self.z_mm[:c], other.z_mm[:c])
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
-

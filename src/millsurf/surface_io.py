@@ -131,10 +131,9 @@ def write_graymap(field: HeightField, path: Path) -> None:
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
     """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per recorded point, floats in repr form."""
+    columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
     lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
-    for k in range(len(record)):
-        lines.append(
-            f"{float(record.t_s[k])!r},{int(record.tooth[k])},"
-            f"{float(record.x_mm[k])!r},{float(record.y_mm[k])!r},{float(record.z_mm[k])!r}"
-        )
+    lines.extend(
+        f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
+    )
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())

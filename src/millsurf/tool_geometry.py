@@ -53,9 +53,9 @@ class ToolDefinition:
                 f"got {len(self.runouts_mm)} pairs for {self.tooth_count} teeth"
             )
         for k, (eps_r, eps_a) in enumerate(self.runouts_mm, start=1):
-            if abs(eps_r) >= self.insert_radius_mm or abs(eps_a) >= self.insert_radius_mm:
+            if not (abs(eps_r) < self.insert_radius_mm and abs(eps_a) < self.insert_radius_mm):
                 raise DomainError(
-                    f"run-out of tooth {k} ({eps_r}, {eps_a}) mm is not small "
+                    f"run-out of tooth {k} ({eps_r}, {eps_a}) mm is not finite and small "
                     f"against the insert radius {self.insert_radius_mm} mm"
                 )
 

@@ -177,6 +177,22 @@ class TestDatasetCommand:
         assert "ranges[0]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value, flags", [
+        ("count", True, []), ("count", 0, []), ("seed", False, []), ("seed", -1, []),
+        ("workers", True, []), ("seed", 3, ["--seed", "-1"]),
+    ])
+    def test_bad_count_seed_workers(self, config_path, tmp_path, capsys, key, value, flags):
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json",
+            "ranges": [{"name": "feed_per_tooth_mm", "low": 0.2, "high": 0.4}],
+            **{"count": 2, "seed": 3, key: value},
+        }))
+        argv = ["dataset", "--config", str(ds_config), "--out", str(tmp_path / "d"), *flags]
+        assert main(argv) == 1
+        assert f"dataset {key} must be" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     @pytest.fixture
     def bench_config(self, tmp_path):

@@ -105,6 +105,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="runouts_mm"):
             parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_runout(self, value):
+        # json writes and reads these as NaN and Infinity.
+        raw = case1_raw(**{"tool.runouts_mm": [[0.0, 0.0], [0.011, value]]})
+        with pytest.raises(ConfigError, match=r"tool\.runouts_mm\[1\]"):
+            parse_config(json.dumps(raw))
+
     def test_deg_and_rad_twins_exclusive(self):
         raw = case1_raw(**{"tool.radial_rake_rad": 0.01})
         with pytest.raises(ConfigError, match="not both"):
@@ -117,11 +124,12 @@ class TestParseConfig:
             parse_config(json.dumps(raw))
 
     def test_bad_span(self):
-        raw = case1_raw()
-        raw["engine"]["span_s"] = [0.02, 0.01]
-        raw["process"]["initial_position_mm"]["y"] = -3.0
-        with pytest.raises(ConfigError, match="span_s"):
-            parse_config(json.dumps(raw))
+        for span in ([0.02, 0.01], [0.0, math.inf], [0.0, math.nan]):
+            raw = case1_raw()
+            raw["engine"]["span_s"] = span
+            raw["process"]["initial_position_mm"]["y"] = -3.0
+            with pytest.raises(ConfigError, match="span_s"):
+                parse_config(json.dumps(raw))
 
     def test_unknown_output_format(self):
         raw = case1_raw(**{"output.formats": ["surface", "stl"]})

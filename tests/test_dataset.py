@@ -56,6 +56,10 @@ class TestLhsSample:
         with pytest.raises(ConfigError):
             lhs_sample([ParameterRange("phase_deg", 0.0, 1.0)], 0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            lhs_sample([ParameterRange("phase_deg", 0.0, 1.0)], 5, seed=-1)
+
     def test_empty_ranges_rejected(self):
         with pytest.raises(ConfigError):
             lhs_sample([], 5, seed=0)

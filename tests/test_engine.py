@@ -13,6 +13,7 @@ from millsurf import (
     simulate_reference,
     time_step,
 )
+from millsurf import engine
 
 from helpers import case1_tool, case1_process, small_random_config, wide_cutter_config
 
@@ -63,6 +64,9 @@ class TestSimulate:
         assert result.cells_updated == 0
         assert np.all(result.field.heights == cfg.process.depth_of_cut_mm)
         assert result.trajectory_points == result.time_steps * 2 * 7
+        # Every step is culled, yet the recorded trajectory covers all of them.
+        assert result.evaluated_points == 0
+        assert_kernels_agree(result, simulate_reference(cfg))
 
     def test_counters(self):
         result = simulate(tiny_config())
@@ -119,9 +123,10 @@ class TestSimulate:
             simulate(cfg)
 
     def test_bad_span(self):
-        cfg = tiny_config(process=case1_process(y0=-3.0), span_s=(0.02, 0.01))
-        with pytest.raises(ConfigError):
-            simulate(cfg)
+        for span in [(0.02, 0.01), (0.0, math.inf), (0.0, math.nan)]:
+            cfg = tiny_config(process=case1_process(y0=-3.0), span_s=span)
+            with pytest.raises(ConfigError):
+                simulate(cfg)
 
 
 def assert_kernels_agree(opt, ref):
@@ -147,8 +152,8 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fields_identical_without_trajectory(self, seed):
-        # Without a trajectory the vectorized kernel skips the trig of culled
-        # steps, a path the recording configs above never take.
+        # Recording only adds a pass after the sweep; this checks the sweep's
+        # heights and counters when that pass does not run.
         cfg = dataclasses.replace(small_random_config(seed), record_trajectory=False)
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
 
@@ -162,6 +167,16 @@ class TestKernelEquivalence:
             opt = simulate(dataclasses.replace(cfg, worker_count=workers))
             assert opt.evaluated_points < opt.trajectory_points
             assert_kernels_agree(opt, ref)
+
+    def test_small_chunks_agree(self, monkeypatch):
+        # Production chunk sizes exceed these tests' step counts; shrink them so
+        # chunk and block boundaries fall inside the sweep and trajectory pass.
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 5)
+        monkeypatch.setattr(engine, "_POINT_BLOCK", 16)
+        cfg = small_random_config(0)
+        ref = simulate_reference(cfg)
+        for workers in (1, 2):
+            assert_kernels_agree(simulate(dataclasses.replace(cfg, worker_count=workers)), ref)
 
 
 class TestBenchmark:

@@ -158,16 +158,15 @@ class TestHeightField:
 
 
 class TestTrajectoryRecord:
-    def test_capacity_enforced(self):
-        rec = TrajectoryRecord(1)
-        rec.append(0.0, 1, 0.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            rec.append(0.1, 1, 0.0, 0.0, 0.0)
+    @staticmethod
+    def make(t_s, tooth, x, y, z):
+        return TrajectoryRecord(
+            np.array(t_s), np.array(tooth, dtype=np.int64), np.array(x), np.array(y), np.array(z)
+        )
 
     def test_equals(self):
-        a, b = TrajectoryRecord(2), TrajectoryRecord(2)
-        for rec in (a, b):
-            rec.append(0.0, 1, 1.0, 2.0, 3.0)
-        assert a.equals(b)
-        b.append(0.1, 2, 1.0, 2.0, 3.0)
-        assert not a.equals(b)
+        a = self.make([0.0], [1], [1.0], [2.0], [3.0])
+        b = self.make([0.0], [1], [1.0], [2.0], [3.0])
+        assert a.equals(b) and len(a) == 1
+        assert not a.equals(self.make([0.0, 0.1], [1, 2], [1.0] * 2, [2.0] * 2, [3.0] * 2))
+        assert not a.equals(self.make([0.0], [1], [1.0], [2.0], [-3.0]))

@@ -202,9 +202,13 @@ class TestGraymap:
 
 class TestTrajectoryCsv:
     def test_floats_round_trip(self, tmp_path):
-        rec = TrajectoryRecord(2)
-        rec.append(0.1, 1, 1.0 / 3.0, -2.5e-7, 0.1 + 0.2)
-        rec.append(0.2, 2, -4.0, 5.0, -0.0625)
+        rec = TrajectoryRecord(
+            t_s=np.array([0.1, 0.2]),
+            tooth=np.array([1, 2], dtype=np.int64),
+            x_mm=np.array([1.0 / 3.0, -4.0]),
+            y_mm=np.array([-2.5e-7, 5.0]),
+            z_mm=np.array([0.1 + 0.2, -0.0625]),
+        )
         path = tmp_path / "t.csv"
         write_trajectory_csv(rec, path)
         header, *rows = path.read_text().splitlines()

@@ -155,6 +155,11 @@ class TestToolDefinition:
         with pytest.raises(DomainError):
             make_tool(runouts_mm=((0.0, 0.0), (5.0, 0.0)))
 
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0)])
+    def test_non_finite_runout(self, pair):
+        with pytest.raises(DomainError):
+            make_tool(runouts_mm=((0.0, 0.0), pair))
+
     @pytest.mark.parametrize("kw", [
         dict(cutting_diameter_mm=0.0),
         dict(insert_radius_mm=-1.0),
