@@ -17,11 +17,9 @@ from .roughness import ArealMetrics, LineProfile, areal_metrics, extract_profile
 from .surface_grid import GridSpec, HeightField, TrajectoryRecord
 from .surface_io import read_surface, write_surface
 from .tool_geometry import (
-    CuttingEdgePoint,
     EdgeDiscretization,
     ToolDefinition,
     discretize_edge,
-    edge_point,
     effective_half_length,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "BenchmarkReport",
     "ConfigDocument",
     "ConfigError",
-    "CuttingEdgePoint",
     "DomainError",
     "EdgeDiscretization",
     "GridSpec",
@@ -49,7 +46,6 @@ __all__ = [
     "areal_metrics",
     "derive_kinematics",
     "discretize_edge",
-    "edge_point",
     "effective_half_length",
     "extract_profile",
     "generate_dataset",

@@ -202,6 +202,8 @@ def generate_dataset(
     schedule. A failing sample is recorded in-place and does not abort the
     batch.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     config_from_dict(base_raw)  # fail fast on a broken base configuration
     _check_ranges_against_base(ranges, base_raw)
     samples = lhs_sample(ranges, count, seed)
@@ -228,16 +230,9 @@ def generate_dataset(
     with open(manifest_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
         handle.flush()
-        if workers <= 1:
-            results = (_run_sample(i, raw, params, out_dir) for i, raw, params in jobs)
-            for row in results:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for row in pool.map(lambda job: _run_sample(*job, out_dir), jobs):
                 rows.append(row)
                 handle.write(json.dumps(row) + "\n")
                 handle.flush()
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for row in pool.map(lambda job: _run_sample(*job, out_dir), jobs):
-                    rows.append(row)
-                    handle.write(json.dumps(row) + "\n")
-                    handle.flush()
     return DatasetManifest(seed=seed, count=count, rows=rows, path=manifest_path)

@@ -110,10 +110,10 @@ def time_step(config: SimulationConfig) -> float:
     feed guards (tool turns at most max_step_angle and advances at most one
     cell per step)."""
     if config.time_step_s is not None:
-        if config.time_step_s <= 0:
-            raise ConfigError(f"time_step_s must be > 0, got {config.time_step_s}")
+        if not (math.isfinite(config.time_step_s) and config.time_step_s > 0):
+            raise ConfigError(f"time_step_s must be finite and > 0, got {config.time_step_s}")
         return config.time_step_s
-    if config.max_step_angle_rad <= 0:
+    if not config.max_step_angle_rad > 0:
         raise ConfigError(f"max_step_angle_rad must be > 0, got {config.max_step_angle_rad}")
     by_angle = config.max_step_angle_rad / config.process.angular_velocity_rad_s
     by_feed = config.grid.spacing_mm / config.process.feed_speed_mm_s
@@ -533,8 +533,8 @@ def run_benchmark(
     base_dt = time_step(config)
     report = BenchmarkReport(case_id=case_id)
     for size in sizes:
-        if size <= 0:
-            raise ConfigError(f"benchmark size must be > 0, got {size}")
+        if not (math.isfinite(size) and size > 0):
+            raise ConfigError(f"benchmark size must be finite and > 0, got {size}")
         scaled = replace(config, time_step_s=base_dt / size)
         opt = simulate(scaled)
         ref = simulate_reference(scaled)

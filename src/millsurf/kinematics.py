@@ -12,9 +12,8 @@ is a pure Z rotation by the instantaneous tooth angle, and the spindle-to-
 workpiece transform is the straight-line feed translation along Y.
 
 The ``*_rows`` builders return plain nested lists of Python floats and are the
-single source of truth for matrix entries; the public constructors wrap them
-into numpy arrays. The simulation engine consumes the same builders, which
-keeps its two kernels bit-identical.
+single source of truth for matrix entries. The simulation engine's two
+kernels consume the same builders, which keeps them bit-identical.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
-from .tool_geometry import CuttingEdgePoint, ToolDefinition
+from .tool_geometry import ToolDefinition
 
 
 @dataclass(frozen=True)
@@ -48,17 +45,6 @@ class ProcessParameters:
             raise DomainError(f"feed speed must be > 0, got {self.feed_speed_mm_s}")
         if self.depth_of_cut_mm <= 0:
             raise DomainError(f"depth of cut must be > 0, got {self.depth_of_cut_mm}")
-
-
-@dataclass(frozen=True)
-class WorkpiecePoint:
-    """A cutting-edge point expressed in workpiece coordinates at time t."""
-
-    x_mm: float
-    y_mm: float
-    z_mm: float
-    t_s: float
-    tooth_index: int
 
 
 def tooth_angle(
@@ -153,65 +139,6 @@ def _apply4(m, x: float, y: float, z: float) -> tuple[float, float, float]:
         m[1][0] * x + m[1][1] * y + m[1][2] * z + m[1][3],
         m[2][0] * x + m[2][1] * y + m[2][2] * z + m[2][3],
     )
-
-
-def edge_to_tool_transform(tool: ToolDefinition, tooth_index: int) -> np.ndarray:
-    """Edge-frame to tool-frame transform for tooth K (rake rotation + placement)."""
-    return np.array(_edge_to_tool_rows(tool, tooth_index), dtype=np.float64)
-
-
-def tool_to_spindle_transform(
-    phase_rad: float,
-    tooth_index: int,
-    tooth_count: int,
-    angular_velocity_rad_s: float,
-    t_s: float,
-) -> np.ndarray:
-    """Planar rotation of tooth K about the spindle axis at time t."""
-    return np.array(
-        _tool_to_spindle_rows(phase_rad, tooth_index, tooth_count, angular_velocity_rad_s, t_s),
-        dtype=np.float64,
-    )
-
-
-def spindle_to_workpiece_transform(
-    x0_mm: float, y0_mm: float, z0_mm: float, feed_speed_mm_s: float, t_s: float
-) -> np.ndarray:
-    """Straight-line feed translation along the workpiece Y axis."""
-    return np.array(
-        _spindle_to_workpiece_rows(x0_mm, y0_mm, z0_mm, feed_speed_mm_s, t_s), dtype=np.float64
-    )
-
-
-def compose_transforms(a, b) -> np.ndarray:
-    """Product a . b of two homogeneous transforms."""
-    return np.array(_matmul4(a, b), dtype=np.float64)
-
-
-def transform_point(
-    tool: ToolDefinition,
-    params: ProcessParameters,
-    tooth_index: int,
-    t_s: float,
-    point: CuttingEdgePoint,
-) -> WorkpiecePoint:
-    """Map an edge-frame point into workpiece coordinates at time t.
-
-    The composite matrix is built once and applied; callers evaluating many
-    points at the same (tooth, time) should compose once themselves or use the
-    simulation engine, which does exactly that.
-    """
-    x0, y0, z0 = params.initial_position_mm
-    if y0 is None:
-        raise DomainError("initial position y is unresolved (auto-span config not planned yet)")
-    ct = _edge_to_tool_rows(tool, tooth_index)
-    ts = _tool_to_spindle_rows(
-        params.phase_rad, tooth_index, tool.tooth_count, params.angular_velocity_rad_s, t_s
-    )
-    sw = _spindle_to_workpiece_rows(x0, y0, z0, params.feed_speed_mm_s, t_s)
-    m = _matmul4(_matmul4(sw, ts), ct)
-    x, y, z = _apply4(m, point.x_mm, point.y_mm, point.z_mm)
-    return WorkpiecePoint(x, y, z, t_s, tooth_index)
 
 
 def derive_kinematics(

@@ -22,6 +22,11 @@ import numpy as np
 from .errors import DomainError
 
 
+def _check_spacing(spacing_mm: float) -> None:
+    if not (math.isfinite(spacing_mm) and spacing_mm > 0):
+        raise DomainError(f"grid spacing must be finite and > 0, got {spacing_mm}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular grid geometry. ``m`` and ``n`` are cell counts; nodes are m+1 by n+1."""
@@ -33,8 +38,11 @@ class GridSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.spacing_mm <= 0:
-            raise DomainError(f"grid spacing must be > 0, got {self.spacing_mm}")
+        _check_spacing(self.spacing_mm)
+        if not (math.isfinite(self.x_min_mm) and math.isfinite(self.y_min_mm)):
+            raise DomainError(
+                f"grid origin must be finite, got ({self.x_min_mm}, {self.y_min_mm})"
+            )
         if self.m < 1 or self.n < 1:
             raise DomainError(f"grid must have at least one cell per axis, got m={self.m}, n={self.n}")
 
@@ -45,8 +53,7 @@ class GridSpec:
         x_range_mm: tuple[float, float],
         y_range_mm: tuple[float, float],
     ) -> "GridSpec":
-        if spacing_mm <= 0:
-            raise DomainError(f"grid spacing must be > 0, got {spacing_mm}")
+        _check_spacing(spacing_mm)
         m = round((x_range_mm[1] - x_range_mm[0]) / spacing_mm)
         n = round((y_range_mm[1] - y_range_mm[0]) / spacing_mm)
         if m < 1 or n < 1:

@@ -61,19 +61,6 @@ class ToolDefinition:
 
 
 @dataclass(frozen=True)
-class CuttingEdgePoint:
-    """A single point on the cutting edge, in the edge frame (mm)."""
-
-    x_mm: float
-    y_mm: float
-    z_mm: float
-
-    @property
-    def homogeneous(self) -> tuple[float, float, float, float]:
-        return (self.x_mm, self.y_mm, self.z_mm, 1.0)
-
-
-@dataclass(frozen=True)
 class EdgeDiscretization:
     """Uniform sampling of the engaged edge arc over [-half_length, +half_length].
 
@@ -96,14 +83,6 @@ class EdgeDiscretization:
     @property
     def z(self) -> np.ndarray:
         return self.points[:, 2]
-
-
-def edge_point(l_mm: float, insert_radius_mm: float) -> CuttingEdgePoint:
-    """Point on the lower semicircular edge arc at arc coordinate ``l_mm``."""
-    r = insert_radius_mm
-    if abs(l_mm) > r:
-        raise DomainError(f"point off the insert arc: |l| = {abs(l_mm)} mm > R = {r} mm")
-    return CuttingEdgePoint(l_mm, 0.0, r - math.sqrt(r * r - l_mm * l_mm))
 
 
 def effective_half_length(

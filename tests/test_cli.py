@@ -219,6 +219,11 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(bench_config), "--scale", "1,x",
                      "--out", str(tmp_path / "r.json")]) == 1
 
+    def test_nan_scale(self, bench_config, tmp_path, capsys):
+        assert main(["bench", "--config", str(bench_config), "--scale", "nan",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_out_required(self, bench_config):
         assert main(["bench", "--config", str(bench_config)]) == 1
 

@@ -150,3 +150,9 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
                              base_raw=raw, out_dir=tmp_path)
+
+    def test_zero_workers_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="workers"):
+            generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
+                             base_raw=base_raw(), out_dir=tmp_path, workers=0)
+        assert not (tmp_path / "manifest.jsonl").exists()

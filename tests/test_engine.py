@@ -54,6 +54,17 @@ class TestTimeStep:
         with pytest.raises(ConfigError):
             time_step(tiny_config(time_step_s=-1.0))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(time_step_s=math.nan),
+        dict(time_step_s=math.inf),
+        dict(time_step_s=None, max_step_angle_rad=math.nan),
+    ])
+    def test_non_finite_step_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            time_step(tiny_config(**overrides))
+        with pytest.raises(ConfigError):
+            simulate(tiny_config(**overrides))
+
 
 class TestSimulate:
     def test_no_engagement_leaves_stock_uncut(self):
@@ -192,6 +203,11 @@ class TestBenchmark:
             "scale", "trajectory_points", "t_reference_s", "t_optimized_s", "speedup",
         }
         assert "speedup" in report.to_text()
+
+    @pytest.mark.parametrize("size", [0.0, math.nan, math.inf])
+    def test_bad_size(self, size):
+        with pytest.raises(ConfigError):
+            run_benchmark(tiny_config(record_trajectory=False), [size])
 
     def test_scaling_doubles_points(self):
         report = run_benchmark(tiny_config(record_trajectory=False), [1, 2], case_id="x")

@@ -3,20 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from millsurf import ConfigError, DomainError, ToolDefinition, derive_kinematics, edge_point
+from millsurf import ConfigError, DomainError, ToolDefinition, derive_kinematics, discretize_edge
 from millsurf.kinematics import (
-    compose_transforms,
-    edge_to_tool_transform,
-    spindle_to_workpiece_transform,
-    tool_to_spindle_transform,
-    transform_point,
+    _apply4,
+    _edge_to_tool_rows,
+    _matmul4,
+    _spindle_to_workpiece_rows,
+    _tool_to_spindle_rows,
 )
 
 from helpers import case1_tool, case1_process
 
+EDGE_ORIGIN = (0.0, 0.0, 0.0)  # lowest point of the edge arc
+
+
+def chain(tool, params, tooth, t, point):
+    """Map an edge-frame point to workpiece coordinates as simulate_reference does."""
+    x0, y0, z0 = params.initial_position_mm
+    ct = _edge_to_tool_rows(tool, tooth)
+    ts = _tool_to_spindle_rows(params.phase_rad, tooth, tool.tooth_count,
+                               params.angular_velocity_rad_s, t)
+    sw = _spindle_to_workpiece_rows(x0, y0, z0, params.feed_speed_mm_s, t)
+    return _apply4(_matmul4(_matmul4(sw, ts), ct), *point)
+
+
+def edge_points(tool):
+    """Edge-frame (x, y, z) samples of the case1 engaged arc, |l| <= 2.18 mm."""
+    return [tuple(map(float, row[:3])) for row in discretize_edge(tool, 0.5, 0.6, 41).points]
+
 
 def chain_oracle(tool, params, tooth, t, point):
-    """Independently coded matrix-product chain for cross-checking transform_point."""
+    """Independently coded matrix-product chain for cross-checking chain()."""
     gf, gp = tool.radial_rake_rad, tool.axial_rake_rad
     eps_r, eps_a = tool.runouts_mm[tooth - 1]
     edge_to_tool = np.array([
@@ -41,71 +58,69 @@ def chain_oracle(tool, params, tooth, t, point):
         [0.0, 0.0, 1.0, z0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-    vec = spindle_to_work @ tool_to_spindle @ edge_to_tool @ np.array(
-        [point.x_mm, point.y_mm, point.z_mm, 1.0]
-    )
+    vec = spindle_to_work @ tool_to_spindle @ edge_to_tool @ np.array([*point, 1.0])
     return vec[:3]
 
 
 class TestEdgeToTool:
     def test_zero_rake_first_tooth(self):
-        m = edge_to_tool_transform(case1_tool(), 1)
+        m = np.array(_edge_to_tool_rows(case1_tool(), 1))
         assert np.array_equal(m[:3, :3], np.eye(3))
         assert np.array_equal(m[:, 3], [5.0, 0.0, 0.0, 1.0])
 
     def test_small_radial_rake_entries(self):
         tool = case1_tool(radial_rake_rad=math.radians(0.6))
-        m = edge_to_tool_transform(tool, 1)
-        assert m[0, 0] == pytest.approx(0.9999452, abs=1e-7)
-        assert m[0, 1] == pytest.approx(0.0104717, abs=1e-7)
-        assert m[0, 3] == 5.0
+        m = _edge_to_tool_rows(tool, 1)
+        assert m[0][0] == pytest.approx(0.9999452, abs=1e-7)
+        assert m[0][1] == pytest.approx(0.0104717, abs=1e-7)
+        assert m[0][3] == 5.0
 
     def test_second_tooth_runout_translation(self):
         tool = case1_tool(runouts=((0.0, 0.0), (0.011, 0.003)))
-        m = edge_to_tool_transform(tool, 2)
-        assert m[0, 3] == pytest.approx(5.011, abs=1e-12)
-        assert m[1, 3] == 0.0
-        assert m[2, 3] == pytest.approx(0.003, abs=1e-12)
+        m = _edge_to_tool_rows(tool, 2)
+        assert m[0][3] == pytest.approx(5.011, abs=1e-12)
+        assert m[1][3] == 0.0
+        assert m[2][3] == pytest.approx(0.003, abs=1e-12)
 
     def test_tooth_index_out_of_range(self):
         with pytest.raises(DomainError):
-            edge_to_tool_transform(case1_tool(), 3)
+            _edge_to_tool_rows(case1_tool(), 3)
         with pytest.raises(DomainError):
-            edge_to_tool_transform(case1_tool(), 0)
+            _edge_to_tool_rows(case1_tool(), 0)
 
 
 class TestToolToSpindle:
     def test_identity_at_zero_angle(self):
-        m = tool_to_spindle_transform(0.0, 1, 2, 100.0, 0.0)
+        m = np.array(_tool_to_spindle_rows(0.0, 1, 2, 100.0, 0.0))
         assert np.array_equal(m, np.eye(4))
 
     def test_half_turn_for_opposite_tooth(self):
-        m = tool_to_spindle_transform(0.0, 2, 2, 100.0, 0.0)
+        m = np.array(_tool_to_spindle_rows(0.0, 2, 2, 100.0, 0.0))
         assert np.allclose(np.diag(m), [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
         assert abs(m[0, 1]) < 1e-12
 
     def test_phase_cancels_rotation(self):
         omega = 566.6666666666666
         t = (math.pi / 2) / omega
-        m = tool_to_spindle_transform(math.pi / 2, 1, 2, omega, t)
+        m = np.array(_tool_to_spindle_rows(math.pi / 2, 1, 2, omega, t))
         assert np.allclose(m, np.eye(4), atol=1e-12)
 
     def test_time_must_be_nonnegative(self):
         with pytest.raises(DomainError):
-            tool_to_spindle_transform(0.0, 1, 2, 100.0, -1e-9)
+            _tool_to_spindle_rows(0.0, 1, 2, 100.0, -1e-9)
 
 
 class TestSpindleToWorkpiece:
     def test_identity_at_origin(self):
-        assert np.array_equal(spindle_to_workpiece_transform(0, 0, 0, 1.0, 0.0), np.eye(4))
+        assert np.array_equal(np.array(_spindle_to_workpiece_rows(0, 0, 0, 1.0, 0.0)), np.eye(4))
 
     def test_feed_translation(self):
         proc = case1_process()
-        m = spindle_to_workpiece_transform(0.0, -10.0, 0.0, proc.feed_speed_mm_s, 0.1)
-        assert m[1, 3] == pytest.approx(0.8225, abs=1e-4)
+        m = _spindle_to_workpiece_rows(0.0, -10.0, 0.0, proc.feed_speed_mm_s, 0.1)
+        assert m[1][3] == pytest.approx(0.8225, abs=1e-4)
 
     def test_pure_translation(self):
-        m = spindle_to_workpiece_transform(3.0, 1.0, 0.5, 2.0, 2.0)
+        m = np.array(_spindle_to_workpiece_rows(3.0, 1.0, 0.5, 2.0, 2.0))
         assert np.array_equal(m[:3, :3], np.eye(3))
         assert np.array_equal(m[:3, 3], [3.0, 5.0, 0.5])
 
@@ -114,10 +129,10 @@ class TestTransformPoint:
     def test_all_zero_is_edge_to_tool_translation(self):
         tool = case1_tool()
         proc = case1_process(x0=1.5, y0=-2.0)
-        p = transform_point(tool, proc, 1, 0.0, edge_point(0.0, 5.0))
-        assert p.x_mm == pytest.approx(1.5 + 5.0, abs=1e-12)
-        assert p.y_mm == pytest.approx(-2.0, abs=1e-12)
-        assert p.z_mm == pytest.approx(0.0, abs=1e-12)
+        x, y, z = chain(tool, proc, 1, 0.0, EDGE_ORIGIN)
+        assert x == pytest.approx(1.5 + 5.0, abs=1e-12)
+        assert y == pytest.approx(-2.0, abs=1e-12)
+        assert z == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_chain_oracle(self):
         tool = ToolDefinition(
@@ -129,28 +144,27 @@ class TestTransformPoint:
             runouts_mm=((0.0, 0.0), (0.011, 0.003)),
         )
         proc = case1_process(x0=0.3, y0=-4.0)
+        points = edge_points(tool)
         rng = np.random.default_rng(5)
         for _ in range(50):
             tooth = int(rng.integers(1, 3))
             t = float(rng.uniform(0.0, 0.01))
-            p = edge_point(float(rng.uniform(-2.0, 2.0)), 5.0)
-            got = transform_point(tool, proc, tooth, t, p)
+            p = points[int(rng.integers(len(points)))]
+            got = chain(tool, proc, tooth, t, p)
             want = chain_oracle(tool, proc, tooth, t, p)
-            assert abs(got.x_mm - want[0]) < 1e-12
-            assert abs(got.y_mm - want[1]) < 1e-12
-            assert abs(got.z_mm - want[2]) < 1e-12
+            assert np.all(np.abs(np.subtract(got, want)) < 1e-12)
 
     def test_opposite_teeth_related_by_half_turn(self):
         tool = case1_tool()
         proc = case1_process(x0=0.0, y0=-3.0)
         t = 0.0123
         center_y = -3.0 + proc.feed_speed_mm_s * t
-        p = edge_point(1.2, 5.0)
-        a = transform_point(tool, proc, 1, t, p)
-        b = transform_point(tool, proc, 2, t, p)
-        assert -(a.x_mm - 0.0) == pytest.approx(b.x_mm - 0.0, abs=1e-9)
-        assert -(a.y_mm - center_y) == pytest.approx(b.y_mm - center_y, abs=1e-9)
-        assert a.z_mm == pytest.approx(b.z_mm, abs=1e-12)
+        p = edge_points(tool)[33]
+        a = chain(tool, proc, 1, t, p)
+        b = chain(tool, proc, 2, t, p)
+        assert -(a[0] - 0.0) == pytest.approx(b[0] - 0.0, abs=1e-9)
+        assert -(a[1] - center_y) == pytest.approx(b[1] - center_y, abs=1e-9)
+        assert a[2] == pytest.approx(b[2], abs=1e-12)
 
     def test_tooth_shift_time_shift_equivalence(self):
         # identical teeth: advancing one tooth index equals advancing one tooth
@@ -159,15 +173,16 @@ class TestTransformPoint:
         proc = case1_process(y0=-5.0)
         period = 2.0 * math.pi / (proc.angular_velocity_rad_s * tool.tooth_count)
         shift = proc.feed_speed_mm_s * period
+        points = edge_points(tool)
         rng = np.random.default_rng(9)
         for _ in range(25):
             t = float(rng.uniform(0.0, 0.02))
-            p = edge_point(float(rng.uniform(-2.0, 2.0)), 5.0)
-            a = transform_point(tool, proc, 1, t, p)
-            b = transform_point(tool, proc, 2, t + period, p)
-            assert a.x_mm == pytest.approx(b.x_mm, abs=1e-9)
-            assert a.y_mm + shift == pytest.approx(b.y_mm, abs=1e-9)
-            assert a.z_mm == pytest.approx(b.z_mm, abs=1e-9)
+            p = points[int(rng.integers(len(points)))]
+            a = chain(tool, proc, 1, t, p)
+            b = chain(tool, proc, 2, t + period, p)
+            assert a[0] == pytest.approx(b[0], abs=1e-9)
+            assert a[1] + shift == pytest.approx(b[1], abs=1e-9)
+            assert a[2] == pytest.approx(b[2], abs=1e-9)
 
     def test_lowest_point_height_invariant(self):
         # zero axial rake, zero axial run-out: the lowest edge point stays at
@@ -181,26 +196,21 @@ class TestTransformPoint:
                 phase_rad=float(rng.uniform(0, 6.28)),
                 initial_position_mm=(0.0, -1.0, 0.25),
             )
-            p = transform_point(tool, proc, 1, float(rng.uniform(0, 0.05)), edge_point(0.0, 5.0))
-            assert p.z_mm == pytest.approx(0.25, abs=1e-12)
+            _, _, z = chain(tool, proc, 1, float(rng.uniform(0, 0.05)), EDGE_ORIGIN)
+            assert z == pytest.approx(0.25, abs=1e-12)
 
     def test_composition_order_guard(self):
-        from millsurf.kinematics import (
-            _apply4,
-            _edge_to_tool_rows,
-            _matmul4,
-            _spindle_to_workpiece_rows,
-            _tool_to_spindle_rows,
-        )
         tool = case1_tool(radial_rake_rad=0.02, axial_rake_rad=0.01,
                           runouts=((0.0, 0.0), (0.01, 0.005)))
         proc = case1_process(x0=0.7, y0=-2.0)
         ct = _edge_to_tool_rows(tool, 2)
         ts = _tool_to_spindle_rows(proc.phase_rad, 2, 2, proc.angular_velocity_rad_s, 0.004)
         sw = _spindle_to_workpiece_rows(0.7, -2.0, 0.0, proc.feed_speed_mm_s, 0.004)
-        correct = _apply4(_matmul4(_matmul4(sw, ts), ct), 1.3, 0.0, 0.17)
-        swapped = _apply4(_matmul4(_matmul4(sw, ct), ts), 1.3, 0.0, 0.17)
-        reversed_ = _apply4(_matmul4(_matmul4(ct, ts), sw), 1.3, 0.0, 0.17)
+        point = (1.3, 0.0, 0.17)
+        correct = chain(tool, proc, 2, 0.004, point)
+        assert correct == _apply4(_matmul4(_matmul4(sw, ts), ct), *point)
+        swapped = _apply4(_matmul4(_matmul4(sw, ct), ts), *point)
+        reversed_ = _apply4(_matmul4(_matmul4(ct, ts), sw), *point)
         assert not np.allclose(correct, swapped, atol=1e-6)
         assert not np.allclose(correct, reversed_, atol=1e-6)
 
@@ -215,13 +225,13 @@ class TestTransformInvariants:
                 axial_rake_rad=float(rng.uniform(-0.5, 0.5)),
             )
             mats = [
-                edge_to_tool_transform(tool, int(rng.integers(1, 4))),
-                tool_to_spindle_transform(float(rng.uniform(0, 7)), 1, 3,
-                                          float(rng.uniform(1, 1000)), float(rng.uniform(0, 1))),
-                spindle_to_workpiece_transform(1.0, 2.0, 3.0, 10.0, float(rng.uniform(0, 1))),
+                _edge_to_tool_rows(tool, int(rng.integers(1, 4))),
+                _tool_to_spindle_rows(float(rng.uniform(0, 7)), 1, 3,
+                                      float(rng.uniform(1, 1000)), float(rng.uniform(0, 1))),
+                _spindle_to_workpiece_rows(1.0, 2.0, 3.0, 10.0, float(rng.uniform(0, 1))),
             ]
-            mats.append(compose_transforms(compose_transforms(mats[2], mats[1]), mats[0]))
-            for m in mats:
+            mats.append(_matmul4(_matmul4(mats[2], mats[1]), mats[0]))
+            for m in map(np.array, mats):
                 rot = m[:3, :3]
                 assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-12)
                 assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])

@@ -1,4 +1,6 @@
+import math
 import os
+import struct
 import threading
 
 import numpy as np
@@ -74,6 +76,17 @@ class TestSurfaceRoundTrip:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(SurfaceFormatError, match="version"):
+            read_surface(path)
+
+    @pytest.mark.parametrize("offset, value", [(16, math.nan), (24, math.inf)])
+    def test_non_finite_grid_geometry(self, tmp_path, offset, value):
+        # header doubles: spacing at byte 16, x_min at byte 24
+        path = tmp_path / "s.srtf"
+        write_surface(random_field(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DomainError, match="finite"):
             read_surface(path)
 
     def test_short_file(self, tmp_path):

@@ -7,7 +7,6 @@ from millsurf import (
     DomainError,
     ToolDefinition,
     discretize_edge,
-    edge_point,
     effective_half_length,
 )
 from millsurf.tool_geometry import default_point_count
@@ -23,34 +22,31 @@ def make_tool(**kw):
 
 
 class TestEdgePoint:
+    # depth of cut = R engages the whole arc: half_length == R, so the samples
+    # land exactly on l = -R, ..., 0, ..., R
+
     def test_lowest_point(self):
-        p = edge_point(0.0, 5.0)
-        assert (p.x_mm, p.y_mm, p.z_mm) == (0.0, 0.0, 0.0)
+        edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
+        assert tuple(edge.points[1]) == (0.0, 0.0, 0.0, 1.0)
 
     def test_full_radius(self):
-        p = edge_point(5.0, 5.0)
-        assert (p.x_mm, p.y_mm, p.z_mm) == (5.0, 0.0, 5.0)
+        edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
+        assert tuple(edge.points[-1]) == (5.0, 0.0, 5.0, 1.0)
 
     def test_mid_arc(self):
-        p = edge_point(2.5, 5.0)
-        assert p.y_mm == 0.0
-        assert p.z_mm == pytest.approx(0.669873, abs=1e-6)
-        assert p.z_mm == pytest.approx(Z_AT_2_5, abs=1e-15)
-
-    def test_off_arc_raises(self):
-        with pytest.raises(DomainError):
-            edge_point(5.000001, 5.0)
-        with pytest.raises(DomainError):
-            edge_point(-6.0, 5.0)
-
-    def test_homogeneous_form(self):
-        assert edge_point(1.0, 5.0).homogeneous[3] == 1.0
+        edge = discretize_edge(make_tool(), 5.0, 0.1, 5)
+        assert edge.x[3] == 2.5
+        assert edge.y[3] == 0.0
+        assert edge.z[3] == pytest.approx(0.669873, abs=1e-6)
+        assert edge.z[3] == pytest.approx(Z_AT_2_5, abs=1e-15)
 
     def test_defining_relation(self):
         r = 4.0
-        for l in np.linspace(-r, r, 23):
-            p = edge_point(float(l), r)
-            assert abs(p.z_mm - (r - math.sqrt(r * r - l * l))) < 1e-12
+        edge = discretize_edge(make_tool(insert_radius_mm=r), r, 0.1, 23)
+        assert edge.half_length_mm == r
+        assert np.allclose(edge.x, np.linspace(-r, r, 23), atol=1e-12)
+        for l, z in zip(edge.x, edge.z):
+            assert abs(z - (r - math.sqrt(r * r - l * l))) < 1e-12
 
 
 class TestEffectiveHalfLength:
