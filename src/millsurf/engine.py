@@ -3,11 +3,14 @@
 Two kernels share one simulation plan and produce bit-identical results:
 
 ``simulate``
-    Vectorized kernel. Per (time chunk, tooth) it evaluates the composite
-    transform entries as arrays over the chunk, applies them to the whole edge
-    by broadcasting, and scatters the z values into the height field with an
-    elementwise minimum. Work that provably cannot reach the grid is skipped
-    before it is computed, against the grid window widened by 1.5 cells:
+    Vectorized kernel. Past the fixed edge->tool step, the chain is a plane
+    rotation plus a shift, so the plan keeps each tooth's tool-frame edge
+    (x_t, y_t) and its time-invariant workpiece z, and per (time chunk,
+    tooth) the kernel rotates and shifts the whole edge by broadcasting:
+    ``x = c*x_t + s*y_t + x0`` and ``y = c*y_t - s*x_t + y(t)``. It scatters
+    the z values into the height field with an elementwise minimum. Work that
+    provably cannot reach the grid is skipped before it is computed, against
+    the grid window widened by 1.5 cells:
 
     - step cull: every edge point lies in an annulus about the spindle axis
       (the teeth's radial range in the tool frame); steps whose annulus misses
@@ -15,7 +18,7 @@ Two kernels share one simulation plan and produce bit-identical results:
     - row cull: per (step, tooth), interval bounds on the edge's x and y
       extent drop rows whose edge misses the window.
 
-    The kept rows run through the point stage (transform, cell index,
+    The kept rows run through the point stage (rotation, cell index,
     scatter) in blocks of about ``_POINT_BLOCK`` elements so temporaries stay
     in cache; the cell index is computed in place with the same operations as
     ``surface_grid.locate``. Work is split over contiguous time-step ranges,
@@ -24,17 +27,23 @@ Two kernels share one simulation plan and produce bit-identical results:
     ``in_grid_points`` count the points computed and the points that landed.
 
     The sweep computes heights only; a recorded trajectory is derived from
-    the plan after the timed loop (``_trajectory``).
+    the plan after the timed loop (``_trajectory``), with the same rotation
+    at each tooth's lowest edge point.
 
 ``simulate_reference``
     Deliberately naive baseline: for every time step, tooth, and edge point it
-    rebuilds all three 4x4 transforms, multiplies the full chain, and updates
-    one cell, single-threaded with per-point temporaries. It exists as the
-    correctness oracle and the benchmark baseline.
+    rebuilds all three 4x4 transforms, applies edge->tool to the point,
+    multiplies spindle->workpiece by tool->spindle, applies that product, and
+    updates one cell, single-threaded with per-point temporaries. It exists as
+    the correctness oracle and the benchmark baseline.
 
-Bit-identity between the kernels holds because both take trig values from the
-same libm routines, evaluate matrix entries in the same fixed floating-point
-order, and use an order-insensitive minimum reduction.
+Bit-identity between the kernels holds by construction: both take the
+tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
+rows, take trig values from the same libm routines, and apply the same
+rotation of the same tool-frame coordinates in the same order (the product
+of the spindle->workpiece and tool->spindle rows has the exact entries c, s,
+-s, x0, y(t) and z0, and its zero entries add only zeros); the minimum
+reduction is order-insensitive.
 
 Wall time covers only the main loop (and the final min-merge); planning,
 validation, the trajectory pass, and export are excluded.
@@ -71,7 +80,7 @@ from .tool_geometry import (
 DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
-# The row stage (step cull, trig, row bounds, transform entries) runs over
+# The row stage (step cull, trig, row bounds) runs over
 # chunks of _STEP_CHUNK steps, long enough that per-call overhead stays small;
 # the point stage runs over the kept rows in blocks of about _POINT_BLOCK
 # (row, edge-point) elements, 1 MB per float64 temporary, so its working set
@@ -122,7 +131,8 @@ def time_step(config: SimulationConfig) -> float:
 
 @dataclass(frozen=True)
 class _ToothData:
-    rows: tuple  # edge->tool matrix rows, plain floats
+    x_tool: np.ndarray  # (N,) tool-frame x of every edge point
+    y_tool: np.ndarray  # (N,) tool-frame y of every edge point
     z_workpiece: np.ndarray  # (N,) z' of every edge point; time-invariant
     min_index: int  # argmin of z_workpiece, ties to the lowest index
     x_tool_range: tuple[float, float]
@@ -197,20 +207,15 @@ def _plan(config: SimulationConfig) -> _Plan:
         raise ConfigError(f"worker_count must be >= 1, got {config.worker_count}")
 
     initial_height = z0 + proc.depth_of_cut_mm
-    xp = np.ascontiguousarray(edge.x)
-    yp = np.ascontiguousarray(edge.y)
-    zp = np.ascontiguousarray(edge.z)
     teeth = []
     for k in range(1, tool.tooth_count + 1):
-        e = _edge_to_tool_rows(tool, k)
-        tz = e[2][3] + z0
-        zw = ((e[2][0] * xp + e[2][1] * yp) + e[2][2] * zp) + tz
-        xt = ((e[0][0] * xp + e[0][1] * yp) + e[0][2] * zp) + e[0][3]
-        yt = ((e[1][0] * xp + e[1][1] * yp) + e[1][2] * zp) + e[1][3]
+        xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, edge.y, edge.z)
+        zw = zt + z0
         rt = np.hypot(xt, yt)
         teeth.append(
             _ToothData(
-                rows=tuple(tuple(r) for r in e),
+                x_tool=xt,
+                y_tool=yt,
                 z_workpiece=zw,
                 min_index=int(np.argmin(zw)),
                 x_tool_range=(float(xt.min()), float(xt.max())),
@@ -266,11 +271,8 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
     near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
     far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
 
-    xp = np.ascontiguousarray(plan.edge.x)
-    yp = np.ascontiguousarray(plan.edge.y)
-    zp = np.ascontiguousarray(plan.edge.z)
     n_teeth = plan.tool.tooth_count
-    n_points = max(plan.edge.point_count, 1)
+    n_points = plan.edge.point_count
     block_rows = max(1, _POINT_BLOCK // n_points)
     xw_buf = np.empty((block_rows, n_points))
     yw_buf = np.empty((block_rows, n_points))
@@ -308,22 +310,21 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
             ki = np.flatnonzero(keep)
             if ki.size == 0:
                 continue
-            mat = _transform_entries(td.rows, c[ki], s[ki], x0, ty[ki])
+            ck, sk, tyk = c[ki, None], s[ki, None], ty[ki, None]
+            xt, yt = td.x_tool, td.y_tool
 
             rows = ki.size
             evaluated += rows * n_points
             for b in range(0, rows, block_rows):
                 r = min(block_rows, rows - b)
-                m00, m01, m02, m03, m10, m11, m12, m13 = (a[b : b + r, None] for a in mat)
+                cb, sb = ck[b : b + r], sk[b : b + r]
                 xw, yw, tmp = xw_buf[:r], yw_buf[:r], tmp_buf[:r]
-                np.multiply(m00, xp, out=xw)
-                xw += np.multiply(m01, yp, out=tmp)
-                xw += np.multiply(m02, zp, out=tmp)
-                xw += m03
-                np.multiply(m10, xp, out=yw)
-                yw += np.multiply(m11, yp, out=tmp)
-                yw += np.multiply(m12, zp, out=tmp)
-                yw += m13
+                np.multiply(cb, xt, out=xw)
+                xw += np.multiply(sb, yt, out=tmp)
+                xw += x0
+                np.multiply(cb, yt, out=yw)
+                yw -= np.multiply(sb, xt, out=tmp)
+                yw += tyk[b : b + r]
 
                 # Cell index floor((w - w_min)/dd + 1/2), computed in place
                 # in the same operation order as surface_grid.locate.
@@ -353,8 +354,8 @@ def _trajectory(plan: _Plan) -> TrajectoryRecord:
     """Per-(step, tooth) minimum-z edge point over every step of the plan.
 
     A tooth's workpiece z does not depend on time, so that point is always
-    edge point ``min_index``; it is transformed as in the sweep's point stage,
-    over chunks of steps shared among ``plan.workers`` threads.
+    edge point ``min_index``; it is rotated and shifted as in the sweep's
+    point stage, over chunks of steps shared among ``plan.workers`` threads.
     """
     n_teeth = plan.tool.tooth_count
     t = plan.t_start + np.arange(plan.steps, dtype=np.float64) * plan.dt
@@ -365,32 +366,17 @@ def _trajectory(plan: _Plan) -> TrajectoryRecord:
         chunk = slice(lo, lo + _STEP_CHUNK)
         for k_idx, td in enumerate(plan.teeth):
             th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t[chunk])
-            mat = _transform_entries(td.rows, np.cos(th), np.sin(th), plan.x0, ty[chunk])
-            px, py, pz = (a[td.min_index] for a in (plan.edge.x, plan.edge.y, plan.edge.z))
-            xyz[0, chunk, k_idx] = ((mat[0] * px + mat[1] * py) + mat[2] * pz) + mat[3]
-            xyz[1, chunk, k_idx] = ((mat[4] * px + mat[5] * py) + mat[6] * pz) + mat[7]
-            xyz[2, chunk, k_idx] = td.z_workpiece[td.min_index]
+            c = np.cos(th)
+            s = np.sin(th)
+            xt, yt, zw = (a[td.min_index] for a in (td.x_tool, td.y_tool, td.z_workpiece))
+            xyz[0, chunk, k_idx] = (c * xt + s * yt) + plan.x0
+            xyz[1, chunk, k_idx] = (c * yt - s * xt) + ty[chunk]
+            xyz[2, chunk, k_idx] = zw
 
     with ThreadPoolExecutor(max_workers=plan.workers) as pool:
         list(pool.map(fill, range(0, plan.steps, _STEP_CHUNK)))
     tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), plan.steps)
     return TrajectoryRecord(np.repeat(t, n_teeth), tooth, *xyz.reshape(3, -1))
-
-
-def _transform_entries(e, c, s, x0: float, ty):
-    """Top two rows of the edge->workpiece transform per step, as arrays:
-    ``(m00, m01, m02, m03, m10, m11, m12, m13)``."""
-    ns = -s
-    return (
-        c * e[0][0] + s * e[1][0],
-        c * e[0][1] + s * e[1][1],
-        c * e[0][2] + s * e[1][2],
-        (c * e[0][3] + s * e[1][3]) + x0,
-        ns * e[0][0] + c * e[1][0],
-        ns * e[0][1] + c * e[1][1],
-        ns * e[0][2] + c * e[1][2],
-        (ns * e[0][3] + c * e[1][3]) + ty,
-    )
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
@@ -431,7 +417,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
 
 def simulate_reference(config: SimulationConfig) -> SimulationResult:
     """Naive baseline sweep: same contract and same results as ``simulate``,
-    built the expensive way (full matrix chain per point, per step)."""
+    built the expensive way (every matrix of the chain per point, per step)."""
     plan = _plan(config)
     grid = plan.grid
     field = HeightField(grid, plan.initial_height)
@@ -454,8 +440,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
                 ct = _edge_to_tool_rows(plan.tool, k)
                 ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
                 sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
-                full = _matmul4(_matmul4(sw, ts), ct)
-                x, y, z = _apply4(full, px, py, pz)
+                x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz))
                 idx = locate(x, y, grid)
                 if idx is not None:
                     update_min(field, idx, z)

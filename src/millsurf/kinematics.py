@@ -12,8 +12,12 @@ is a pure Z rotation by the instantaneous tooth angle, and the spindle-to-
 workpiece transform is the straight-line feed translation along Y.
 
 The ``*_rows`` builders return plain nested lists of Python floats and are the
-single source of truth for matrix entries. The simulation engine's two
-kernels consume the same builders, which keeps them bit-identical.
+single source of truth for matrix entries. Both engine kernels apply the
+edge-to-tool rows to the edge point first (``_apply4``). The naive reference
+then applies the product (``_matmul4``) of the spindle-to-workpiece and
+tool-to-spindle rows; the vectorized sweep and its trajectory pass apply the
+same rotation by ``tooth_angle`` and shift directly, in the same evaluation
+order, which keeps the kernels bit-identical.
 """
 
 from __future__ import annotations
@@ -39,12 +43,19 @@ class ProcessParameters:
     cutting_speed_m_min: float | None = None
 
     def __post_init__(self) -> None:
-        if self.angular_velocity_rad_s <= 0:
-            raise DomainError(f"angular velocity must be > 0, got {self.angular_velocity_rad_s}")
-        if self.feed_speed_mm_s <= 0:
-            raise DomainError(f"feed speed must be > 0, got {self.feed_speed_mm_s}")
-        if self.depth_of_cut_mm <= 0:
-            raise DomainError(f"depth of cut must be > 0, got {self.depth_of_cut_mm}")
+        for name, value in (
+            ("angular velocity", self.angular_velocity_rad_s),
+            ("feed speed", self.feed_speed_mm_s),
+            ("feed per tooth", self.feed_per_tooth_mm),
+            ("depth of cut", self.depth_of_cut_mm),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
+        x0, y0, z0 = self.initial_position_mm
+        for name, value in (("phase", self.phase_rad), ("initial x", x0),
+                            ("initial y", y0), ("initial z", z0)):
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 def tooth_angle(

@@ -140,9 +140,6 @@ class HeightField:
             raise DomainError("cannot merge height fields with different grids")
         np.minimum(self.heights, other.heights, out=self.heights)
 
-    def copy(self) -> "HeightField":
-        return HeightField(self.spec, self.initial_height_mm, self.heights.copy())
-
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i <= self.spec.m and 0 <= j <= self.spec.n):
             raise DomainError(

@@ -39,10 +39,14 @@ class ToolDefinition:
     runouts_mm: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.cutting_diameter_mm <= 0:
-            raise DomainError(f"cutting_diameter_mm must be > 0, got {self.cutting_diameter_mm}")
-        if self.insert_radius_mm <= 0:
-            raise DomainError(f"insert_radius_mm must be > 0, got {self.insert_radius_mm}")
+        for name in ("cutting_diameter_mm", "insert_radius_mm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
+        for name in ("radial_rake_rad", "axial_rake_rad"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.tooth_count < 1:
             raise DomainError(f"tooth_count must be >= 1, got {self.tooth_count}")
         if not self.runouts_mm:

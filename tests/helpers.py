@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from millsurf import (
@@ -38,8 +40,12 @@ def case1_process(feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5, x0=0.0, y0=None,
     )
 
 
-def small_random_config(seed: int) -> SimulationConfig:
-    """Randomized small simulation: grid <= 200x200, <= 50k trajectory points."""
+def small_random_config(seed: int, random_z0: bool = False) -> SimulationConfig:
+    """Randomized small simulation: grid <= 200x200, <= 50k trajectory points.
+
+    With ``random_z0`` the tool reference height z0 is drawn from U(-1, 1)
+    after every other draw, so the rest of the config matches the z0 = 0 one.
+    """
     rng = np.random.default_rng(seed)
     tooth_count = int(rng.integers(1, 4))
     radius = float(rng.uniform(2.0, 6.0))
@@ -77,6 +83,11 @@ def small_random_config(seed: int) -> SimulationConfig:
     half = effective_half_length(radius, depth, feed, tool.radial_rake_rad)
     travel = (grid.y_max_mm - grid.y_min_mm) + 2.0 * (diameter / 2.0 + half)
     dt = (travel / process.feed_speed_mm_s) / target_steps
+    if random_z0:
+        x0, y0, _ = process.initial_position_mm
+        process = dataclasses.replace(
+            process, initial_position_mm=(x0, y0, float(rng.uniform(-1.0, 1.0)))
+        )
     return SimulationConfig(
         tool=tool,
         process=process,

@@ -161,6 +161,30 @@ class TestKernelEquivalence:
         cfg = small_random_config(seed)
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_nonzero_z0_identical(self, seed):
+        # z0 enters the sweep as zt + z0 and the reference through the
+        # spindle->workpiece translation; both must add it last.
+        cfg = small_random_config(seed, random_z0=True)
+        assert cfg.process.initial_position_mm[2] != 0.0
+        assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_far_from_origin_identical(self, seed):
+        # 2**44 mm from the origin a float64 coordinate resolves only 2**-8 mm,
+        # 8 to 20% of a cell, so adding x0 or y(t) in another order than the
+        # reference moves points across cell edges.
+        cfg = small_random_config(seed)
+        x0, y0, z0 = cfg.process.initial_position_mm
+        off = 2.0**44
+        g = cfg.grid
+        cfg = dataclasses.replace(
+            cfg,
+            process=dataclasses.replace(cfg.process, initial_position_mm=(x0 + off, y0, z0)),
+            grid=GridSpec(g.spacing_mm, g.x_min_mm + off, g.y_min_mm + off, g.m, g.n),
+        )
+        assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fields_identical_without_trajectory(self, seed):
         # Recording only adds a pass after the sweep; this checks the sweep's

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from millsurf import ConfigError, DomainError, ToolDefinition, derive_kinematics, discretize_edge
+from millsurf import (
+    ConfigError,
+    DomainError,
+    ProcessParameters,
+    ToolDefinition,
+    derive_kinematics,
+    discretize_edge,
+)
 from millsurf.kinematics import (
     _apply4,
     _edge_to_tool_rows,
@@ -18,13 +25,14 @@ EDGE_ORIGIN = (0.0, 0.0, 0.0)  # lowest point of the edge arc
 
 
 def chain(tool, params, tooth, t, point):
-    """Map an edge-frame point to workpiece coordinates as simulate_reference does."""
+    """Map an edge-frame point to workpiece coordinates as simulate_reference does:
+    edge->tool first, then the spindle->workpiece . tool->spindle product."""
     x0, y0, z0 = params.initial_position_mm
     ct = _edge_to_tool_rows(tool, tooth)
     ts = _tool_to_spindle_rows(params.phase_rad, tooth, tool.tooth_count,
                                params.angular_velocity_rad_s, t)
     sw = _spindle_to_workpiece_rows(x0, y0, z0, params.feed_speed_mm_s, t)
-    return _apply4(_matmul4(_matmul4(sw, ts), ct), *point)
+    return _apply4(_matmul4(sw, ts), *_apply4(ct, *point))
 
 
 def edge_points(tool):
@@ -208,7 +216,7 @@ class TestTransformPoint:
         sw = _spindle_to_workpiece_rows(0.7, -2.0, 0.0, proc.feed_speed_mm_s, 0.004)
         point = (1.3, 0.0, 0.17)
         correct = chain(tool, proc, 2, 0.004, point)
-        assert correct == _apply4(_matmul4(_matmul4(sw, ts), ct), *point)
+        assert correct == _apply4(_matmul4(sw, ts), *_apply4(ct, *point))
         swapped = _apply4(_matmul4(_matmul4(sw, ct), ts), *point)
         reversed_ = _apply4(_matmul4(_matmul4(ct, ts), sw), *point)
         assert not np.allclose(correct, swapped, atol=1e-6)
@@ -235,6 +243,31 @@ class TestTransformInvariants:
                 rot = m[:3, :3]
                 assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-12)
                 assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+
+
+class TestProcessParameters:
+    @pytest.mark.parametrize("kw", [
+        dict(angular_velocity_rad_s=math.nan),
+        dict(angular_velocity_rad_s=math.inf),
+        dict(feed_speed_mm_s=math.nan),
+        dict(feed_speed_mm_s=math.inf),
+        dict(feed_per_tooth_mm=math.nan),
+        dict(feed_per_tooth_mm=-math.inf),
+        dict(depth_of_cut_mm=math.nan),
+        dict(depth_of_cut_mm=math.inf),
+        dict(phase_rad=math.nan),
+        dict(phase_rad=math.inf),
+        dict(initial_position_mm=(math.nan, None, 0.0)),
+        dict(initial_position_mm=(0.0, math.inf, 0.0)),
+        dict(initial_position_mm=(0.0, -3.0, math.nan)),
+        dict(initial_position_mm=(0.0, None, -math.inf)),
+    ])
+    def test_non_finite_rejected(self, kw):
+        fields = dict(angular_velocity_rad_s=566.7, feed_speed_mm_s=108.2,
+                      feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
+        ProcessParameters(**fields)
+        with pytest.raises(DomainError):
+            ProcessParameters(**{**fields, **kw})
 
 
 class TestDeriveKinematics:

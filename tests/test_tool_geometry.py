@@ -160,6 +160,14 @@ class TestToolDefinition:
         dict(cutting_diameter_mm=0.0),
         dict(insert_radius_mm=-1.0),
         dict(tooth_count=0),
+        dict(cutting_diameter_mm=math.nan),
+        dict(cutting_diameter_mm=math.inf),
+        dict(insert_radius_mm=math.nan),
+        dict(insert_radius_mm=math.inf),
+        dict(radial_rake_rad=math.nan),
+        dict(radial_rake_rad=-math.inf),
+        dict(axial_rake_rad=math.nan),
+        dict(axial_rake_rad=math.inf),
     ])
     def test_basic_bounds(self, kw):
         with pytest.raises(DomainError):
