@@ -6,24 +6,45 @@ Two kernels share one simulation plan and produce bit-identical results:
     Vectorized kernel. Past the fixed edge->tool step, the chain is a plane
     rotation plus a shift, so the plan keeps each tooth's tool-frame edge
     (x_t, y_t) and its time-invariant workpiece z, and per (time chunk,
-    tooth) the kernel rotates and shifts the whole edge by broadcasting:
-    ``x = c*x_t + s*y_t + x0`` and ``y = c*y_t - s*x_t + y(t)``. It scatters
-    the z values into the height field with an elementwise minimum. Work that
+    tooth, edge segment) the kernel rotates and shifts the edge points by
+    broadcasting: ``x = c*x_t + s*y_t + x0`` and ``y = c*y_t - s*x_t + y(t)``.
+    It scatters the z values into the height field with an elementwise
+    minimum. Work that
     provably cannot reach the grid is skipped before it is computed, against
     the grid window widened by 1.5 cells:
 
+    - coarse step pass: every ``_COARSE_STRIDE``-th global step (an anchor)
+      is bounded first, against the window widened by a slack that covers the
+      stride, and a step is looked at further only if its anchor passes. A
+      box bound such as ``max(c*a_lo, c*a_hi) + max(s*b_lo, s*b_hi) + x0`` is
+      a sum of terms ``a*cos`` or ``a*sin``, so it moves by at most
+      ``(max|x_t| + max|y_t|)*|omega|`` per unit of angle, and ``y(t)`` by
+      ``|v_f|`` per second; a step lies less than K steps of dt after its
+      anchor, so the slack ``(max|x_t| + max|y_t|)*|omega|*K*dt + |v_f|*K*dt``
+      covers it. (The smaller ``r_hi*|omega|*K*dt`` bounds how far one edge
+      point moves, not how far the box bound moves.) Anchors are global step
+      numbers, so the steps kept do not depend on chunk or worker bounds;
     - step cull: every edge point lies in an annulus about the spindle axis
       (the teeth's radial range in the tool frame); steps whose annulus misses
-      the window are dropped before the trig;
+      the window are dropped before the trig (anchors use the coarse window);
     - row cull: per (step, tooth), interval bounds on the edge's x and y
-      extent drop rows whose edge misses the window.
+      extent drop rows whose edge misses the window;
+    - segment cull: each tooth's edge is split into ``_EDGE_SEGMENTS``
+      contiguous index slices with their own tool-frame ranges, and per kept
+      row the same interval bound drops the slices that miss the window.
 
-    The kept rows run through the point stage (rotation, cell index,
-    scatter) in blocks of about ``_POINT_BLOCK`` elements so temporaries stay
-    in cache; the cell index is computed in place with the same operations as
-    ``surface_grid.locate``. Work is split over contiguous time-step ranges,
-    one private height field per worker, merged with an elementwise minimum,
-    so results are independent of the worker count. ``evaluated_points`` and
+    The kept (row, segment) pairs run through the point stage (rotation, cell
+    index, scatter) in blocks of about ``_POINT_BLOCK`` elements so
+    temporaries stay in cache; the cell index is computed in place with the
+    same operations as ``surface_grid.locate``. The culls only choose which
+    points are computed, never how: a kept point goes through exactly the
+    arithmetic it would without them, and a dropped point lies outside the
+    widened window, so it cannot land in a cell. Heights and
+    ``in_grid_points`` are therefore the same as with no cull at all; the
+    extra cell of window absorbs the rounding differences between a bound and
+    the point stage. Work is split over contiguous time-step ranges, one
+    private height field per worker, merged with an elementwise minimum, so
+    results are independent of the worker count. ``evaluated_points`` and
     ``in_grid_points`` count the points computed and the points that landed.
 
     The sweep computes heights only; a recorded trajectory is derived from
@@ -80,13 +101,18 @@ from .tool_geometry import (
 DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
-# The row stage (step cull, trig, row bounds) runs over
-# chunks of _STEP_CHUNK steps, long enough that per-call overhead stays small;
-# the point stage runs over the kept rows in blocks of about _POINT_BLOCK
-# (row, edge-point) elements, 1 MB per float64 temporary, so its working set
-# stays in cache.
+# The row stage (coarse pass, step cull, trig, row and segment bounds) runs
+# over chunks of _STEP_CHUNK steps, long enough that per-call overhead stays
+# small; the point stage runs over each edge segment's kept rows in blocks of
+# about _POINT_BLOCK (row, edge-point) elements, 1 MB per float64 temporary,
+# so its working set stays in cache.
 _STEP_CHUNK = 32_768
 _POINT_BLOCK = 131_072
+# Cull granularity, chosen by measurement; results do not depend on them.
+# Each tooth's edge is bounded in _EDGE_SEGMENTS contiguous index slices, and
+# the coarse step pass bounds every _COARSE_STRIDE-th global step.
+_EDGE_SEGMENTS = 8
+_COARSE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -138,6 +164,9 @@ class _ToothData:
     x_tool_range: tuple[float, float]
     y_tool_range: tuple[float, float]
     r_tool_range: tuple[float, float]  # distance from the spindle axis
+    segments: tuple[slice, ...]  # contiguous edge-index slices covering the edge
+    seg_x_range: tuple[np.ndarray, np.ndarray]  # (S,) x_tool min and max per slice
+    seg_y_range: tuple[np.ndarray, np.ndarray]  # (S,) y_tool min and max per slice
 
 
 @dataclass(frozen=True)
@@ -207,6 +236,11 @@ def _plan(config: SimulationConfig) -> _Plan:
         raise ConfigError(f"worker_count must be >= 1, got {config.worker_count}")
 
     initial_height = z0 + proc.depth_of_cut_mm
+    # Near-equal, non-empty edge slices; fewer than _EDGE_SEGMENTS when the
+    # edge has fewer points.
+    cuts = sorted({round(i * n_points / _EDGE_SEGMENTS) for i in range(_EDGE_SEGMENTS + 1)})
+    segments = tuple(slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+    starts = cuts[:-1]
     teeth = []
     for k in range(1, tool.tooth_count + 1):
         xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, edge.y, edge.z)
@@ -221,6 +255,9 @@ def _plan(config: SimulationConfig) -> _Plan:
                 x_tool_range=(float(xt.min()), float(xt.max())),
                 y_tool_range=(float(yt.min()), float(yt.max())),
                 r_tool_range=(float(rt.min()), float(rt.max())),
+                segments=segments,
+                seg_x_range=(np.minimum.reduceat(xt, starts), np.maximum.reduceat(xt, starts)),
+                seg_y_range=(np.minimum.reduceat(yt, starts), np.maximum.reduceat(yt, starts)),
             )
         )
 
@@ -244,6 +281,51 @@ def _plan(config: SimulationConfig) -> _Plan:
     )
 
 
+def _box_hits(c, s, x_range, y_range, x0, ty, window):
+    """Interval bound on the tool-frame box ``x_range`` x ``y_range`` rotated
+    by (c, s) and shifted by (x0, ty): True where it can overlap ``window``
+    ``(x_lo, x_hi, y_lo, y_hi)``. Broadcasts over steps and boxes. It works
+    in place in four arrays, since the (step, segment) bounds are the
+    kernel's largest temporaries after the point-stage buffers."""
+    axl, axh = x_range
+    ayl, ayh = y_range
+    wx_lo, wx_hi, wy_lo, wy_hi = window
+    a, b = c * axl, c * axh
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    np.multiply(s, ayl, out=a)
+    np.multiply(s, ayh, out=b)
+    lo += np.minimum(a, b)
+    hi += np.maximum(a, b)
+    lo += x0
+    hi += x0
+    hits = (hi >= wx_lo) & (lo <= wx_hi)
+    np.multiply(c, ayl, out=a)
+    np.multiply(c, ayh, out=b)
+    np.minimum(a, b, out=lo)
+    np.maximum(a, b, out=hi)
+    np.multiply(s, axl, out=a)
+    np.multiply(s, axh, out=b)
+    lo -= np.maximum(a, b)
+    hi -= np.minimum(a, b)
+    lo += ty
+    hi += ty
+    hits &= (hi >= wy_lo) & (lo <= wy_hi)
+    return hits
+
+
+def _annulus_hits(ty, x0, r_range, window):
+    """True where the annulus ``r_range`` about the spindle axis (x0, ty) can
+    overlap ``window``: the nearest window point is within r_hi and the
+    farthest beyond r_lo."""
+    r_lo, r_hi = r_range
+    wx_lo, wx_hi, wy_lo, wy_hi = window
+    near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
+    far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
+    near_y = np.maximum(np.maximum(wy_lo - ty, 0.0), ty - wy_hi)
+    far_y = np.maximum(np.abs(ty - wy_lo), np.abs(ty - wy_hi))
+    return (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
+
+
 def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
     """Vectorized sweep over global steps [step_lo, step_hi) into a private field.
 
@@ -258,25 +340,34 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
     # Conservative in-grid window for the culls: one extra cell of slack
     # absorbs the difference between the bounds' and the kernel's
     # floating-point evaluation orders.
-    wx_lo = x_min - 1.5 * dd
-    wx_hi = x_min + m * dd + 1.5 * dd
-    wy_lo = y_min - 1.5 * dd
-    wy_hi = y_min + n * dd + 1.5 * dd
-    # Every edge point of every tooth lies in the annulus [r_lo, r_hi] about
-    # the spindle axis (x0, ty); x0 is fixed, so the x part of the nearest and
-    # farthest axis-to-window distances is too.
-    r_lo = min(td.r_tool_range[0] for td in plan.teeth)
-    r_hi = max(td.r_tool_range[1] for td in plan.teeth)
+    window = (
+        x_min - 1.5 * dd,
+        x_min + m * dd + 1.5 * dd,
+        y_min - 1.5 * dd,
+        y_min + n * dd + 1.5 * dd,
+    )
+    wx_lo, wx_hi, wy_lo, wy_hi = window
+    # Every edge point of every tooth lies in this annulus about the spindle axis.
+    r_range = (
+        min(td.r_tool_range[0] for td in plan.teeth),
+        max(td.r_tool_range[1] for td in plan.teeth),
+    )
     x0 = plan.x0
-    near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
-    far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
+    # Coarse window: the slack covers how far a box bound can move in one
+    # stride of steps (see the module docstring).
+    stride = _COARSE_STRIDE
+    lipschitz = max(
+        max(map(abs, td.x_tool_range)) + max(map(abs, td.y_tool_range)) for td in plan.teeth
+    )
+    slack = (lipschitz * abs(plan.omega) + abs(plan.feed_speed)) * stride * plan.dt
+    coarse = (wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack)
 
     n_teeth = plan.tool.tooth_count
-    n_points = plan.edge.point_count
-    block_rows = max(1, _POINT_BLOCK // n_points)
-    xw_buf = np.empty((block_rows, n_points))
-    yw_buf = np.empty((block_rows, n_points))
-    tmp_buf = np.empty((block_rows, n_points))
+    seg_len = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
+    buf_size = max(_POINT_BLOCK, seg_len)
+    xw_buf = np.empty(buf_size)
+    yw_buf = np.empty(buf_size)
+    tmp_buf = np.empty(buf_size)
 
     evaluated = 0
     in_grid = 0
@@ -284,11 +375,26 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
     lo = step_lo
     while lo < step_hi:
         hi = min(lo + _STEP_CHUNK, step_hi)
-        t = plan.t_start + np.arange(lo, hi, dtype=np.float64) * plan.dt
+        # Coarse pass at the global multiples of the stride, so the steps
+        # kept do not depend on the chunk or worker boundaries.
+        a_lo = lo - lo % stride
+        ta = plan.t_start + np.arange(a_lo, hi, stride, dtype=np.float64) * plan.dt
+        tya = plan.y0 + plan.feed_speed * ta
+        live = _annulus_hits(tya, x0, r_range, coarse)
+        ai = np.flatnonzero(live)
+        ta, tya = ta[ai], tya[ai]
+        hits = np.zeros(ai.size, dtype=bool)
+        for k_idx, td in enumerate(plan.teeth):
+            th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, ta)
+            hits |= _box_hits(
+                np.cos(th), np.sin(th), td.x_tool_range, td.y_tool_range, x0, tya, coarse
+            )
+        live[ai] = hits
+        steps = np.flatnonzero(np.repeat(live, stride)[lo - a_lo : hi - a_lo]) + lo
+
+        t = plan.t_start + steps.astype(np.float64) * plan.dt
         ty = plan.y0 + plan.feed_speed * t
-        near_y = np.maximum(np.maximum(wy_lo - ty, 0.0), ty - wy_hi)
-        far_y = np.maximum(np.abs(ty - wy_lo), np.abs(ty - wy_hi))
-        reach = (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
+        reach = _annulus_hits(ty, x0, r_range, window)
         t = t[reach]
         ty = ty[reach]
 
@@ -296,55 +402,58 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
             th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t)
             c = np.cos(th)
             s = np.sin(th)
-            ns = -s
 
-            # Interval bound on this tooth's x and y extent per step; rows
-            # that cannot reach the grid are dropped before the point stage.
-            axl, axh = td.x_tool_range
-            ayl, ayh = td.y_tool_range
-            x_lo = np.minimum(c * axl, c * axh) + np.minimum(s * ayl, s * ayh) + x0
-            x_hi = np.maximum(c * axl, c * axh) + np.maximum(s * ayl, s * ayh) + x0
-            y_lo = np.minimum(ns * axl, ns * axh) + np.minimum(c * ayl, c * ayh) + ty
-            y_hi = np.maximum(ns * axl, ns * axh) + np.maximum(c * ayl, c * ayh) + ty
-            keep = (x_hi >= wx_lo) & (x_lo <= wx_hi) & (y_hi >= wy_lo) & (y_lo <= wy_hi)
-            ki = np.flatnonzero(keep)
+            # Interval bounds on the tooth's whole edge per step, then on each
+            # edge segment per kept step; only (row, segment) pairs that can
+            # reach the grid go through the point stage.
+            ki = np.flatnonzero(_box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, ty, window))
             if ki.size == 0:
                 continue
             ck, sk, tyk = c[ki, None], s[ki, None], ty[ki, None]
-            xt, yt = td.x_tool, td.y_tool
+            seg_keep = _box_hits(ck, sk, td.seg_x_range, td.seg_y_range, x0, tyk, window).T
 
-            rows = ki.size
-            evaluated += rows * n_points
-            for b in range(0, rows, block_rows):
-                r = min(block_rows, rows - b)
-                cb, sb = ck[b : b + r], sk[b : b + r]
-                xw, yw, tmp = xw_buf[:r], yw_buf[:r], tmp_buf[:r]
-                np.multiply(cb, xt, out=xw)
-                xw += np.multiply(sb, yt, out=tmp)
-                xw += x0
-                np.multiply(cb, yt, out=yw)
-                yw -= np.multiply(sb, xt, out=tmp)
-                yw += tyk[b : b + r]
+            for sl, keep in zip(td.segments, seg_keep):
+                kj = np.flatnonzero(keep)
+                if kj.size == 0:
+                    continue
+                cj, sj, tyj = ck[kj], sk[kj], tyk[kj]
+                xt, yt, zw = td.x_tool[sl], td.y_tool[sl], td.z_workpiece[sl]
+                width = xt.size
+                rows = kj.size
+                evaluated += rows * width
+                block_rows = max(1, _POINT_BLOCK // width)
+                for b in range(0, rows, block_rows):
+                    r = min(block_rows, rows - b)
+                    cb, sb = cj[b : b + r], sj[b : b + r]
+                    xw = xw_buf[: r * width].reshape(r, width)
+                    yw = yw_buf[: r * width].reshape(r, width)
+                    tmp = tmp_buf[: r * width].reshape(r, width)
+                    np.multiply(cb, xt, out=xw)
+                    xw += np.multiply(sb, yt, out=tmp)
+                    xw += x0
+                    np.multiply(cb, yt, out=yw)
+                    yw -= np.multiply(sb, xt, out=tmp)
+                    yw += tyj[b : b + r]
 
-                # Cell index floor((w - w_min)/dd + 1/2), computed in place
-                # in the same operation order as surface_grid.locate.
-                xw -= x_min
-                xw /= dd
-                xw += 0.5
-                np.floor(xw, out=xw)
-                yw -= y_min
-                yw /= dd
-                yw += 0.5
-                np.floor(yw, out=yw)
-                ok = (xw >= 0.0) & (xw <= m) & (yw >= 0.0) & (yw <= n)
-                flat = xw[ok]
-                if flat.size:
-                    # Exact in float64: both indices are small integers.
-                    flat *= n1
-                    flat += yw[ok]
-                    in_grid += flat.size
-                    zvals = np.broadcast_to(td.z_workpiece, xw.shape)[ok]
-                    np.minimum.at(hflat, flat.astype(np.int64), zvals)
+                    # Cell index floor((w - w_min)/dd + 1/2), computed in place
+                    # in the same operation order as surface_grid.locate.
+                    xw -= x_min
+                    xw /= dd
+                    xw += 0.5
+                    np.floor(xw, out=xw)
+                    yw -= y_min
+                    yw /= dd
+                    yw += 0.5
+                    np.floor(yw, out=yw)
+                    ok = (xw >= 0.0) & (xw <= m) & (yw >= 0.0) & (yw <= n)
+                    flat = xw[ok]
+                    if flat.size:
+                        # Exact in float64: both indices are small integers.
+                        flat *= n1
+                        flat += yw[ok]
+                        in_grid += flat.size
+                        zvals = np.broadcast_to(zw, xw.shape)[ok]
+                        np.minimum.at(hflat, flat.astype(np.int64), zvals)
         lo = hi
 
     return evaluated, in_grid

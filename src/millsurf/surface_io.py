@@ -15,8 +15,9 @@ SRTF layout, little-endian throughout:
                   holds all j values for the node column x_i
 
 Cells still at the sentinel value are uncut. write/read round-trips a
-HeightField bit-exactly; the reader rejects bad magic, unknown versions, and
-payloads whose length does not match the header.
+HeightField bit-exactly; the reader rejects bad magic, unknown versions,
+payloads whose length does not match the header, and a non-finite sentinel
+or height.
 
 The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
 holds one row per (time step, tooth) minimum-z point with floats in ``repr``
@@ -91,7 +92,14 @@ def read_surface(path: Path) -> HeightField:
             f"{path}: payload is {len(payload)} bytes, header promises {expected} "
             f"({m + 1}x{n + 1} float64)"
         )
+    if not np.isfinite(sentinel):
+        raise SurfaceFormatError(f"{path}: uncut sentinel height is {sentinel}, not finite")
     heights = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(heights))
+    if bad.size:
+        raise SurfaceFormatError(
+            f"{path}: {bad.size} height(s) not finite, first at flat index {bad[0]}"
+        )
     spec = GridSpec(spacing_mm=spacing, x_min_mm=x_min, y_min_mm=y_min, m=m, n=n)
     return HeightField(spec, sentinel, heights)
 

@@ -201,17 +201,37 @@ class TestKernelEquivalence:
         for workers in (1, 2):
             opt = simulate(dataclasses.replace(cfg, worker_count=workers))
             assert opt.evaluated_points < opt.trajectory_points
+            # The segment cull leaves few evaluated points that miss the grid.
+            assert opt.evaluated_points <= 2 * opt.in_grid_points
             assert_kernels_agree(opt, ref)
 
-    def test_small_chunks_agree(self, monkeypatch):
-        # Production chunk sizes exceed these tests' step counts; shrink them so
-        # chunk and block boundaries fall inside the sweep and trajectory pass.
-        monkeypatch.setattr(engine, "_STEP_CHUNK", 5)
-        monkeypatch.setattr(engine, "_POINT_BLOCK", 16)
-        cfg = small_random_config(0)
+    @pytest.mark.parametrize("seed, step_factor", [(1, 2), (1, 3), (4, 1)])
+    def test_coarse_slack_covers_stride(self, seed, step_factor):
+        # At 1.6-3 degrees per step a tooth can swing from outside the coarse
+        # window at an anchor into the grid before the next anchor; with half
+        # the coarse slack these runs drop in-grid points.
+        cfg = wide_cutter_config(seed)
+        cfg = dataclasses.replace(cfg, time_step_s=cfg.time_step_s * step_factor)
         ref = simulate_reference(cfg)
         for workers in (1, 2):
             assert_kernels_agree(simulate(dataclasses.replace(cfg, worker_count=workers)), ref)
+
+    def test_small_chunks_agree(self, monkeypatch):
+        # Production chunk sizes exceed these tests' step counts, and their
+        # edge segments and coarse stride are coarse; shrink them so chunk,
+        # block, segment and coarse-anchor boundaries fall inside the sweep
+        # and trajectory pass (with a stride of 2 and chunks of 5 steps, some
+        # chunks start between an anchor and the step after it).
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 5)
+        monkeypatch.setattr(engine, "_POINT_BLOCK", 16)
+        monkeypatch.setattr(engine, "_EDGE_SEGMENTS", 3)
+        monkeypatch.setattr(engine, "_COARSE_STRIDE", 2)
+        for cfg in (small_random_config(0), wide_cutter_config(0)):
+            cfg = dataclasses.replace(cfg, record_trajectory=True)
+            ref = simulate_reference(cfg)
+            for workers in (1, 2):
+                opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+                assert_kernels_agree(opt, ref)
 
 
 class TestBenchmark:

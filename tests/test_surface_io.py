@@ -89,6 +89,28 @@ class TestSurfaceRoundTrip:
         with pytest.raises(DomainError, match="finite"):
             read_surface(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sentinel(self, tmp_path, value):
+        # the uncut sentinel height is the header double at byte 40
+        path = tmp_path / "s.srtf"
+        write_surface(random_field(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 40, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SurfaceFormatError, match="sentinel"):
+            read_surface(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height(self, tmp_path, value):
+        path = tmp_path / "s.srtf"
+        field = random_field()
+        write_surface(field, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 48 + 8 * (field.heights.size // 2), value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SurfaceFormatError, match="not finite"):
+            read_surface(path)
+
     def test_short_file(self, tmp_path):
         path = tmp_path / "s.srtf"
         path.write_bytes(b"SRTF")
