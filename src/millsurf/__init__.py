@@ -1,6 +1,6 @@
 """Face-milling surface topography simulation and roughness analysis."""
 
-from .config import ConfigDocument, parse_config, serialize_config
+from .config import ConfigDocument, parse_config
 from .dataset import ParameterRange, generate_dataset, lhs_sample
 from .engine import (
     BenchmarkReport,
@@ -54,7 +54,6 @@ __all__ = [
     "parse_config",
     "read_surface",
     "run_benchmark",
-    "serialize_config",
     "simulate",
     "simulate_reference",
     "time_step",

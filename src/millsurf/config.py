@@ -11,9 +11,10 @@ of the feed pair (feed_per_tooth_mm / feed_speed_mm_min) may be given; when
 both members are present they must agree exactly (1e-9 mm/s for the feed
 pair), otherwise the error cites both fields.
 
-Angles take a ``*_deg`` field (for humans) or a ``*_rad`` twin (emitted by the
-serializer, so parse(serialize(doc)) reproduces the document bit-exactly), but
-never both.
+Angles take ``*_deg`` fields only. Checks on a single object's own fields
+(the time step, step angle, span, worker count, and depth of cut against the
+insert radius) live in that object's constructor; this module adds the JSON
+type checks and the key paths as written.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _check_keys(block: dict, path: str, allowed: set[str], required: set[str]) -
             raise ConfigError(f"{path}.{key}: required key missing")
 
 
-def _number(block: dict, path: str, key: str, *, default=None, minimum=None,
-            exclusive_min=None, maximum=None, allow_none=False):
+def _number(block: dict, path: str, key: str, *, default=None, exclusive_min=None,
+            allow_none=False):
     if key not in block or block[key] is None:
         if key in block and not allow_none and default is None:
             raise ConfigError(f"{path}.{key}: must not be null")
@@ -78,10 +79,6 @@ def _number(block: dict, path: str, key: str, *, default=None, minimum=None,
         raise ConfigError(f"{path}.{key}: must be finite, got {value}")
     if exclusive_min is not None and value <= exclusive_min:
         raise ConfigError(f"{path}.{key}: must be > {exclusive_min}, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -98,15 +95,10 @@ def _integer(block: dict, path: str, key: str, *, default=None, minimum=None, al
     return value
 
 
-def _angle_rad(block: dict, path: str, stem: str, default: float = 0.0) -> float:
-    """Read `<stem>_deg` or `<stem>_rad` (not both) and return radians."""
-    deg_key, rad_key = f"{stem}_deg", f"{stem}_rad"
-    if deg_key in block and block[deg_key] is not None and rad_key in block and block[rad_key] is not None:
-        raise ConfigError(f"{path}: give {deg_key} or {rad_key}, not both")
-    if rad_key in block and block[rad_key] is not None:
-        return _number(block, path, rad_key)
-    deg = _number(block, path, deg_key, default=None, allow_none=True)
-    return default if deg is None else math.radians(deg)
+def _angle_rad(block: dict, path: str, stem: str) -> float:
+    """Read `<stem>_deg` (default 0) and return radians."""
+    deg = _number(block, path, f"{stem}_deg", allow_none=True)
+    return 0.0 if deg is None else math.radians(deg)
 
 
 def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
@@ -119,9 +111,7 @@ def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
             "insert_radius_mm",
             "tooth_count",
             "radial_rake_deg",
-            "radial_rake_rad",
             "axial_rake_deg",
-            "axial_rake_rad",
             "runouts_mm",
         },
         required={"cutting_diameter_mm", "insert_radius_mm", "tooth_count"},
@@ -180,7 +170,6 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
             "feed_speed_mm_min",
             "depth_of_cut_mm",
             "phase_deg",
-            "phase_rad",
             "initial_position_mm",
         },
         required={"depth_of_cut_mm"},
@@ -190,11 +179,6 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
     f_z = _number(block, path, "feed_per_tooth_mm", exclusive_min=0.0, allow_none=True)
     v_f = _number(block, path, "feed_speed_mm_min", exclusive_min=0.0, allow_none=True)
     a_p = _number(block, path, "depth_of_cut_mm", exclusive_min=0.0)
-    if a_p > tool.insert_radius_mm:
-        raise ConfigError(
-            f"{path}.depth_of_cut_mm: {a_p} exceeds tool.insert_radius_mm "
-            f"{tool.insert_radius_mm}"
-        )
     phase = _angle_rad(block, path, "phase")
 
     if v_c is None and rpm is None:
@@ -284,7 +268,6 @@ def _parse_engine(
         allowed={
             "edge_points",
             "max_step_angle_deg",
-            "max_step_angle_rad",
             "time_step_s",
             "span_s",
             "workers",
@@ -293,9 +276,8 @@ def _parse_engine(
         required=set(),
     )
     edge_points = _integer(block, path, "edge_points", minimum=2, allow_none=True)
-    max_angle = _angle_rad(block, path, "max_step_angle", default=DEFAULT_MAX_STEP_ANGLE_RAD)
-    if max_angle <= 0:
-        raise ConfigError(f"{path}.max_step_angle_deg: must be > 0, got {max_angle}")
+    max_deg = _number(block, path, "max_step_angle_deg", exclusive_min=0.0, allow_none=True)
+    max_angle = DEFAULT_MAX_STEP_ANGLE_RAD if max_deg is None else math.radians(max_deg)
     dt = _number(block, path, "time_step_s", exclusive_min=0.0, allow_none=True)
     span = block.get("span_s")
     if span is not None:
@@ -305,14 +287,6 @@ def _parse_engine(
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in span)
         ):
             raise ConfigError(f"{path}.span_s: expected [t_start_s, t_end_s]")
-        if not 0 <= span[0] < span[1] < math.inf:  # also rejects NaN
-            raise ConfigError(
-                f"{path}.span_s: must be finite and satisfy 0 <= start < end, got {span}"
-            )
-        if process.initial_position_mm[1] is None:
-            raise ConfigError(
-                f"process.initial_position_mm.y is required when {path}.span_s is explicit"
-            )
         span = (float(span[0]), float(span[1]))
     workers = _integer(block, path, "workers", default=1, minimum=1)
     record = block.get("record_trajectory", False)
@@ -371,49 +345,3 @@ def parse_config(text: str) -> ConfigDocument:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     return config_from_dict(raw)
-
-
-def serialize_config(doc: ConfigDocument) -> dict:
-    """Canonical dict form; parse_config(json.dumps(...)) reproduces the document.
-
-    Angles are emitted in radians so the round trip is exact.
-    """
-    sim = doc.simulation
-    x, y, z = sim.process.initial_position_mm
-    raw: dict = {
-        "tool": {
-            "cutting_diameter_mm": sim.tool.cutting_diameter_mm,
-            "insert_radius_mm": sim.tool.insert_radius_mm,
-            "tooth_count": sim.tool.tooth_count,
-            "radial_rake_rad": sim.tool.radial_rake_rad,
-            "axial_rake_rad": sim.tool.axial_rake_rad,
-            "runouts_mm": [list(pair) for pair in sim.tool.runouts_mm],
-        },
-        "process": {
-            "spindle_speed_rpm": sim.process.spindle_speed_rpm,
-            "feed_per_tooth_mm": sim.process.feed_per_tooth_mm,
-            "depth_of_cut_mm": sim.process.depth_of_cut_mm,
-            "phase_rad": sim.process.phase_rad,
-            "initial_position_mm": {"x": x, "y": y, "z": z},
-        },
-        "grid": {
-            "spacing_mm": sim.grid.spacing_mm,
-            "x_min_mm": sim.grid.x_min_mm,
-            "x_max_mm": sim.grid.x_max_mm,
-            "y_min_mm": sim.grid.y_min_mm,
-            "y_max_mm": sim.grid.y_max_mm,
-        },
-        "engine": {
-            "edge_points": sim.edge_point_count,
-            "max_step_angle_rad": sim.max_step_angle_rad,
-            "time_step_s": sim.time_step_s,
-            "span_s": list(sim.span_s) if sim.span_s is not None else None,
-            "workers": sim.worker_count,
-            "record_trajectory": sim.record_trajectory,
-        },
-        "output": {
-            "formats": list(doc.output.formats),
-            "basename": doc.output.basename,
-        },
-    }
-    return raw

@@ -14,6 +14,7 @@ counters (wall time is deliberately excluded).
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, replace
@@ -38,10 +39,10 @@ _PARAMETER_PATHS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "spindle_speed_rpm": ("process", "spindle_speed_rpm", ("cutting_speed_m_min",)),
     "feed_per_tooth_mm": ("process", "feed_per_tooth_mm", ("feed_speed_mm_min",)),
     "depth_of_cut_mm": ("process", "depth_of_cut_mm", ()),
-    "phase_deg": ("process", "phase_deg", ("phase_rad",)),
+    "phase_deg": ("process", "phase_deg", ()),
     "grid_spacing_mm": ("grid", "spacing_mm", ()),
-    "radial_rake_deg": ("tool", "radial_rake_deg", ("radial_rake_rad",)),
-    "axial_rake_deg": ("tool", "axial_rake_deg", ("axial_rake_rad",)),
+    "radial_rake_deg": ("tool", "radial_rake_deg", ()),
+    "axial_rake_deg": ("tool", "axial_rake_deg", ()),
 }
 _RUNOUT_NAMES = ("runout_radial_mm", "runout_axial_mm")
 
@@ -69,6 +70,10 @@ class ParameterRange:
         if self.name not in PARAMETER_NAMES:
             raise ConfigError(
                 f"unknown dataset parameter {self.name!r}; known: {', '.join(PARAMETER_NAMES)}"
+            )
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ConfigError(
+                f"range for {self.name}: bounds must be finite, got [{self.low}, {self.high}]"
             )
         if not self.low < self.high:
             raise ConfigError(f"range for {self.name}: low {self.low} must be < high {self.high}")

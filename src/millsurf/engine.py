@@ -127,6 +127,31 @@ class SimulationConfig:
     record_trajectory: bool = False
     worker_count: int = 1
 
+    def __post_init__(self) -> None:
+        # Chained comparisons with math.inf also reject NaN.
+        if self.time_step_s is not None and not 0 < self.time_step_s < math.inf:
+            raise ConfigError(f"time_step_s must be finite and > 0, got {self.time_step_s}")
+        if not 0 < self.max_step_angle_rad < math.inf:
+            raise ConfigError(
+                f"max_step_angle_rad must be finite and > 0, got {self.max_step_angle_rad}"
+            )
+        if self.span_s is not None:
+            if not 0 <= self.span_s[0] < self.span_s[1] < math.inf:
+                raise ConfigError(
+                    f"span_s must be finite and satisfy 0 <= start < end, got {self.span_s}"
+                )
+            if self.process.initial_position_mm[1] is None:
+                raise ConfigError(
+                    "process.initial_position_mm.y is required when span_s is explicit"
+                )
+        if self.worker_count < 1:
+            raise ConfigError(f"worker_count must be >= 1, got {self.worker_count}")
+        if self.process.depth_of_cut_mm > self.tool.insert_radius_mm:
+            raise ConfigError(
+                f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
+                f"tool.insert_radius_mm {self.tool.insert_radius_mm}"
+            )
+
 
 @dataclass
 class SimulationResult:
@@ -145,11 +170,7 @@ def time_step(config: SimulationConfig) -> float:
     feed guards (tool turns at most max_step_angle and advances at most one
     cell per step)."""
     if config.time_step_s is not None:
-        if not (math.isfinite(config.time_step_s) and config.time_step_s > 0):
-            raise ConfigError(f"time_step_s must be finite and > 0, got {config.time_step_s}")
         return config.time_step_s
-    if not config.max_step_angle_rad > 0:
-        raise ConfigError(f"max_step_angle_rad must be > 0, got {config.max_step_angle_rad}")
     by_angle = config.max_step_angle_rad / config.process.angular_velocity_rad_s
     by_feed = config.grid.spacing_mm / config.process.feed_speed_mm_s
     return min(by_angle, by_feed)
@@ -197,12 +218,6 @@ def _plan(config: SimulationConfig) -> _Plan:
     tool = config.tool
     proc = config.process
     grid = config.grid
-    if proc.depth_of_cut_mm > tool.insert_radius_mm:
-        raise ConfigError(
-            f"depth of cut {proc.depth_of_cut_mm} mm exceeds insert radius "
-            f"{tool.insert_radius_mm} mm"
-        )
-
     half = effective_half_length(
         tool.insert_radius_mm, proc.depth_of_cut_mm, proc.feed_per_tooth_mm, tool.radial_rake_rad
     )
@@ -223,17 +238,9 @@ def _plan(config: SimulationConfig) -> _Plan:
         t_end = (grid.y_max_mm + margin - y0) / proc.feed_speed_mm_s
     else:
         t_start, t_end = config.span_s
-        if not 0 <= t_start < t_end < math.inf:  # also rejects NaN
-            raise ConfigError(
-                f"span_s must be finite and satisfy 0 <= start < end, got {config.span_s}"
-            )
-        if y0 is None:
-            raise ConfigError("initial position y is required when span_s is explicit")
     if z0 is None:
         z0 = 0.0
     steps = int(math.floor((t_end - t_start) / dt)) + 1
-    if config.worker_count < 1:
-        raise ConfigError(f"worker_count must be >= 1, got {config.worker_count}")
 
     initial_height = z0 + proc.depth_of_cut_mm
     # Near-equal, non-empty edge slices; fewer than _EDGE_SEGMENTS when the

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from millsurf import ConfigError, parse_config, serialize_config
+from millsurf import ConfigError, parse_config
 
 
 def case1_raw(**overrides):
@@ -112,9 +112,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"tool\.runouts_mm\[1\]"):
             parse_config(json.dumps(raw))
 
-    def test_deg_and_rad_twins_exclusive(self):
-        raw = case1_raw(**{"tool.radial_rake_rad": 0.01})
-        with pytest.raises(ConfigError, match="not both"):
+    @pytest.mark.parametrize("path", [
+        "tool.radial_rake_rad",
+        "tool.axial_rake_rad",
+        "process.phase_rad",
+        "engine.max_step_angle_rad",
+    ])
+    def test_rad_keys_are_unknown(self, path):
+        # angles take *_deg keys only
+        raw = case1_raw(**{path: 0.01})
+        with pytest.raises(ConfigError, match=f"^{path}: unknown key$"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("angle", [0.0, -0.5])
+    def test_non_positive_step_angle(self, angle):
+        # the error names the key and the value as written, in degrees
+        raw = case1_raw(**{"engine.max_step_angle_deg": angle})
+        message = rf"^engine\.max_step_angle_deg: must be > 0\.0, got {angle}$"
+        with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(raw))
 
     def test_span_requires_initial_y(self):
@@ -169,29 +184,3 @@ class TestParseConfig:
         assert sim.span_s == (0.001, 0.004)
         assert sim.worker_count == 3
         assert sim.record_trajectory is True
-
-
-class TestRoundTrip:
-    def variants(self):
-        yield case1_raw()
-        raw = case1_raw()
-        raw["engine"]["span_s"] = [0.0, 0.0123]
-        raw["process"]["initial_position_mm"]["y"] = -7.5
-        raw["process"]["phase_deg"] = 12.75
-        yield raw
-        raw = case1_raw(**{
-            "process.cutting_speed_m_min": _DELETE,
-            "process.feed_per_tooth_mm": _DELETE,
-        })
-        raw["process"]["spindle_speed_rpm"] = 995.0
-        raw["process"]["feed_speed_mm_min"] = 125.0
-        raw["tool"]["tooth_count"] = 4
-        raw["tool"]["runouts_mm"] = [[0.0, 0.0]] * 4
-        raw["process"]["depth_of_cut_mm"] = 2.5
-        yield raw
-
-    def test_parse_serialize_identity(self):
-        for raw in self.variants():
-            doc = parse_config(json.dumps(raw))
-            again = parse_config(json.dumps(serialize_config(doc)))
-            assert again == doc

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ class TestParameterRange:
     def test_positive_parameters(self):
         with pytest.raises(ConfigError):
             ParameterRange("cutting_speed_m_min", -10.0, 100.0)
+
+    @pytest.mark.parametrize("low, high", [(100.0, math.inf), (math.nan, 250.0)])
+    def test_non_finite_bounds(self, low, high):
+        with pytest.raises(ConfigError, match="finite"):
+            ParameterRange("cutting_speed_m_min", low, high)
 
     def test_rake_bounds(self):
         with pytest.raises(ConfigError):

@@ -129,15 +129,40 @@ class TestSimulate:
             simulate(tiny_config(worker_count=0))
 
     def test_explicit_span_needs_y0(self):
-        cfg = tiny_config(span_s=(0.0, 0.01))
         with pytest.raises(ConfigError):
-            simulate(cfg)
+            simulate(tiny_config(span_s=(0.0, 0.01)))
 
     def test_bad_span(self):
         for span in [(0.02, 0.01), (0.0, math.inf), (0.0, math.nan)]:
-            cfg = tiny_config(process=case1_process(y0=-3.0), span_s=span)
             with pytest.raises(ConfigError):
-                simulate(cfg)
+                simulate(tiny_config(process=case1_process(y0=-3.0), span_s=span))
+
+
+_Y0 = case1_process(y0=-3.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(time_step_s=0.0), id="time_step_s=0"),
+    pytest.param(dict(time_step_s=-1.0), id="time_step_s=-1"),
+    pytest.param(dict(time_step_s=math.nan), id="time_step_s=nan"),
+    pytest.param(dict(time_step_s=math.inf), id="time_step_s=inf"),
+    pytest.param(dict(max_step_angle_rad=0.0), id="max_step_angle_rad=0"),
+    pytest.param(dict(max_step_angle_rad=math.nan), id="max_step_angle_rad=nan"),
+    pytest.param(dict(max_step_angle_rad=math.inf), id="max_step_angle_rad=inf"),
+    pytest.param(dict(span_s=(0.0, 0.01)), id="span_s-without-y0"),
+    pytest.param(dict(process=_Y0, span_s=(0.02, 0.01)), id="span_s-reversed"),
+    pytest.param(dict(process=_Y0, span_s=(-0.01, 0.01)), id="span_s-negative"),
+    pytest.param(dict(process=_Y0, span_s=(0.0, math.inf)), id="span_s-inf"),
+    pytest.param(dict(process=_Y0, span_s=(0.0, math.nan)), id="span_s-nan"),
+    pytest.param(dict(worker_count=0), id="worker_count=0"),
+    pytest.param(dict(process=case1_process(depth_of_cut_mm=5.5)), id="depth-beyond-insert"),
+])
+def test_config_rejected_at_construction(overrides):
+    with pytest.raises(ConfigError):
+        tiny_config(**overrides)
+    valid = tiny_config()
+    with pytest.raises(ConfigError):
+        dataclasses.replace(valid, **overrides)
 
 
 def assert_kernels_agree(opt, ref):
