@@ -6,10 +6,11 @@ unknown keys are rejected so a typo in a cutting parameter cannot silently
 produce a plausible but wrong surface, and every error names the offending
 JSON path.
 
-Either member of the speed pair (cutting_speed_m_min / spindle_speed_rpm) and
-of the feed pair (feed_per_tooth_mm / feed_speed_mm_min) may be given; when
-both members are present they must agree exactly (1e-9 mm/s for the feed
-pair), otherwise the error cites both fields.
+The ``process`` block gives the speed pair (cutting_speed_m_min /
+spindle_speed_rpm) and the feed pair (feed_per_tooth_mm / feed_speed_mm_min).
+This module checks each given value's type and sign; the rule that resolves a
+pair, and checks that two given members agree, is owned by
+``kinematics.derive_kinematics``.
 
 Angles take ``*_deg`` fields only. Checks on a single object's own fields
 (the time step, step angle, span, worker count, and depth of cut against the
@@ -30,9 +31,6 @@ from .surface_grid import GridSpec
 from .tool_geometry import ToolDefinition
 
 OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics")
-
-FEED_CONSISTENCY_TOL_MM_S = 1e-9
-SPEED_CONSISTENCY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,33 +178,6 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
     v_f = _number(block, path, "feed_speed_mm_min", exclusive_min=0.0, allow_none=True)
     a_p = _number(block, path, "depth_of_cut_mm", exclusive_min=0.0)
     phase = _angle_rad(block, path, "phase")
-
-    if v_c is None and rpm is None:
-        raise ConfigError(
-            f"{path}: one of cutting_speed_m_min / spindle_speed_rpm is required"
-        )
-    if v_c is not None and rpm is not None:
-        implied_rpm = 1000.0 * v_c / (math.pi * tool.cutting_diameter_mm)
-        if abs(implied_rpm - rpm) > SPEED_CONSISTENCY_REL_TOL * max(abs(rpm), 1.0):
-            raise ConfigError(
-                f"{path}.cutting_speed_m_min and {path}.spindle_speed_rpm are inconsistent: "
-                f"{v_c} m/min implies {implied_rpm:.6f} rpm, got {rpm}"
-            )
-        v_c = None  # resolved; keep the rpm route
-
-    if f_z is None and v_f is None:
-        raise ConfigError(
-            f"{path}: one of feed_per_tooth_mm / feed_speed_mm_min is required"
-        )
-    if f_z is not None and v_f is not None:
-        rpm_eff = rpm if rpm is not None else 1000.0 * v_c / (math.pi * tool.cutting_diameter_mm)
-        implied_mm_s = f_z * tool.tooth_count * rpm_eff / 60.0
-        if abs(implied_mm_s - v_f / 60.0) > FEED_CONSISTENCY_TOL_MM_S:
-            raise ConfigError(
-                f"{path}.feed_per_tooth_mm and {path}.feed_speed_mm_min are inconsistent: "
-                f"f_z {f_z} implies {implied_mm_s * 60.0:.9f} mm/min, got {v_f}"
-            )
-        v_f = None  # resolved; keep the feed-per-tooth route
 
     pos_block = block.get("initial_position_mm")
     if pos_block is None:

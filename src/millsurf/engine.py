@@ -75,7 +75,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -144,8 +144,13 @@ class SimulationConfig:
                 raise ConfigError(
                     "process.initial_position_mm.y is required when span_s is explicit"
                 )
+        if isinstance(self.worker_count, bool) or not isinstance(self.worker_count, int):
+            raise ConfigError(f"worker_count must be an integer, got {self.worker_count!r}")
         if self.worker_count < 1:
             raise ConfigError(f"worker_count must be >= 1, got {self.worker_count}")
+        n = self.edge_point_count
+        if n is not None and (not isinstance(n, int) or n < 2):  # also rejects bools
+            raise ConfigError(f"edge_point_count must be None or an integer >= 2, got {n!r}")
         if self.process.depth_of_cut_mm > self.tool.insert_radius_mm:
             raise ConfigError(
                 f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
@@ -595,19 +600,7 @@ class BenchmarkReport:
     rows: list[BenchmarkRow] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "rows": [
-                {
-                    "scale": r.scale,
-                    "trajectory_points": r.trajectory_points,
-                    "t_reference_s": r.t_reference_s,
-                    "t_optimized_s": r.t_optimized_s,
-                    "speedup": r.speedup,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         header = f"{'scale':>8} {'trajectory_points':>18} {'t_reference_s':>14} {'t_optimized_s':>14} {'speedup':>9}"

@@ -18,6 +18,10 @@ then applies the product (``_matmul4``) of the spindle-to-workpiece and
 tool-to-spindle rows; the vectorized sweep and its trajectory pass apply the
 same rotation by ``tooth_angle`` and shift directly, in the same evaluation
 order, which keeps the kernels bit-identical.
+
+``derive_kinematics`` owns the rule that resolves the speed pair (cutting
+speed / spindle speed) and the feed pair (feed per tooth / feed speed), for
+config files and library callers alike; ``config`` only reads the keys.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ class ProcessParameters:
     depth_of_cut_mm: float
     phase_rad: float = 0.0
     initial_position_mm: tuple[float, float | None, float] = (0.0, None, 0.0)
-    spindle_speed_rpm: float | None = None
-    cutting_speed_m_min: float | None = None
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -163,50 +165,57 @@ def derive_kinematics(
     phase_rad: float = 0.0,
     initial_position_mm: tuple[float, float | None, float] = (0.0, None, 0.0),
 ) -> ProcessParameters:
-    """Resolve spindle speed / cutting speed and feed per tooth / feed speed.
+    """Resolve the speed pair (cutting speed / spindle speed) and the feed pair
+    (feed per tooth / feed speed).
 
     Standard machining relations: n = 1000 v_c / (pi D), omega = 2 pi n / 60,
-    v_f = f_z z_n n / 60. Exactly one of each alternative pair must be given;
-    the result is canonical in (rpm, f_z), with all derived speeds recomputed
-    from them so that serializing and re-deriving reproduces identical values.
+    v_f = f_z z_n n / 60. Each pair needs at least one member. When both are
+    given they must agree (1e-9 relative for the speeds, 1e-9 mm/s for the
+    feeds), and the spindle speed and the feed per tooth are used. Errors name
+    the keys as a config file's ``process`` block writes them.
     """
-    if (cutting_speed_m_min is None) == (spindle_speed_rpm is None):
-        raise ConfigError("exactly one of cutting_speed_m_min / spindle_speed_rpm is required")
-    if (feed_per_tooth_mm is None) == (feed_speed_mm_min is None):
-        raise ConfigError("exactly one of feed_per_tooth_mm / feed_speed_mm_min is required")
     if tooth_count < 1:
         raise ConfigError(f"tooth_count must be >= 1, got {tooth_count}")
     if cutting_diameter_mm <= 0:
         raise ConfigError(f"cutting_diameter_mm must be > 0, got {cutting_diameter_mm}")
+    for key, value in (("cutting_speed_m_min", cutting_speed_m_min),
+                       ("spindle_speed_rpm", spindle_speed_rpm),
+                       ("feed_per_tooth_mm", feed_per_tooth_mm),
+                       ("feed_speed_mm_min", feed_speed_mm_min)):
+        if value is not None and not 0 < value < math.inf:  # also rejects NaN
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
 
-    if spindle_speed_rpm is None:
-        if cutting_speed_m_min <= 0:
-            raise ConfigError(f"cutting_speed_m_min must be > 0, got {cutting_speed_m_min}")
-        rpm = 1000.0 * cutting_speed_m_min / (math.pi * cutting_diameter_mm)
-    else:
-        if spindle_speed_rpm <= 0:
-            raise ConfigError(f"spindle_speed_rpm must be > 0, got {spindle_speed_rpm}")
-        rpm = spindle_speed_rpm
+    if cutting_speed_m_min is None and spindle_speed_rpm is None:
+        raise ConfigError("process: one of cutting_speed_m_min / spindle_speed_rpm is required")
+    rpm = spindle_speed_rpm
+    if cutting_speed_m_min is not None:
+        implied_rpm = 1000.0 * cutting_speed_m_min / (math.pi * cutting_diameter_mm)
+        if rpm is None:
+            rpm = implied_rpm
+        elif abs(implied_rpm - rpm) > 1e-9 * max(abs(rpm), 1.0):
+            raise ConfigError(
+                "process.cutting_speed_m_min and process.spindle_speed_rpm are inconsistent: "
+                f"{cutting_speed_m_min} m/min implies {implied_rpm:.6f} rpm, got {rpm}"
+            )
 
-    if feed_per_tooth_mm is None:
-        if feed_speed_mm_min <= 0:
-            raise ConfigError(f"feed_speed_mm_min must be > 0, got {feed_speed_mm_min}")
+    if feed_per_tooth_mm is None and feed_speed_mm_min is None:
+        raise ConfigError("process: one of feed_per_tooth_mm / feed_speed_mm_min is required")
+    f_z = feed_per_tooth_mm
+    if f_z is None:
         f_z = feed_speed_mm_min / (tooth_count * rpm)
-    else:
-        if feed_per_tooth_mm <= 0:
-            raise ConfigError(f"feed_per_tooth_mm must be > 0, got {feed_per_tooth_mm}")
-        f_z = feed_per_tooth_mm
+    feed_mm_s = f_z * tooth_count * rpm / 60.0
+    both = feed_per_tooth_mm is not None and feed_speed_mm_min is not None
+    if both and abs(feed_mm_s - feed_speed_mm_min / 60.0) > 1e-9:
+        raise ConfigError(
+            "process.feed_per_tooth_mm and process.feed_speed_mm_min are inconsistent: "
+            f"f_z {f_z} implies {feed_mm_s * 60.0:.9f} mm/min, got {feed_speed_mm_min}"
+        )
 
-    v_c = math.pi * cutting_diameter_mm * rpm / 1000.0
-    v_f_mm_s = f_z * tooth_count * rpm / 60.0
-    omega = 2.0 * math.pi * rpm / 60.0
     return ProcessParameters(
-        angular_velocity_rad_s=omega,
-        feed_speed_mm_s=v_f_mm_s,
+        angular_velocity_rad_s=2.0 * math.pi * rpm / 60.0,
+        feed_speed_mm_s=feed_mm_s,
         feed_per_tooth_mm=f_z,
         depth_of_cut_mm=depth_of_cut_mm,
         phase_rad=phase_rad,
         initial_position_mm=initial_position_mm,
-        spindle_speed_rpm=rpm,
-        cutting_speed_m_min=v_c,
     )

@@ -45,8 +45,8 @@ class ToolDefinition:
                 raise DomainError(f"{name} must be finite and > 0, got {value}")
         for name in ("radial_rake_rad", "axial_rake_rad"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+            if not abs(value) < math.pi / 2:  # also rejects NaN
+                raise DomainError(f"{name} must satisfy |rake| < pi/2, got {value}")
         if self.tooth_count < 1:
             raise DomainError(f"tooth_count must be >= 1, got {self.tooth_count}")
         if not self.runouts_mm:

@@ -48,7 +48,8 @@ class TestParseConfig:
     def test_case1_derives_kinematics(self):
         doc = parse_config(json.dumps(case1_raw()))
         assert doc.simulation.process.angular_velocity_rad_s == pytest.approx(566.667, abs=5e-4)
-        assert doc.simulation.process.spindle_speed_rpm == pytest.approx(5411.27, abs=5e-3)
+        omega = doc.simulation.process.angular_velocity_rad_s
+        assert omega * 60 / (2 * math.pi) == pytest.approx(5411.27, abs=5e-3)
         assert doc.simulation.tool.radial_rake_rad == pytest.approx(math.radians(0.6), abs=1e-15)
         assert doc.simulation.grid.m == 1000 and doc.simulation.grid.n == 500
         assert doc.simulation.edge_point_count == 40
@@ -81,7 +82,8 @@ class TestParseConfig:
         rpm = 1000.0 * 170.0 / (math.pi * 10.0)
         raw = case1_raw(**{"process.spindle_speed_rpm": rpm})
         doc = parse_config(json.dumps(raw))
-        assert doc.simulation.process.spindle_speed_rpm == pytest.approx(rpm, rel=1e-12)
+        omega = doc.simulation.process.angular_velocity_rad_s
+        assert omega * 60 / (2 * math.pi) == pytest.approx(rpm, rel=1e-12)
 
     def test_inconsistent_feed_pair_cites_both(self):
         raw = case1_raw(**{"process.feed_speed_mm_min": 1000.0})

@@ -155,6 +155,11 @@ _Y0 = case1_process(y0=-3.0)
     pytest.param(dict(process=_Y0, span_s=(0.0, math.inf)), id="span_s-inf"),
     pytest.param(dict(process=_Y0, span_s=(0.0, math.nan)), id="span_s-nan"),
     pytest.param(dict(worker_count=0), id="worker_count=0"),
+    pytest.param(dict(worker_count=2.5), id="worker_count=2.5"),
+    pytest.param(dict(worker_count=True), id="worker_count=True"),
+    pytest.param(dict(edge_point_count=2.5), id="edge_point_count=2.5"),
+    pytest.param(dict(edge_point_count=1), id="edge_point_count=1"),
+    pytest.param(dict(edge_point_count=True), id="edge_point_count=True"),
     pytest.param(dict(process=case1_process(depth_of_cut_mm=5.5)), id="depth-beyond-insert"),
 ])
 def test_config_rejected_at_construction(overrides):

@@ -273,12 +273,26 @@ class TestProcessParameters:
 class TestDeriveKinematics:
     def test_case1_closed_form(self):
         proc = case1_process()
-        assert proc.spindle_speed_rpm == pytest.approx(5411.27, abs=5e-3)
+        rpm = proc.angular_velocity_rad_s * 60 / (2 * math.pi)
+        assert rpm == pytest.approx(5411.27, abs=5e-3)
         assert proc.angular_velocity_rad_s == pytest.approx(566.667, abs=5e-4)
         assert proc.feed_speed_mm_s == pytest.approx(108.225, abs=5e-4)
         # closed-form cross-checks
-        assert proc.spindle_speed_rpm == pytest.approx(1000 * 170 / (math.pi * 10), rel=1e-12)
-        assert proc.feed_speed_mm_s == pytest.approx(0.6 * 2 * proc.spindle_speed_rpm / 60, rel=1e-12)
+        assert rpm == pytest.approx(1000 * 170 / (math.pi * 10), rel=1e-12)
+        assert proc.feed_speed_mm_s == pytest.approx(0.6 * 2 * rpm / 60, rel=1e-12)
+
+    def test_consistent_speed_pair_equals_rpm_only(self):
+        common = dict(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+                      feed_per_tooth_mm=0.6)
+        rpm = 1000 * 170 / (math.pi * 10)
+        both = derive_kinematics(cutting_speed_m_min=170.0, spindle_speed_rpm=rpm, **common)
+        assert both == derive_kinematics(spindle_speed_rpm=rpm, **common)
+
+    def test_consistent_feed_pair_equals_feed_per_tooth_only(self):
+        common = dict(tooth_count=4, cutting_diameter_mm=50.0, depth_of_cut_mm=2.5,
+                      spindle_speed_rpm=995.0)
+        both = derive_kinematics(feed_per_tooth_mm=0.125, feed_speed_mm_min=497.5, **common)
+        assert both == derive_kinematics(feed_per_tooth_mm=0.125, **common)
 
     def test_feed_speed_route(self):
         proc = derive_kinematics(
@@ -312,6 +326,7 @@ class TestDeriveKinematics:
                               feed_speed_mm_min=125.0)
 
     def test_positivity(self):
-        with pytest.raises(ConfigError):
-            derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
-                              cutting_speed_m_min=-5.0, feed_per_tooth_mm=0.6)
+        for value in (-5.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="cutting_speed_m_min"):
+                derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+                                  cutting_speed_m_min=value, feed_per_tooth_mm=0.6)

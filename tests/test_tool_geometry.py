@@ -168,6 +168,10 @@ class TestToolDefinition:
         dict(radial_rake_rad=-math.inf),
         dict(axial_rake_rad=math.nan),
         dict(axial_rake_rad=math.inf),
+        dict(radial_rake_rad=math.pi / 2),
+        dict(radial_rake_rad=-2.0),
+        dict(axial_rake_rad=2.0),
+        dict(axial_rake_rad=-math.pi / 2),
     ])
     def test_basic_bounds(self, kw):
         with pytest.raises(DomainError):
