@@ -174,8 +174,8 @@ def derive_kinematics(
     feeds), and the spindle speed and the feed per tooth are used. Errors name
     the keys as a config file's ``process`` block writes them.
     """
-    if tooth_count < 1:
-        raise ConfigError(f"tooth_count must be >= 1, got {tooth_count}")
+    if isinstance(tooth_count, bool) or not isinstance(tooth_count, int) or tooth_count < 1:
+        raise ConfigError(f"tooth_count must be an integer >= 1, got {tooth_count!r}")
     if cutting_diameter_mm <= 0:
         raise ConfigError(f"cutting_diameter_mm must be > 0, got {cutting_diameter_mm}")
     for key, value in (("cutting_speed_m_min", cutting_speed_m_min),

@@ -47,8 +47,9 @@ class ToolDefinition:
             value = getattr(self, name)
             if not abs(value) < math.pi / 2:  # also rejects NaN
                 raise DomainError(f"{name} must satisfy |rake| < pi/2, got {value}")
-        if self.tooth_count < 1:
-            raise DomainError(f"tooth_count must be >= 1, got {self.tooth_count}")
+        teeth = self.tooth_count
+        if isinstance(teeth, bool) or not isinstance(teeth, int) or teeth < 1:
+            raise DomainError(f"tooth_count must be an integer >= 1, got {teeth!r}")
         if not self.runouts_mm:
             object.__setattr__(self, "runouts_mm", ((0.0, 0.0),) * self.tooth_count)
         if len(self.runouts_mm) != self.tooth_count:

@@ -8,6 +8,8 @@ from millsurf import (
     ConfigError,
     GridSpec,
     SimulationConfig,
+    ToolDefinition,
+    derive_kinematics,
     run_benchmark,
     simulate,
     simulate_reference,
@@ -182,7 +184,36 @@ def assert_kernels_agree(opt, ref):
     # Equal heights can hide a culled in-grid point that was not the minimum.
     assert opt.in_grid_points == ref.in_grid_points
     assert ref.evaluated_points == ref.trajectory_points
-    assert opt.in_grid_points <= opt.evaluated_points <= opt.trajectory_points
+    # The dominance cull counts the points it skips as landed, not evaluated,
+    # so evaluated points may be fewer than in-grid points.
+    assert opt.evaluated_points <= opt.trajectory_points
+    assert opt.in_grid_points <= opt.trajectory_points
+
+
+def far_from_origin(cfg):
+    """``cfg`` with the tool path and the grid moved 2**44 mm along x and y."""
+    x0, y0, z0 = cfg.process.initial_position_mm
+    off = 2.0**44
+    g = cfg.grid
+    return dataclasses.replace(
+        cfg,
+        process=dataclasses.replace(cfg.process, initial_position_mm=(x0 + off, y0, z0)),
+        grid=GridSpec(g.spacing_mm, g.x_min_mm + off, g.y_min_mm + off, g.m, g.n),
+    )
+
+
+def dense_config():
+    """A 2 mm cutter over a grid 3.6 mm wide, so the tip's path ends inside
+    the grid, with about one cell of travel per step: each tooth pass
+    overlaps the last, and later passes land segments on cells the tip
+    already cut, next to cells that only the edge's outer segments reach."""
+    tool = ToolDefinition(cutting_diameter_mm=2.0, insert_radius_mm=1.0, tooth_count=2,
+                          runouts_mm=((0.0, 0.0), (0.005, 0.002)))
+    process = derive_kinematics(tooth_count=2, cutting_diameter_mm=2.0, depth_of_cut_mm=0.2,
+                                cutting_speed_m_min=100.0, feed_per_tooth_mm=0.15)
+    grid = GridSpec.from_extents(0.08, (-1.8, 1.8), (0.0, 0.8))
+    return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=16,
+                            max_step_angle_rad=0.05, record_trajectory=True)
 
 
 class TestKernelEquivalence:
@@ -204,15 +235,7 @@ class TestKernelEquivalence:
         # 2**44 mm from the origin a float64 coordinate resolves only 2**-8 mm,
         # 8 to 20% of a cell, so adding x0 or y(t) in another order than the
         # reference moves points across cell edges.
-        cfg = small_random_config(seed)
-        x0, y0, z0 = cfg.process.initial_position_mm
-        off = 2.0**44
-        g = cfg.grid
-        cfg = dataclasses.replace(
-            cfg,
-            process=dataclasses.replace(cfg.process, initial_position_mm=(x0 + off, y0, z0)),
-            grid=GridSpec(g.spacing_mm, g.x_min_mm + off, g.y_min_mm + off, g.m, g.n),
-        )
+        cfg = far_from_origin(small_random_config(seed))
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -258,6 +281,45 @@ class TestKernelEquivalence:
         monkeypatch.setattr(engine, "_COARSE_STRIDE", 2)
         for cfg in (small_random_config(0), wide_cutter_config(0)):
             cfg = dataclasses.replace(cfg, record_trajectory=True)
+            ref = simulate_reference(cfg)
+            for workers in (1, 2):
+                opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+                assert_kernels_agree(opt, ref)
+
+
+class TestDominanceCull:
+    """The dominance cull skips interior (row, segment) pairs whose lowest z is
+    at or above an upper bound of every cell they can reach. Its map is
+    refreshed only before groups of at least _REFRESH_RATIO points per grid
+    node, which keeps the small random configs off the path; lowering the
+    ratio and the chunk size refreshes it several times per sweep at 1 and 2
+    workers, and a ratio between 0 and 1 leaves some groups to use a stale
+    map."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "far_from_origin"])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_dense_config_agrees(self, monkeypatch, ratio, far):
+        monkeypatch.setattr(engine, "_REFRESH_RATIO", ratio)
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 512)
+        cfg = far_from_origin(dense_config()) if far else dense_config()
+        ref = simulate_reference(cfg)
+        for workers in (1, 2):
+            opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+            assert_kernels_agree(opt, ref)
+            assert opt.evaluated_points < opt.in_grid_points
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_configs_agree(self, monkeypatch, seed):
+        monkeypatch.setattr(engine, "_REFRESH_RATIO", 0.0)
+        cfg = small_random_config(seed, random_z0=True)
+        ref = simulate_reference(cfg)
+        for workers in (1, 2):
+            assert_kernels_agree(simulate(dataclasses.replace(cfg, worker_count=workers)), ref)
+
+    def test_far_from_origin_random_configs_agree(self, monkeypatch):
+        monkeypatch.setattr(engine, "_REFRESH_RATIO", 0.0)
+        for seed in (0, 1, 2):
+            cfg = far_from_origin(small_random_config(seed))
             ref = simulate_reference(cfg)
             for workers in (1, 2):
                 opt = simulate(dataclasses.replace(cfg, worker_count=workers))

@@ -325,6 +325,12 @@ class TestDeriveKinematics:
                               cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6,
                               feed_speed_mm_min=125.0)
 
+    @pytest.mark.parametrize("teeth", [2.5, 2.0, True, 0])
+    def test_tooth_count_must_be_positive_int(self, teeth):
+        with pytest.raises(ConfigError, match="tooth_count"):
+            derive_kinematics(tooth_count=teeth, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+                              cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6)
+
     def test_positivity(self):
         for value in (-5.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="cutting_speed_m_min"):

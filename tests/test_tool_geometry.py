@@ -172,6 +172,9 @@ class TestToolDefinition:
         dict(radial_rake_rad=-2.0),
         dict(axial_rake_rad=2.0),
         dict(axial_rake_rad=-math.pi / 2),
+        dict(tooth_count=2.5),
+        dict(tooth_count=2.0),
+        dict(tooth_count=True),
     ])
     def test_basic_bounds(self, kw):
         with pytest.raises(DomainError):
