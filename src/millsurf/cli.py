@@ -79,8 +79,6 @@ def _cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     sim_config = doc.to_simulation_config()
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         sim_config = replace(sim_config, worker_count=args.workers)
     if args.trajectory:
         sim_config = replace(sim_config, record_trajectory=True)

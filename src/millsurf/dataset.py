@@ -4,7 +4,8 @@ A dataset run samples machining parameters with a seeded Latin hypercube,
 simulates one surface per sample, and writes a JSON-lines manifest next to the
 surface files. The manifest starts with one header object (schema version,
 seed, count, RNG identity, ranges, and the embedded base configuration)
-followed by exactly one object per sample, appended in sample-index order.
+followed by exactly one object per sample, in sample-index order. The file is
+streamed to a temp name and renamed into place whole when the batch ends.
 
 Reruns with the same seed and base configuration are byte-identical: rows
 reference surface files by relative name and carry only deterministic
@@ -26,7 +27,7 @@ from .config import config_from_dict
 from .engine import simulate
 from .errors import ConfigError, MillsurfError
 from .roughness import areal_metrics
-from .surface_io import write_surface
+from .surface_io import atomic_write_bytes, write_surface
 
 SCHEMA_VERSION = 1
 RNG_NAME = "numpy-default-pcg64"
@@ -204,8 +205,8 @@ def generate_dataset(
 
     Samples are independent and run concurrently up to ``workers``; each
     sample's simulation is single-threaded so results do not depend on the
-    schedule. A failing sample is recorded in-place and does not abort the
-    batch.
+    schedule. A failing sample is recorded in its manifest row and does not
+    abort the batch.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -232,12 +233,13 @@ def generate_dataset(
         jobs.append((i, _apply_overrides(base_raw, names, samples[i]), params))
 
     rows: list[dict] = []
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header) + "\n")
-        handle.flush()
+
+    def lines():
+        yield (json.dumps(header) + "\n").encode()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for row in pool.map(lambda job: _run_sample(*job, out_dir), jobs):
                 rows.append(row)
-                handle.write(json.dumps(row) + "\n")
-                handle.flush()
+                yield (json.dumps(row) + "\n").encode()
+
+    atomic_write_bytes(manifest_path, lines())
     return DatasetManifest(seed=seed, count=count, rows=rows, path=manifest_path)

@@ -124,14 +124,6 @@ class HeightField:
         """(m+1, n+1) view of the height buffer; axis 0 is x (i), axis 1 is y (j)."""
         return self.heights.reshape(self.spec.m + 1, self.spec.n + 1)
 
-    def height_at(self, i: int, j: int) -> float:
-        self._check_index(i, j)
-        return float(self.heights[i * (self.spec.n + 1) + j])
-
-    def machined_mask(self) -> np.ndarray:
-        """(m+1, n+1) boolean array, True where the cell was cut below stock."""
-        return self.as_array() < self.initial_height_mm
-
     def machined_cell_count(self) -> int:
         return int(np.count_nonzero(self.heights < self.initial_height_mm))
 
@@ -139,12 +131,6 @@ class HeightField:
         if other.spec != self.spec:
             raise DomainError("cannot merge height fields with different grids")
         np.minimum(self.heights, other.heights, out=self.heights)
-
-    def _check_index(self, i: int, j: int) -> None:
-        if not (0 <= i <= self.spec.m and 0 <= j <= self.spec.n):
-            raise DomainError(
-                f"grid index ({i}, {j}) outside [0, {self.spec.m}] x [0, {self.spec.n}]"
-            )
 
 
 def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
@@ -154,7 +140,8 @@ def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
     never written.
     """
     i, j = idx
-    field._check_index(i, j)
+    if not (0 <= i <= field.spec.m and 0 <= j <= field.spec.n):
+        raise DomainError(f"grid index ({i}, {j}) outside [0, {field.spec.m}] x [0, {field.spec.n}]")
     flat = i * (field.spec.n + 1) + j
     if z_mm < field.heights[flat]:
         field.heights[flat] = z_mm

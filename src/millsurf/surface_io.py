@@ -21,16 +21,18 @@ or height.
 
 The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
 holds one row per (time step, tooth) minimum-z point with floats in ``repr``
-form, so it round-trips exactly. All file writes in this module are
-whole-file atomic: each write goes to its own uniquely named temp file in the
-target directory, which is renamed over the target on success and removed on
-failure, so concurrent writers of one path never share a temp file.
+form, so it round-trips exactly. Every file millsurf writes goes through
+``atomic_write_bytes``, streamed in chunks to a uniquely named temp file in
+the target directory that is renamed over the target on success and removed
+on failure. Concurrent writers never share a temp file, and a write holds at
+most one chunk (a header, an array buffer, a block of CSV rows) beyond its data.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +44,14 @@ from .surface_grid import GridSpec, HeightField, TrajectoryRecord
 MAGIC = b"SRTF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIdddd")
+_HEIGHTS_CHUNK_ROWS = 16  # CSV rows per chunk: about 0.15 MB of text on case1's grid
+_TRAJECTORY_CHUNK_ROWS = 4096  # about 0.3 MB of text
 
 GRAY_MID = 32768  # degenerate normalization (flat surface) maps machined cells here
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Path, payload: bytes | Iterable[bytes | memoryview]) -> None:
+    """Write bytes, or an iterable of bytes-like chunks one at a time, atomically."""
     path = Path(path)
     # O_EXCL makes the temp name ours alone. Unlike tempfile.mkstemp, which
     # creates 0600 files, mode 0666 lets the umask set the output's mode, as
@@ -55,7 +60,7 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with open(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines((payload,) if isinstance(payload, bytes) else payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -73,7 +78,7 @@ def write_surface(field: HeightField, path: Path) -> None:
         field.spec.y_min_mm,
         field.initial_height_mm,
     )
-    atomic_write_bytes(Path(path), header + field.heights.astype("<f8").tobytes())
+    atomic_write_bytes(Path(path), (header, memoryview(field.heights.astype("<f8", copy=False))))
 
 
 def read_surface(path: Path) -> HeightField:
@@ -86,15 +91,15 @@ def read_surface(path: Path) -> HeightField:
     if version != VERSION:
         raise SurfaceFormatError(f"{path}: unsupported format version {version}")
     expected = (m + 1) * (n + 1) * 8
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    payload_size = len(blob) - _HEADER.size
+    if payload_size != expected:
         raise SurfaceFormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected} "
+            f"{path}: payload is {payload_size} bytes, header promises {expected} "
             f"({m + 1}x{n + 1} float64)"
         )
     if not np.isfinite(sentinel):
         raise SurfaceFormatError(f"{path}: uncut sentinel height is {sentinel}, not finite")
-    heights = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    heights = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(heights))
     if bad.size:
         raise SurfaceFormatError(
@@ -106,11 +111,16 @@ def read_surface(path: Path) -> HeightField:
 
 def write_heights_csv(field: HeightField, path: Path) -> None:
     """Heights in micrometres; header row = x coordinates (mm), one data row per y node."""
-    block = field.as_array() * MM_TO_UM
-    row_format = ",".join(["%.6f"] * block.shape[0])
-    lines = [row_format % tuple(field.spec.x_coords().tolist())]
-    lines.extend(row_format % tuple(row) for row in block.T.tolist())
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+    heights = field.as_array()
+    row_format = ",".join(["%.6f"] * heights.shape[0]) + "\n"
+
+    def chunks():
+        yield (row_format % tuple(field.spec.x_coords().tolist())).encode()
+        for lo in range(0, heights.shape[1], _HEIGHTS_CHUNK_ROWS):
+            block = heights[:, lo : lo + _HEIGHTS_CHUNK_ROWS] * MM_TO_UM
+            yield "".join(row_format % tuple(row) for row in block.T.tolist()).encode()
+
+    atomic_write_bytes(Path(path), chunks())
 
 
 def write_graymap(field: HeightField, path: Path) -> None:
@@ -134,14 +144,17 @@ def write_graymap(field: HeightField, path: Path) -> None:
     width = block.shape[0]
     height = block.shape[1]
     header = f"P5\n{width} {height}\n65535\n".encode()
-    atomic_write_bytes(Path(path), header + pixels.T.astype(">u2").tobytes())
+    atomic_write_bytes(Path(path), (header, memoryview(pixels.T.astype(">u2", order="C"))))
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
     """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per recorded point, floats in repr form."""
     columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
-    lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
-    lines.extend(
-        f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
-    )
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+
+    def chunks():
+        yield b"t_s,tooth,x_mm,y_mm,z_mm\n"
+        for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
+            rows = zip(*(c[lo : lo + _TRAJECTORY_CHUNK_ROWS].tolist() for c in columns))
+            yield "".join(f"{t!r},{k},{x!r},{y!r},{z!r}\n" for t, k, x, y, z in rows).encode()
+
+    atomic_write_bytes(Path(path), chunks())

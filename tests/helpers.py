@@ -193,7 +193,7 @@ def machined_rect_roi(field: HeightField):
 
     Returns an inclusive (i_lo, j_lo, i_hi, j_hi) node range or None.
     """
-    mask = field.machined_mask()
+    mask = field.as_array() < field.initial_height_mm
     rows, cols = mask.shape
     best_area = 0
     best = None

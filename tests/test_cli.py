@@ -45,7 +45,7 @@ class TestSimulateCommand:
         assert summary["trajectory_points"] % (summary["time_steps"] * 2) == 0
         assert summary["cells_updated"] == 13 * 7
         field = read_surface(out / "part.srtf")
-        assert field.machined_mask().all()
+        assert (field.as_array() < field.initial_height_mm).all()
 
     def test_trajectory_flag(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -68,6 +68,13 @@ class TestSimulateCommand:
         for name in ["part.srtf", "part.csv", "part.pgm", "part_metrics.json",
                      "part_summary.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_zero_workers_is_validation_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                     "--workers", "0"]) == 1
+        assert "worker_count must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import millsurf.dataset
 from millsurf import ConfigError, ParameterRange, generate_dataset, lhs_sample, read_surface
 
 
@@ -111,7 +112,7 @@ class TestGenerateDataset:
             assert row["counters"]["trajectory_points"] > 0
             assert row["metrics"]["Sa_um"] >= 0.0
             surface = read_surface(tmp_path / row["surface_file"])
-            assert surface.machined_mask().all()
+            assert (surface.as_array() < surface.initial_height_mm).all()
 
     def test_reruns_byte_identical_across_schedules(self, tmp_path):
         ranges = [ParameterRange("feed_per_tooth_mm", 0.2, 0.4)]
@@ -135,6 +136,21 @@ class TestGenerateDataset:
                 assert row["surface_file"] is None
             else:
                 assert (tmp_path / row["surface_file"]).exists()
+
+    def test_write_error_mid_batch_leaves_no_manifest(self, tmp_path, monkeypatch):
+        real_write = millsurf.dataset.write_surface
+
+        def write_surface(field, path):
+            if path.name == "sample_00002.srtf":
+                raise OSError("disk full")
+            real_write(field, path)
+
+        monkeypatch.setattr(millsurf.dataset, "write_surface", write_surface)
+        ranges = [ParameterRange("feed_per_tooth_mm", 0.2, 0.4)]
+        with pytest.raises(OSError, match="disk full"):
+            generate_dataset(ranges, 5, seed=0, base_raw=base_raw(), out_dir=tmp_path, workers=2)
+        assert not (tmp_path / "manifest.jsonl").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_range_validated_against_base_tool(self, tmp_path):
         with pytest.raises(ConfigError, match="insert radius"):

@@ -79,13 +79,13 @@ class TestUpdateMin:
     def test_first_cut(self):
         field = HeightField(make_spec(), 0.5)
         assert update_min(field, (3, 4), 0.1) is True
-        assert field.height_at(3, 4) == 0.1
+        assert field.as_array()[3, 4] == 0.1
 
     def test_higher_pass_leaves_no_mark(self):
         field = HeightField(make_spec(), 0.5)
         update_min(field, (3, 4), 0.1)
         assert update_min(field, (3, 4), 0.3) is False
-        assert field.height_at(3, 4) == 0.1
+        assert field.as_array()[3, 4] == 0.1
 
     def test_equal_height_is_not_a_write(self):
         field = HeightField(make_spec(), 0.5)
@@ -140,8 +140,8 @@ class TestHeightField:
         update_min(b, (0, 0), 0.1)
         update_min(b, (1, 1), 0.2)
         a.merge_min(b)
-        assert a.height_at(0, 0) == 0.1
-        assert a.height_at(1, 1) == 0.2
+        assert a.as_array()[0, 0] == 0.1
+        assert a.as_array()[1, 1] == 0.2
 
     def test_merge_grid_mismatch(self):
         a = HeightField(make_spec(m=2, n=2), 1.0)

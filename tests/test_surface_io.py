@@ -123,11 +123,18 @@ class TestSurfaceRoundTrip:
 
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    @pytest.mark.parametrize("fail_at", ["write", "rename", "mid-stream"])
     def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch, fail_at):
         path = tmp_path / "out.bin"
         path.write_bytes(b"old")
         payload = "not bytes"  # the file handle's write raises TypeError
+        if fail_at == "mid-stream":
+
+            def chunks():
+                yield b"new"
+                raise OSError("source failed after one chunk")
+
+            payload = chunks()
         if fail_at == "rename":
             payload = b"new"
 
@@ -203,6 +210,17 @@ class TestHeightsCsv:
         lines += [",".join(f"{v:.6f}" for v in block[:, j]) for j in range(block.shape[1])]
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_chunks_match_one_shot_rendering(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("millsurf.surface_io._HEIGHTS_CHUNK_ROWS", 3)
+        field = random_field(seed=5, m=4, n=9)  # 10 data rows: 3 + 3 + 3 + 1
+        path = tmp_path / "grid.csv"
+        write_heights_csv(field, path)
+        block = field.as_array() * MM_TO_UM
+        row_format = ",".join(["%.6f"] * block.shape[0])
+        lines = [row_format % tuple(field.spec.x_coords().tolist())]
+        lines.extend(row_format % tuple(row) for row in block.T.tolist())
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestGraymap:
     def test_flat_maps_to_mid_gray(self, tmp_path):
@@ -252,3 +270,18 @@ class TestTrajectoryCsv:
         assert int(first[1]) == 1
         assert [float(v) for v in first[2:]] == [1.0 / 3.0, -2.5e-7, 0.1 + 0.2]
         assert rows[1] == "0.2,2,-4.0,5.0,-0.0625"
+
+    @pytest.mark.parametrize("rows", [0, 8])
+    def test_chunks_match_one_shot_rendering(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr("millsurf.surface_io._TRAJECTORY_CHUNK_ROWS", 3)
+        rng = np.random.default_rng(rows)
+        rec = TrajectoryRecord(rng.random(rows), np.arange(rows, dtype=np.int64) % 4 + 1,
+                               *rng.normal(size=(3, rows)))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(rec, path)
+        columns = (rec.t_s, rec.tooth, rec.x_mm, rec.y_mm, rec.z_mm)
+        lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
+        lines.extend(
+            f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
+        )
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
