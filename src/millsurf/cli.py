@@ -105,8 +105,11 @@ def _cmd_simulate(args) -> int:
         written.append(path)
     if "graymap" in doc.output.formats:
         path = out_dir / f"{base}.pgm"
-        write_graymap(result.field, path)
-        written.append(path)
+        try:
+            write_graymap(result.field, path)
+            written.append(path)
+        except DomainError as exc:
+            _info(f"graymap skipped: {exc}")
     if "metrics" in doc.output.formats:
         path = out_dir / f"{base}_metrics.json"
         try:

@@ -230,9 +230,7 @@ def _parse_engine(
     path: str = "engine",
 ) -> SimulationConfig:
     """The engine block's settings applied to the parsed tool, process and grid."""
-    if block is None:
-        return SimulationConfig(tool=tool, process=process, grid=grid)
-    _require_dict(block, path)
+    block = {} if block is None else _require_dict(block, path)
     _check_keys(
         block,
         path,
@@ -277,9 +275,7 @@ def _parse_engine(
 
 
 def _parse_output(block: dict | None, path: str = "output") -> OutputSettings:
-    if block is None:
-        return OutputSettings()
-    _require_dict(block, path)
+    block = {} if block is None else _require_dict(block, path)
     _check_keys(block, path, allowed={"formats", "basename"}, required=set())
     formats = block.get("formats", ["surface"])
     if not isinstance(formats, list) or not formats:

@@ -8,10 +8,14 @@ Two kernels share one simulation plan and produce bit-identical results:
     (x_t, y_t) and its time-invariant workpiece z, and per (time chunk,
     tooth, edge segment) the kernel rotates and shifts the edge points by
     broadcasting: ``x = c*x_t + s*y_t + x0`` and ``y = c*y_t - s*x_t + y(t)``.
-    It scatters the z values into the height field with an elementwise
-    minimum. Work that provably cannot reach the grid, or cannot lower any
-    cell it reaches, is skipped before it is computed; the first four culls
-    bound against the grid window widened by 1.5 cells:
+    Each chunk of steps runs through a row stage (``_rows``), which bounds
+    the (step, tooth) rows and (row, segment) pairs that can matter, and a
+    point stage (``_PointStage``), which rotates the kept pairs' edge points,
+    indexes their cells and scatters their z values into the height field
+    with an elementwise minimum. Work that provably cannot reach the grid, or
+    cannot lower any cell it reaches, is skipped before it is computed, by
+    cull geometry built once in ``_plan``; the first four culls bound against
+    the grid window widened by 1.5 cells:
 
     - coarse step pass: every ``_COARSE_STRIDE``-th global step (an anchor)
       is bounded first, against the window widened by a slack that covers the
@@ -40,18 +44,17 @@ Two kernels share one simulation plan and produce bit-identical results:
       That bound is a map of tile maxima of the worker's private field,
       dilated so that the tile of the cell one before the low corner of a
       square that holds the rotated segment covers all the cells the segment
-      reaches. It is refreshed only when the
-      field has changed since and the interior group at hand holds at least
-      ``_REFRESH_RATIO`` points per grid node, so a refresh costs no more
-      than the group. Each tooth's segments are visited lowest first, so the
-      tip lowers the field before the segments above it are tested. This is
-      the lower envelope of the Z-map: the fields only decrease, so a stale
-      map is still an upper bound, and a landing at or above a cell's height
-      is a no-op of the minimum whatever the order.
+      reaches. It is refreshed only when the field has changed since and the
+      interior group at hand holds at least ``_REFRESH_RATIO`` points per
+      grid node, so a refresh costs no more than the group. Each tooth's
+      segments are visited lowest first, so the tip lowers the field before
+      the segments above it are tested. This is the lower envelope of the
+      Z-map: the fields only decrease, so a stale map is still an upper
+      bound, and a landing at or above a cell's height is a no-op of the
+      minimum whatever the order.
 
-    The kept (row, segment) pairs run through the point stage (rotation, cell
-    index, scatter) in blocks of about ``_POINT_BLOCK`` elements so
-    temporaries stay in cache; the cell index is computed in place with the
+    The point stage runs in blocks of about ``_POINT_BLOCK`` elements so
+    temporaries stay in cache; it computes the cell index in place with the
     same operations as ``surface_grid.locate``. The culls only choose which
     points are computed, never how: a kept point goes through exactly the
     arithmetic it would without them, a dropped point either lies outside the
@@ -127,11 +130,13 @@ from .tool_geometry import (
 DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
-# The row stage (coarse pass, step cull, trig, row and segment bounds) runs
-# over chunks of _STEP_CHUNK steps, long enough that per-call overhead stays
-# small; the point stage runs over each edge segment's kept rows in blocks of
-# about _POINT_BLOCK (row, edge-point) elements, 1 MB per float64 temporary,
-# so its working set stays in cache.
+# The row stage (_rows: coarse pass, step cull, trig, row and segment bounds
+# against the cull geometry built in _plan) runs over chunks of _STEP_CHUNK
+# steps, long enough that per-call overhead stays small; the point stage
+# (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
+# each edge segment's kept rows in blocks of about _POINT_BLOCK (row,
+# edge-point) elements, 1 MB per float64 temporary, so its working set stays
+# in cache.
 _STEP_CHUNK = 32_768
 _POINT_BLOCK = 131_072
 # Cull granularity, chosen by measurement; results do not depend on them.
@@ -181,6 +186,8 @@ class SimulationConfig:
         n = self.edge_point_count
         if n is not None and (not isinstance(n, int) or n < 2):  # also rejects bools
             raise ConfigError(f"edge_point_count must be None or an integer >= 2, got {n!r}")
+        if not isinstance(self.record_trajectory, bool):
+            raise ConfigError(f"record_trajectory must be a bool, got {self.record_trajectory!r}")
         if self.process.depth_of_cut_mm > self.tool.insert_radius_mm:
             raise ConfigError(
                 f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
@@ -224,7 +231,6 @@ class _ToothData:
     min_index: int  # argmin of z_workpiece, ties to the lowest index
     x_tool_range: tuple[float, float]
     y_tool_range: tuple[float, float]
-    r_tool_range: tuple[float, float]  # distance from the spindle axis
     # Contiguous edge-index slices covering the edge, lowest first: ascending
     # in their minimum z_workpiece, ties by index. The per-slice arrays below
     # follow the same order.
@@ -232,6 +238,10 @@ class _ToothData:
     seg_x_range: tuple[np.ndarray, np.ndarray]  # (S,) x_tool min and max per slice
     seg_y_range: tuple[np.ndarray, np.ndarray]  # (S,) y_tool min and max per slice
     seg_min_z: np.ndarray  # (S,) z_workpiece minimum per slice
+    # At any rotation a slice lies in the square of half-side seg_half (the
+    # half-sum of its tool-frame box's sides) about its box's rotated centre.
+    seg_centre: tuple[np.ndarray, np.ndarray]  # (S,) tool-frame box centre x and y
+    seg_half: np.ndarray  # (S,)
 
 
 @dataclass(frozen=True)
@@ -252,10 +262,27 @@ class _Plan:
     initial_height: float
     record: bool
     workers: int
+    # Cull geometry (see the module docstring); windows are (x_lo, x_hi, y_lo, y_hi).
+    window: tuple[float, float, float, float]
+    stride: int
+    coarse: tuple[float, float, float, float]
+    inner: tuple[float, float, float, float]
+    r_range: tuple[float, float]
+    tile: int
 
     @property
     def trajectory_points(self) -> int:
         return self.steps * self.tool.tooth_count * self.edge.point_count
+
+    def step_times(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Time and spindle-axis y of the global steps ``steps``."""
+        t = self.t_start + np.asarray(steps, dtype=np.float64) * self.dt
+        return t, self.y0 + self.feed_speed * t
+
+    def tooth_trig(self, k_idx: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of tooth ``k_idx + 1``'s angle at the times ``t``."""
+        th = tooth_angle(self.phase, k_idx + 1, self.tool.tooth_count, self.omega, t)
+        return np.cos(th), np.sin(th)
 
 
 def _plan(config: SimulationConfig) -> _Plan:
@@ -296,9 +323,10 @@ def _plan(config: SimulationConfig) -> _Plan:
     for k in range(1, tool.tooth_count + 1):
         xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, edge.y, edge.z)
         zw = zt + z0
-        rt = np.hypot(xt, yt)
         seg_min_z = np.minimum.reduceat(zw, starts)
         order = np.argsort(seg_min_z, kind="stable")
+        sx_lo, sx_hi = (f.reduceat(xt, starts)[order] for f in (np.minimum, np.maximum))
+        sy_lo, sy_hi = (f.reduceat(yt, starts)[order] for f in (np.minimum, np.maximum))
         teeth.append(
             _ToothData(
                 x_tool=xt,
@@ -307,15 +335,32 @@ def _plan(config: SimulationConfig) -> _Plan:
                 min_index=int(np.argmin(zw)),
                 x_tool_range=(float(xt.min()), float(xt.max())),
                 y_tool_range=(float(yt.min()), float(yt.max())),
-                r_tool_range=(float(rt.min()), float(rt.max())),
                 segments=tuple(slices[i] for i in order),
-                seg_x_range=(np.minimum.reduceat(xt, starts)[order],
-                             np.maximum.reduceat(xt, starts)[order]),
-                seg_y_range=(np.minimum.reduceat(yt, starts)[order],
-                             np.maximum.reduceat(yt, starts)[order]),
+                seg_x_range=(sx_lo, sx_hi),
+                seg_y_range=(sy_lo, sy_hi),
                 seg_min_z=seg_min_z[order],
+                seg_centre=((sx_lo + sx_hi) / 2.0, (sy_lo + sy_hi) / 2.0),
+                seg_half=((sx_hi - sx_lo) + (sy_hi - sy_lo)) / 2.0,
             )
         )
+
+    # Cull geometry (see the module docstring). The window has one extra cell
+    # of slack, which absorbs the difference between the bounds' and the point
+    # stage's floating-point evaluation orders; the coarse window's slack
+    # covers how far a box bound can move in one stride of steps.
+    dd, omega, v_f = grid.spacing_mm, proc.angular_velocity_rad_s, proc.feed_speed_mm_s
+    wx_lo, wx_hi = grid.x_min_mm - 1.5 * dd, grid.x_max_mm + 1.5 * dd
+    wy_lo, wy_hi = grid.y_min_mm - 1.5 * dd, grid.y_max_mm + 1.5 * dd
+    lipschitz = max(
+        max(map(abs, td.x_tool_range)) + max(map(abs, td.y_tool_range)) for td in teeth
+    )
+    slack = (lipschitz * abs(omega) + abs(v_f)) * _COARSE_STRIDE * dt
+    # Every edge point of every tooth lies in this annulus about the spindle axis.
+    radii = [np.hypot(td.x_tool, td.y_tool) for td in teeth]
+    # From one cell before the low corner of a segment's square, its cells span
+    # at most 2*seg_half/dd + 4 cells per axis; with tiles of at least half the
+    # largest such span they lie in the 3 x 3 tiles from that cell's tile.
+    span = 2.0 * max(float(td.seg_half.max()) for td in teeth) / dd + 4.0
 
     return _Plan(
         tool=tool,
@@ -328,12 +373,21 @@ def _plan(config: SimulationConfig) -> _Plan:
         x0=x0,
         y0=y0,
         z0=z0,
-        feed_speed=proc.feed_speed_mm_s,
-        omega=proc.angular_velocity_rad_s,
+        feed_speed=v_f,
+        omega=omega,
         phase=proc.phase_rad,
         initial_height=initial_height,
         record=config.record_trajectory,
         workers=config.worker_count,
+        window=(wx_lo, wx_hi, wy_lo, wy_hi),
+        stride=_COARSE_STRIDE,
+        coarse=(wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack),
+        # The span of cell indices 1..m-1 (x) and 1..n-1 (y): every point of a
+        # box bound inside it lands, with one cell of slack on each side.
+        inner=(grid.x_min_mm + 0.5 * dd, grid.x_min_mm + (grid.m - 0.5) * dd,
+               grid.y_min_mm + 0.5 * dd, grid.y_min_mm + (grid.n - 0.5) * dd),
+        r_range=(min(float(r.min()) for r in radii), max(float(r.max()) for r in radii)),
+        tile=math.ceil(span / 2.0),
     )
 
 
@@ -391,95 +445,103 @@ def _annulus_hits(ty, x0, r_range, window):
     return (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
 
 
-def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
-    """Vectorized sweep over global steps [step_lo, step_hi) into a private field.
+def _rows(plan: _Plan, lo: int, hi: int):
+    """Row stage of the global steps [lo, hi): the coarse pass, the step cull,
+    the trig, and the row and segment bounds. Per tooth with kept rows it
+    yields ``(tooth, c, s, ty, keep, inside)``: the kept rows' cos, sin and
+    spindle-axis y as (R, 1) columns, and (R, S) masks of the (row, segment)
+    pairs to evaluate with the in-grid test and of the interior pairs."""
+    x0, stride, window, inner = plan.x0, plan.stride, plan.window, plan.inner
+    # Coarse pass at the global multiples of the stride, so the steps
+    # kept do not depend on the chunk or worker boundaries.
+    a_lo = lo - lo % stride
+    ta, tya = plan.step_times(np.arange(a_lo, hi, stride))
+    live = _annulus_hits(tya, x0, plan.r_range, plan.coarse)
+    ai = np.flatnonzero(live)
+    ta, tya = ta[ai], tya[ai]
+    hits = np.zeros(ai.size, dtype=bool)
+    for k_idx, td in enumerate(plan.teeth):
+        c, s = plan.tooth_trig(k_idx, ta)
+        hits |= _box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, tya, plan.coarse)
+    live[ai] = hits
+    steps = np.flatnonzero(np.repeat(live, stride)[lo - a_lo : hi - a_lo]) + lo
 
-    Returns ``(evaluated points, in-grid points)``.
-    """
-    grid = plan.grid
-    hflat = field.heights
-    m, n = grid.m, grid.n
-    n1 = n + 1
-    dd = grid.spacing_mm
-    x_min, y_min = grid.x_min_mm, grid.y_min_mm
-    # Conservative in-grid window for the culls: one extra cell of slack
-    # absorbs the difference between the bounds' and the kernel's
-    # floating-point evaluation orders.
-    window = (
-        x_min - 1.5 * dd,
-        x_min + m * dd + 1.5 * dd,
-        y_min - 1.5 * dd,
-        y_min + n * dd + 1.5 * dd,
-    )
-    wx_lo, wx_hi, wy_lo, wy_hi = window
-    # Every edge point of every tooth lies in this annulus about the spindle axis.
-    r_range = (
-        min(td.r_tool_range[0] for td in plan.teeth),
-        max(td.r_tool_range[1] for td in plan.teeth),
-    )
-    x0 = plan.x0
-    # Coarse window: the slack covers how far a box bound can move in one
-    # stride of steps (see the module docstring).
-    stride = _COARSE_STRIDE
-    lipschitz = max(
-        max(map(abs, td.x_tool_range)) + max(map(abs, td.y_tool_range)) for td in plan.teeth
-    )
-    slack = (lipschitz * abs(plan.omega) + abs(plan.feed_speed)) * stride * plan.dt
-    coarse = (wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack)
+    t, ty = plan.step_times(steps)
+    reach = _annulus_hits(ty, x0, plan.r_range, window)
+    t, ty = t[reach], ty[reach]
+    for k_idx, td in enumerate(plan.teeth):
+        c, s = plan.tooth_trig(k_idx, t)
+        # Interval bounds on the tooth's whole edge per step, then on each
+        # edge segment per kept step.
+        ki = np.flatnonzero(_box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, ty, window))
+        if ki.size == 0:
+            continue
+        ck, sk, tyk = c[ki, None], s[ki, None], ty[ki, None]
+        keep, inside = _box_hits(ck, sk, td.seg_x_range, td.seg_y_range, x0, tyk, window, inner)
+        keep &= ~inside
+        yield td, ck, sk, tyk, keep, inside
 
-    # Every point of a box bound inside this window lands in a cell: it is
-    # the span of cell indices 1..m-1 (x) and 1..n-1 (y), so one cell of
-    # slack is left on each side, as the outer window leaves one.
-    inner = (
-        x_min + 0.5 * dd,
-        x_min + (m - 0.5) * dd,
-        y_min + 0.5 * dd,
-        y_min + (n - 0.5) * dd,
-    )
-    # Dominance cull (see the module docstring). At any rotation a segment
-    # lies in the square of half-side `half` (the half-sum of its tool-frame
-    # box's sides) about its box's rotated centre; from one cell before that
-    # square's low corner, the cells it reaches span at most 2*half/dd + 4
-    # cells per axis. With tiles of at least half the largest such span they
-    # lie in the 3 x 3 tiles from that cell's tile, and `bound` holds the
-    # maximum height over each such 3 x 3 block.
-    centre = [((td.seg_x_range[0] + td.seg_x_range[1]) / 2.0,
-               (td.seg_y_range[0] + td.seg_y_range[1]) / 2.0) for td in plan.teeth]
-    half = [((td.seg_x_range[1] - td.seg_x_range[0])
-             + (td.seg_y_range[1] - td.seg_y_range[0])) / 2.0 for td in plan.teeth]
-    tile = math.ceil((2.0 * max(float(h.max()) for h in half) / dd + 4.0) / 2.0)
-    hmap = hflat.reshape(m + 1, n1)
-    tile_i = np.arange(0, m + 1, tile)
-    tile_j = np.arange(0, n1, tile)
-    refresh_points = _REFRESH_RATIO * grid.node_count
-    bound = None  # upper bound on the field per 3 x 3 tile block, once refreshed
-    stale = True  # the field may have dropped since `bound` was taken
 
-    def refresh():
-        # Reducing axis 1 first reads the field in memory order.
-        b = np.maximum.reduceat(np.maximum.reduceat(hmap, tile_j, axis=1), tile_i, axis=0)
-        for _ in range(2):
-            b[:-1] = np.maximum(b[:-1], b[1:])
-            b[:, :-1] = np.maximum(b[:, :-1], b[:, 1:])
-        return b
+class _PointStage:
+    """Point stage of one worker: rotation, cell index and scatter-min of kept
+    (row, segment) pairs into the worker's private field, and the dominance
+    map of that field. Counts the points evaluated and the points that land."""
 
-    n_teeth = plan.tool.tooth_count
-    seg_len = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
-    # Large enough for one block of the point stage and for one chunk of
-    # rows in bound_at.
-    buf_size = max(_POINT_BLOCK, seg_len, _STEP_CHUNK)
-    xw_buf = np.empty(buf_size)
-    yw_buf = np.empty(buf_size)
-    tmp_buf = np.empty(buf_size)
-    # When every point lands, the scatter takes its flat indices from
-    # tmp_buf's memory, free once a block is rotated, and its z values from
-    # xw_buf's, free once the indices are copied out.
-    idx_buf = tmp_buf.view(np.int64)
+    def __init__(self, plan: _Plan, field: HeightField):
+        grid = plan.grid
+        self.plan = plan
+        self.hflat = field.heights
+        self.hmap = field.heights.reshape(grid.m + 1, grid.n + 1)
+        self.tile_i = np.arange(0, grid.m + 1, plan.tile)
+        self.tile_j = np.arange(0, grid.n + 1, plan.tile)
+        self.refresh_points = _REFRESH_RATIO * grid.node_count
+        self.bound = None  # upper bound on the field per 3 x 3 tile block, once refreshed
+        self.stale = True  # the field may have dropped since `bound` was taken
+        seg_len = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
+        # Large enough for one block of the point stage and for one chunk of
+        # rows in bound_at.
+        buf_size = max(_POINT_BLOCK, seg_len, _STEP_CHUNK)
+        self.xw_buf, self.yw_buf, self.tmp_buf = (np.empty(buf_size) for _ in range(3))
+        # When every point lands, the scatter takes its flat indices from
+        # tmp_buf's memory, free once a block is rotated, and its z values from
+        # xw_buf's, free once the indices are copied out.
+        self.idx_buf = self.tmp_buf.view(np.int64)
+        self.evaluated = self.in_grid = 0
 
-    def scatter(cj, sj, tyj, xt, yt, zw, all_land):
-        """Point stage of one edge slice (xt, yt, zw) at the rows (cj, sj, tyj):
-        rotate, index and scatter-min. Returns the count of points that
-        landed; with ``all_land`` every point is known to land."""
+    def add(self, td: _ToothData, c, s, ty, keep, inside) -> None:
+        """One tooth's kept rows from the row stage, lowest segment first, so
+        the tip lowers the field before the segments above it are tested for
+        dominance."""
+        for j, sl in enumerate(td.segments):
+            xt, yt, zw = td.x_tool[sl], td.y_tool[sl], td.z_workpiece[sl]
+            width = xt.size
+            kj = np.flatnonzero(keep[:, j])
+            if kj.size:
+                self.evaluated += kj.size * width
+                self.in_grid += self.scatter(c[kj], s[kj], ty[kj], xt, yt, zw, False)
+                self.stale = True
+            kj = np.flatnonzero(inside[:, j])
+            if kj.size == 0:
+                continue
+            self.in_grid += kj.size * width
+            cj, sj, tyj = c[kj], s[kj], ty[kj]
+            if self.stale and kj.size * width >= self.refresh_points:
+                self.refresh()
+            if self.bound is not None:
+                live = self.bound_at(cj[:, 0], sj[:, 0], tyj[:, 0], td, j) > td.seg_min_z[j]
+                if not live.any():
+                    continue
+                cj, sj, tyj = cj[live], sj[live], tyj[live]
+            self.evaluated += cj.shape[0] * width
+            self.scatter(cj, sj, tyj, xt, yt, zw, True)
+            self.stale = True
+
+    def scatter(self, cj, sj, tyj, xt, yt, zw, all_land) -> int:
+        """Rotate, index and scatter-min one edge slice (xt, yt, zw) at the
+        rows (cj, sj, tyj). Returns the count of points that landed; with
+        ``all_land`` every point is known to land."""
+        grid, x0, hflat, xw_buf = self.plan.grid, self.plan.x0, self.hflat, self.xw_buf
+        n1, dd, x_min, y_min = grid.n + 1, grid.spacing_mm, grid.x_min_mm, grid.y_min_mm
         width = xt.size
         rows = cj.shape[0]
         block_rows = max(1, _POINT_BLOCK // width)
@@ -489,8 +551,8 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
             size = r * width
             cb, sb = cj[b : b + r], sj[b : b + r]
             xw = xw_buf[:size].reshape(r, width)
-            yw = yw_buf[:size].reshape(r, width)
-            tmp = tmp_buf[:size].reshape(r, width)
+            yw = self.yw_buf[:size].reshape(r, width)
+            tmp = self.tmp_buf[:size].reshape(r, width)
             np.multiply(cb, xt, out=xw)
             xw += np.multiply(sb, yt, out=tmp)
             xw += x0
@@ -513,13 +575,13 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
                 # index and values are 1-D and of equal length.
                 xw *= n1
                 xw += yw
-                idx = idx_buf[:size]
+                idx = self.idx_buf[:size]
                 idx[...] = xw_buf[:size]
                 xw[...] = zw
                 np.minimum.at(hflat, idx, xw_buf[:size])
                 landed += size
                 continue
-            ok = (xw >= 0.0) & (xw <= m) & (yw >= 0.0) & (yw <= n)
+            ok = (xw >= 0.0) & (xw <= grid.m) & (yw >= 0.0) & (yw <= grid.n)
             flat = xw[ok]
             if flat.size:
                 flat *= n1
@@ -529,111 +591,54 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
                 np.minimum.at(hflat, flat.astype(np.int64), zvals)
         return landed
 
-    def bound_at(c, s, ty, k_idx, j):
-        """``bound`` at the tile of the cell one before the low corner of
-        segment j's square at the rows (c, s, ty), computed in the
+    def refresh(self) -> None:
+        """Take the dominance map: the maximum height over each 3 x 3 block
+        of tiles of the field."""
+        # Reducing axis 1 first reads the field in memory order.
+        b = np.maximum.reduceat(self.hmap, self.tile_j, axis=1)
+        b = np.maximum.reduceat(b, self.tile_i, axis=0)
+        for _ in range(2):
+            b[:-1] = np.maximum(b[:-1], b[1:])
+            b[:, :-1] = np.maximum(b[:, :-1], b[:, 1:])
+        self.bound = b
+        self.stale = False
+
+    def bound_at(self, c, s, ty, td: _ToothData, j: int) -> np.ndarray:
+        """The dominance map at the tile of the cell one before the low corner
+        of segment j's square at the rows (c, s, ty), computed in the
         point-stage buffers, which are free between blocks."""
-        g = c.size
-        xc, yc, h = centre[k_idx][0][j], centre[k_idx][1][j], half[k_idx][j]
-        u, v, w = xw_buf[:g], yw_buf[:g], tmp_buf[:g]
+        grid, bound, g = self.plan.grid, self.bound, c.size
+        xc, yc, h = td.seg_centre[0][j], td.seg_centre[1][j], td.seg_half[j]
+        u, v, w = self.xw_buf[:g], self.yw_buf[:g], self.tmp_buf[:g]
         np.multiply(c, xc, out=u)
         u += np.multiply(s, yc, out=w)
-        u += x0 - h - x_min
+        u += self.plan.x0 - h - grid.x_min_mm
         np.multiply(c, yc, out=v)
         v -= np.multiply(s, xc, out=w)
         v += ty
-        v += -h - y_min
-        for q, top in ((u, m), (v, n)):
-            q /= dd
+        v += -h - grid.y_min_mm
+        for q, top in ((u, grid.m), (v, grid.n)):
+            q /= grid.spacing_mm
             q -= 0.5
             np.floor(q, out=q)
             np.clip(q, 0, top, out=q)
-            np.floor_divide(q, tile, out=q)
+            np.floor_divide(q, self.plan.tile, out=q)
         u *= bound.shape[1]
         u += v
-        idx = idx_buf[:g]
+        idx = self.idx_buf[:g]
         idx[...] = u
         return np.take(bound, idx, out=v)
 
-    evaluated = 0
-    in_grid = 0
 
-    lo = step_lo
-    while lo < step_hi:
-        hi = min(lo + _STEP_CHUNK, step_hi)
-        # Coarse pass at the global multiples of the stride, so the steps
-        # kept do not depend on the chunk or worker boundaries.
-        a_lo = lo - lo % stride
-        ta = plan.t_start + np.arange(a_lo, hi, stride, dtype=np.float64) * plan.dt
-        tya = plan.y0 + plan.feed_speed * ta
-        live = _annulus_hits(tya, x0, r_range, coarse)
-        ai = np.flatnonzero(live)
-        ta, tya = ta[ai], tya[ai]
-        hits = np.zeros(ai.size, dtype=bool)
-        for k_idx, td in enumerate(plan.teeth):
-            th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, ta)
-            hits |= _box_hits(
-                np.cos(th), np.sin(th), td.x_tool_range, td.y_tool_range, x0, tya, coarse
-            )
-        live[ai] = hits
-        steps = np.flatnonzero(np.repeat(live, stride)[lo - a_lo : hi - a_lo]) + lo
-
-        t = plan.t_start + steps.astype(np.float64) * plan.dt
-        ty = plan.y0 + plan.feed_speed * t
-        reach = _annulus_hits(ty, x0, r_range, window)
-        t = t[reach]
-        ty = ty[reach]
-
-        for k_idx, td in enumerate(plan.teeth):
-            th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t)
-            c = np.cos(th)
-            s = np.sin(th)
-
-            # Interval bounds on the tooth's whole edge per step, then on each
-            # edge segment per kept step; only (row, segment) pairs that can
-            # reach the grid go through the point stage.
-            ki = np.flatnonzero(_box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, ty, window))
-            if ki.size == 0:
-                continue
-            ck, sk, tyk = c[ki, None], s[ki, None], ty[ki, None]
-            seg_keep, seg_in = _box_hits(
-                ck, sk, td.seg_x_range, td.seg_y_range, x0, tyk, window, inner
-            )
-            interior = bool(seg_in.any())
-            if interior:
-                seg_keep &= ~seg_in
-
-            # Lowest segment first, so the tip lowers the field before the
-            # segments above it are tested for dominance.
-            for j, sl in enumerate(td.segments):
-                xt, yt, zw = td.x_tool[sl], td.y_tool[sl], td.z_workpiece[sl]
-                width = xt.size
-                kj = np.flatnonzero(seg_keep[:, j])
-                if kj.size:
-                    evaluated += kj.size * width
-                    in_grid += scatter(ck[kj], sk[kj], tyk[kj], xt, yt, zw, False)
-                    stale = True
-                if not interior:
-                    continue
-                kj = np.flatnonzero(seg_in[:, j])
-                if kj.size == 0:
-                    continue
-                in_grid += kj.size * width
-                cj, sj, tyj = ck[kj], sk[kj], tyk[kj]
-                if stale and kj.size * width >= refresh_points:
-                    bound = refresh()
-                    stale = False
-                if bound is not None:
-                    live = bound_at(cj[:, 0], sj[:, 0], tyj[:, 0], k_idx, j) > td.seg_min_z[j]
-                    if not live.any():
-                        continue
-                    cj, sj, tyj = cj[live], sj[live], tyj[live]
-                evaluated += cj.shape[0] * width
-                scatter(cj, sj, tyj, xt, yt, zw, True)
-                stale = True
-        lo = hi
-
-    return evaluated, in_grid
+def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
+    """Vectorized sweep over global steps [step_lo, step_hi) into a private
+    field, chunk by chunk from the row stage into the point stage. Returns
+    ``(evaluated points, in-grid points)``."""
+    points = _PointStage(plan, field)
+    for lo in range(step_lo, step_hi, _STEP_CHUNK):
+        for rows in _rows(plan, lo, min(lo + _STEP_CHUNK, step_hi)):
+            points.add(*rows)
+    return points.evaluated, points.in_grid
 
 
 def _trajectory(plan: _Plan) -> TrajectoryRecord:
@@ -644,16 +649,13 @@ def _trajectory(plan: _Plan) -> TrajectoryRecord:
     point stage, over chunks of steps shared among ``plan.workers`` threads.
     """
     n_teeth = plan.tool.tooth_count
-    t = plan.t_start + np.arange(plan.steps, dtype=np.float64) * plan.dt
-    ty = plan.y0 + plan.feed_speed * t
+    t, ty = plan.step_times(np.arange(plan.steps))
     xyz = np.empty((3, plan.steps, n_teeth))
 
     def fill(lo: int) -> None:
         chunk = slice(lo, lo + _STEP_CHUNK)
         for k_idx, td in enumerate(plan.teeth):
-            th = tooth_angle(plan.phase, k_idx + 1, n_teeth, plan.omega, t[chunk])
-            c = np.cos(th)
-            s = np.sin(th)
+            c, s = plan.tooth_trig(k_idx, t[chunk])
             xt, yt, zw = (a[td.min_index] for a in (td.x_tool, td.y_tool, td.z_workpiece))
             xyz[0, chunk, k_idx] = (c * xt + s * yt) + plan.x0
             xyz[1, chunk, k_idx] = (c * yt - s * xt) + ty[chunk]
@@ -677,13 +679,10 @@ def simulate(config: SimulationConfig) -> SimulationResult:
 
     t0 = time.perf_counter()
     if len(ranges) == 1:
-        parts = [_run_step_range(plan, ranges[0][0], ranges[0][1], fields[0])]
+        parts = [_run_step_range(plan, *ranges[0], fields[0])]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(lambda rf: _run_step_range(plan, rf[0][0], rf[0][1], rf[1]),
-                         zip(ranges, fields))
-            )
+            parts = list(pool.map(lambda r, f: _run_step_range(plan, *r, f), ranges, fields))
     field = fields[0]
     for other in fields[1:]:
         field.merge_min(other)

@@ -69,6 +69,24 @@ class TestSimulateCommand:
                      "part_summary.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_no_cut_run_still_writes_summary(self, tmp_path, capsys):
+        # The spindle passes 100 mm beside the grid, so no cell is machined:
+        # the graymap and the metrics are skipped, and the run still succeeds.
+        raw = sim_config_dict()
+        raw["process"]["initial_position_mm"]["x"] = 100.0
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "graymap skipped: graymap export needs at least one machined cell" in err
+        assert "metrics skipped:" in err
+        assert not (out / "part.pgm").exists()
+        summary = json.loads((out / "part_summary.json").read_text())
+        assert summary["cells_updated"] == 0
+        assert summary["outputs"] == ["part.srtf", "part.csv", "part_metrics.json"]
+        assert "error" in json.loads((out / "part_metrics.json").read_text())
+
     def test_zero_workers_is_validation_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_path), "--out", str(out),

@@ -168,6 +168,19 @@ class TestParseConfig:
         assert doc.simulation.worker_count == 1
         assert doc.output.formats == ("surface",)
 
+    @pytest.mark.parametrize("block", ["engine", "output"])
+    def test_missing_null_and_empty_block_agree(self, block):
+        raw = case1_raw()
+        del raw[block]
+        docs = [parse_config(json.dumps(raw))]
+        for value in (None, {}):
+            raw[block] = value
+            docs.append(parse_config(json.dumps(raw)))
+        assert docs[0] == docs[1] == docs[2]
+        raw[block] = []
+        with pytest.raises(ConfigError, match=f"{block}: expected an object"):
+            parse_config(json.dumps(raw))
+
     def test_every_engine_key_reaches_simulation_config(self):
         raw = case1_raw()
         raw["process"]["initial_position_mm"]["y"] = -7.5

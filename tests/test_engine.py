@@ -130,6 +130,11 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             simulate(tiny_config(worker_count=0))
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_non_bool_record_trajectory(self, value):
+        with pytest.raises(ConfigError, match="record_trajectory must be a bool"):
+            tiny_config(record_trajectory=value)
+
     def test_explicit_span_needs_y0(self):
         with pytest.raises(ConfigError):
             simulate(tiny_config(span_s=(0.0, 0.01)))
@@ -285,6 +290,25 @@ class TestKernelEquivalence:
             for workers in (1, 2):
                 opt = simulate(dataclasses.replace(cfg, worker_count=workers))
                 assert_kernels_agree(opt, ref)
+
+    def test_kept_rows_independent_of_bounds(self, monkeypatch):
+        # With the dominance cull off, evaluated_points counts the (row,
+        # segment) pairs the row stage keeps, which depend on neither the chunk
+        # nor the worker bounds: coarse anchors are global step numbers, and a
+        # step the coarse pass drops is one the row cull would drop.
+        monkeypatch.setattr(engine, "_REFRESH_RATIO", math.inf)
+        bounds = ((5, 2), (engine._STEP_CHUNK, engine._COARSE_STRIDE))
+        for cfg in (wide_cutter_config(0), wide_cutter_config(1),
+                    small_random_config(0), small_random_config(1)):
+            counts = set()
+            for chunk, stride in bounds:
+                monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+                monkeypatch.setattr(engine, "_COARSE_STRIDE", stride)
+                for workers in (1, 2):
+                    opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+                    counts.add((opt.evaluated_points, opt.in_grid_points))
+            assert len(counts) == 1, counts
+            assert counts.pop()[0] > 0
 
 
 class TestDominanceCull:
