@@ -10,6 +10,7 @@ from .engine import (
     simulate,
     simulate_reference,
     time_step,
+    trajectory,
 )
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .kinematics import ProcessParameters, derive_kinematics
@@ -57,5 +58,6 @@ __all__ = [
     "simulate",
     "simulate_reference",
     "time_step",
+    "trajectory",
     "write_surface",
 ]

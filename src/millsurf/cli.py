@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import parse_config
 from .dataset import ParameterRange, generate_dataset
-from .engine import run_benchmark, simulate
+from .engine import run_benchmark, simulate, trajectory
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .roughness import MM_TO_UM, areal_metrics, extract_profile, line_roughness
 from .surface_io import (
@@ -80,8 +80,7 @@ def _cmd_simulate(args) -> int:
     sim_config = doc.to_simulation_config()
     if args.workers is not None:
         sim_config = replace(sim_config, worker_count=args.workers)
-    if args.trajectory:
-        sim_config = replace(sim_config, record_trajectory=True)
+    formats = doc.output.formats + (("trajectory",) if args.trajectory else ())
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -95,22 +94,22 @@ def _cmd_simulate(args) -> int:
 
     base = doc.output.basename
     written = []
-    if "surface" in doc.output.formats:
+    if "surface" in formats:
         path = out_dir / f"{base}.srtf"
         write_surface(result.field, path)
         written.append(path)
-    if "csv" in doc.output.formats:
+    if "csv" in formats:
         path = out_dir / f"{base}.csv"
         write_heights_csv(result.field, path)
         written.append(path)
-    if "graymap" in doc.output.formats:
+    if "graymap" in formats:
         path = out_dir / f"{base}.pgm"
         try:
             write_graymap(result.field, path)
             written.append(path)
         except DomainError as exc:
             _info(f"graymap skipped: {exc}")
-    if "metrics" in doc.output.formats:
+    if "metrics" in formats:
         path = out_dir / f"{base}_metrics.json"
         try:
             payload = areal_metrics(result.field).to_json_dict()
@@ -120,9 +119,9 @@ def _cmd_simulate(args) -> int:
         atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
         written.append(path)
 
-    if result.trajectory is not None:
+    if "trajectory" in formats:
         path = out_dir / f"{base}_trajectory.csv"
-        write_trajectory_csv(result.trajectory, path)
+        write_trajectory_csv(trajectory(sim_config), path)
         written.append(path)
 
     # wall time goes to stderr only: output files stay byte-identical across runs
@@ -247,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--workers", type=int, default=None, help="override worker count")
-    p_sim.add_argument("--trajectory", action="store_true", help="record per-tooth minima")
+    p_sim.add_argument("--trajectory", action="store_true",
+                       help="add the trajectory format: a CSV of per-(step, tooth) minima")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rough = sub.add_parser("roughness", help="areal metrics or a line profile from a surface file")

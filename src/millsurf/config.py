@@ -30,7 +30,7 @@ from .kinematics import ProcessParameters, derive_kinematics
 from .surface_grid import GridSpec
 from .tool_geometry import ToolDefinition
 
-OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics")
+OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics", "trajectory")
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,6 @@ def _parse_engine(
             "time_step_s",
             "span_s",
             "workers",
-            "record_trajectory",
         },
         required=set(),
     )
@@ -258,9 +257,6 @@ def _parse_engine(
             raise ConfigError(f"{path}.span_s: expected [t_start_s, t_end_s]")
         span = (float(span[0]), float(span[1]))
     workers = _integer(block, path, "workers", default=1, minimum=1)
-    record = block.get("record_trajectory", False)
-    if not isinstance(record, bool):
-        raise ConfigError(f"{path}.record_trajectory: expected true/false, got {record!r}")
     return SimulationConfig(
         tool=tool,
         process=process,
@@ -270,7 +266,6 @@ def _parse_engine(
         time_step_s=dt,
         span_s=span,
         worker_count=workers,
-        record_trajectory=record,
     )
 
 

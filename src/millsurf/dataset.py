@@ -144,11 +144,7 @@ def _apply_overrides(base_raw: dict, names: list[str], values: np.ndarray) -> di
     return raw
 
 
-def _check_ranges_against_base(ranges: list[ParameterRange], base_raw: dict) -> None:
-    tool = base_raw.get("tool", {})
-    radius = tool.get("insert_radius_mm")
-    if not isinstance(radius, (int, float)):
-        return  # base config validation will report this properly
+def _check_ranges_against_base(ranges: list[ParameterRange], radius: float) -> None:
     for prm in ranges:
         if prm.name == "depth_of_cut_mm" and prm.high > radius:
             raise ConfigError(
@@ -174,7 +170,7 @@ def _run_sample(index: int, raw: dict, params: dict, out_dir: Path) -> dict:
     }
     try:
         doc = config_from_dict(raw)
-        sim_config = replace(doc.to_simulation_config(), worker_count=1, record_trajectory=False)
+        sim_config = replace(doc.to_simulation_config(), worker_count=1)
         result = simulate(sim_config)
         write_surface(result.field, out_dir / filename)
         row["counters"] = {
@@ -210,8 +206,8 @@ def generate_dataset(
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    config_from_dict(base_raw)  # fail fast on a broken base configuration
-    _check_ranges_against_base(ranges, base_raw)
+    base = config_from_dict(base_raw)  # fail fast on a broken base configuration
+    _check_ranges_against_base(ranges, base.simulation.tool.insert_radius_mm)
     samples = lhs_sample(ranges, count, seed)
     names = [prm.name for prm in ranges]
 

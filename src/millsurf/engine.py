@@ -76,16 +76,22 @@ Two kernels share one simulation plan and produce bit-identical results:
     ``np.take`` of the same indices (2-vCPU VM). So the fewer points reach
     the scatter, the better the workers scale.
 
-    The sweep computes heights only; a recorded trajectory is derived from
-    the plan after the timed loop (``_trajectory``), with the same rotation
-    at each tooth's lowest edge point.
+    The sweep computes heights only.
+
+``trajectory``
+    Per-(step, tooth) minimum-z edge point over every step of the plan, as a
+    stream of ``TrajectoryRecord`` chunks of ``_STEP_CHUNK`` steps. A tooth's
+    workpiece z does not depend on time, so that point is always the same
+    edge point, rotated and shifted as in the sweep's point stage.
 
 ``simulate_reference``
     Deliberately naive baseline: for every time step, tooth, and edge point it
     rebuilds all three 4x4 transforms, applies edge->tool to the point,
     multiplies spindle->workpiece by tool->spindle, applies that product, and
     updates one cell, single-threaded with per-point temporaries. It exists as
-    the correctness oracle and the benchmark baseline.
+    the correctness oracle and the benchmark baseline. ``trajectory_reference``
+    is the oracle of ``trajectory``: it scans the same points for each
+    (step, tooth) minimum.
 
 Bit-identity between the kernels holds by construction: both take the
 tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
@@ -96,13 +102,15 @@ of the spindle->workpiece and tool->spindle rows has the exact entries c, s,
 reduction is order-insensitive.
 
 Wall time covers only the main loop (and the final min-merge); planning,
-validation, the trajectory pass, and export are excluded.
+validation and export are excluded.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -159,7 +167,6 @@ class SimulationConfig:
     max_step_angle_rad: float = DEFAULT_MAX_STEP_ANGLE_RAD
     time_step_s: float | None = None
     span_s: tuple[float, float] | None = None
-    record_trajectory: bool = False
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -186,8 +193,6 @@ class SimulationConfig:
         n = self.edge_point_count
         if n is not None and (not isinstance(n, int) or n < 2):  # also rejects bools
             raise ConfigError(f"edge_point_count must be None or an integer >= 2, got {n!r}")
-        if not isinstance(self.record_trajectory, bool):
-            raise ConfigError(f"record_trajectory must be a bool, got {self.record_trajectory!r}")
         if self.process.depth_of_cut_mm > self.tool.insert_radius_mm:
             raise ConfigError(
                 f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
@@ -198,7 +203,6 @@ class SimulationConfig:
 @dataclass
 class SimulationResult:
     field: HeightField
-    trajectory: TrajectoryRecord | None
     time_steps: int
     trajectory_points: int
     cells_updated: int
@@ -260,8 +264,6 @@ class _Plan:
     omega: float
     phase: float
     initial_height: float
-    record: bool
-    workers: int
     # Cull geometry (see the module docstring); windows are (x_lo, x_hi, y_lo, y_hi).
     window: tuple[float, float, float, float]
     stride: int
@@ -377,8 +379,6 @@ def _plan(config: SimulationConfig) -> _Plan:
         omega=omega,
         phase=proc.phase_rad,
         initial_height=initial_height,
-        record=config.record_trajectory,
-        workers=config.worker_count,
         window=(wx_lo, wx_hi, wy_lo, wy_hi),
         stride=_COARSE_STRIDE,
         coarse=(wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack),
@@ -641,40 +641,34 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField)
     return points.evaluated, points.in_grid
 
 
-def _trajectory(plan: _Plan) -> TrajectoryRecord:
-    """Per-(step, tooth) minimum-z edge point over every step of the plan.
-
-    A tooth's workpiece z does not depend on time, so that point is always
-    edge point ``min_index``; it is rotated and shifted as in the sweep's
-    point stage, over chunks of steps shared among ``plan.workers`` threads.
-    """
+def trajectory(config: SimulationConfig) -> Iterator[TrajectoryRecord]:
+    """Per-(step, tooth) minimum-z edge point over every step of ``config``,
+    yielded as one ``TrajectoryRecord`` per chunk of ``_STEP_CHUNK`` steps,
+    ordered by time, ties by tooth index ascending."""
+    plan = _plan(config)
     n_teeth = plan.tool.tooth_count
-    t, ty = plan.step_times(np.arange(plan.steps))
-    xyz = np.empty((3, plan.steps, n_teeth))
-
-    def fill(lo: int) -> None:
-        chunk = slice(lo, lo + _STEP_CHUNK)
+    for lo in range(0, plan.steps, _STEP_CHUNK):
+        t, ty = plan.step_times(np.arange(lo, min(lo + _STEP_CHUNK, plan.steps)))
+        xyz = np.empty((3, t.size, n_teeth))
         for k_idx, td in enumerate(plan.teeth):
-            c, s = plan.tooth_trig(k_idx, t[chunk])
+            c, s = plan.tooth_trig(k_idx, t)
             xt, yt, zw = (a[td.min_index] for a in (td.x_tool, td.y_tool, td.z_workpiece))
-            xyz[0, chunk, k_idx] = (c * xt + s * yt) + plan.x0
-            xyz[1, chunk, k_idx] = (c * yt - s * xt) + ty[chunk]
-            xyz[2, chunk, k_idx] = zw
-
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        list(pool.map(fill, range(0, plan.steps, _STEP_CHUNK)))
-    tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), plan.steps)
-    return TrajectoryRecord(np.repeat(t, n_teeth), tooth, *xyz.reshape(3, -1))
+            xyz[0, :, k_idx] = (c * xt + s * yt) + plan.x0
+            xyz[1, :, k_idx] = (c * yt - s * xt) + ty
+            xyz[2, :, k_idx] = zw
+        tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), t.size)
+        yield TrajectoryRecord(np.repeat(t, n_teeth), tooth, *xyz.reshape(3, -1))
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
     """Run the optimized sweep. Deterministic and independent of worker_count."""
     plan = _plan(config)
-    workers = min(plan.workers, plan.steps)
+    workers = min(config.worker_count, plan.steps)
 
-    # All buffers exist before the timed main loop starts.
+    # All buffers exist before the timed main loop starts. With no more
+    # workers than steps, every range holds at least one step.
     bounds = [round(w * plan.steps / workers) for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
     fields = [HeightField(plan.grid, plan.initial_height) for _ in ranges]
 
     t0 = time.perf_counter()
@@ -690,7 +684,6 @@ def simulate(config: SimulationConfig) -> SimulationResult:
 
     return SimulationResult(
         field=field,
-        trajectory=_trajectory(plan) if plan.record else None,
         time_steps=plan.steps,
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),
@@ -700,46 +693,42 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     )
 
 
+def _reference_points(plan: _Plan):
+    """Every (step, tooth, edge point) of the plan in workpiece coordinates,
+    built the expensive way: every matrix of the chain per point, per step.
+    Yields ``(t, tooth, x, y, z)`` in step, tooth, edge-point order."""
+    n_teeth = plan.tool.tooth_count
+    edge_xyz = [
+        (float(plan.edge.x[p]), float(plan.edge.y[p]), float(plan.edge.z[p]))
+        for p in range(plan.edge.point_count)
+    ]
+    for step in range(plan.steps):
+        t = plan.t_start + step * plan.dt
+        for k in range(1, n_teeth + 1):
+            for px, py, pz in edge_xyz:
+                ct = _edge_to_tool_rows(plan.tool, k)
+                ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
+                sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
+                yield (t, k, *_apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz)))
+
+
 def simulate_reference(config: SimulationConfig) -> SimulationResult:
     """Naive baseline sweep: same contract and same results as ``simulate``,
     built the expensive way (every matrix of the chain per point, per step)."""
     plan = _plan(config)
     grid = plan.grid
     field = HeightField(grid, plan.initial_height)
-    minima = []  # (t, tooth, x, y, z) per (step, tooth)
-    n_teeth = plan.tool.tooth_count
-    n_points = plan.edge.point_count
-    edge_xyz = [
-        (float(plan.edge.x[p]), float(plan.edge.y[p]), float(plan.edge.z[p]))
-        for p in range(n_points)
-    ]
-
     in_grid = 0
     t0 = time.perf_counter()
-    for step in range(plan.steps):
-        t = plan.t_start + step * plan.dt
-        for k in range(1, n_teeth + 1):
-            best_z = math.inf
-            best_x = best_y = 0.0
-            for px, py, pz in edge_xyz:
-                ct = _edge_to_tool_rows(plan.tool, k)
-                ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
-                sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
-                x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz))
-                idx = locate(x, y, grid)
-                if idx is not None:
-                    update_min(field, idx, z)
-                    in_grid += 1
-                if z < best_z:
-                    best_z = z
-                    best_x = x
-                    best_y = y
-            minima.append((t, k, best_x, best_y, best_z))
+    for _, _, x, y, z in _reference_points(plan):
+        idx = locate(x, y, grid)
+        if idx is not None:
+            update_min(field, idx, z)
+            in_grid += 1
     wall = time.perf_counter() - t0
 
     return SimulationResult(
         field=field,
-        trajectory=TrajectoryRecord(*map(np.array, zip(*minima))) if plan.record else None,
         time_steps=plan.steps,
         trajectory_points=plan.trajectory_points,
         cells_updated=field.machined_cell_count(),
@@ -747,6 +736,19 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
         evaluated_points=plan.trajectory_points,
         in_grid_points=in_grid,
     )
+
+
+def trajectory_reference(config: SimulationConfig) -> TrajectoryRecord:
+    """Naive oracle of ``trajectory``, as one record: for each (step, tooth)
+    the first edge point of least z among all of them."""
+    plan = _plan(config)
+    points = _reference_points(plan)
+    n_points = plan.edge.point_count
+    minima = [
+        min(itertools.islice(points, n_points), key=lambda p: p[4])
+        for _ in range(plan.steps * plan.tool.tooth_count)
+    ]
+    return TrajectoryRecord(*map(np.array, zip(*minima)))
 
 
 @dataclass(frozen=True)
@@ -783,8 +785,8 @@ def run_benchmark(
     """Run both kernels at each size multiplier and report wall times.
 
     Sizes scale the trajectory-point count by refining the time step. The two
-    kernels' height fields (and trajectories, when recorded) must agree
-    exactly; a mismatch aborts, since correctness precedes speed.
+    kernels' height fields must agree exactly; a mismatch aborts, since
+    correctness precedes speed.
     """
     if not sizes:
         raise ConfigError("benchmark sizes must be non-empty")
@@ -800,8 +802,6 @@ def run_benchmark(
             raise MillsurfError(
                 f"kernel mismatch at size {size}: optimized and reference height fields differ"
             )
-        if opt.trajectory is not None and not opt.trajectory.equals(ref.trajectory):
-            raise MillsurfError(f"kernel mismatch at size {size}: trajectory records differ")
         report.rows.append(
             BenchmarkRow(
                 scale=size,

@@ -15,9 +15,9 @@ The ``*_rows`` builders return plain nested lists of Python floats and are the
 single source of truth for matrix entries. Both engine kernels apply the
 edge-to-tool rows to the edge point first (``_apply4``). The naive reference
 then applies the product (``_matmul4``) of the spindle-to-workpiece and
-tool-to-spindle rows; the vectorized sweep and its trajectory pass apply the
-same rotation by ``tooth_angle`` and shift directly, in the same evaluation
-order, which keeps the kernels bit-identical.
+tool-to-spindle rows; the vectorized sweep and ``engine.trajectory`` apply
+the same rotation by ``tooth_angle`` and shift directly, in the same
+evaluation order, which keeps the kernels bit-identical.
 
 ``derive_kinematics`` owns the rule that resolves the speed pair (cutting
 speed / spindle speed) and the feed pair (feed per tooth / feed speed), for

@@ -153,8 +153,9 @@ def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
 class TrajectoryRecord:
     """Per-(time step, tooth) minimum-z edge point in workpiece coordinates.
 
-    Five equal-length arrays, built whole (no capacity is reserved), ordered
-    by time, ties by tooth index ascending.
+    Five equal-length arrays, ordered by time, ties by tooth index ascending.
+    ``engine.trajectory`` yields one record per chunk of steps, so a whole
+    run's trajectory is never held at once.
     """
 
     t_s: np.ndarray

@@ -15,13 +15,15 @@ SRTF layout, little-endian throughout:
                   holds all j values for the node column x_i
 
 Cells still at the sentinel value are uncut. write/read round-trips a
-HeightField bit-exactly; the reader rejects bad magic, unknown versions,
-payloads whose length does not match the header, and a non-finite sentinel
-or height.
+HeightField bit-exactly; the reader raises ``SurfaceFormatError``, naming the
+file, for bad magic, an unknown version, a payload whose length does not
+match the header, a non-finite sentinel or height, and a header grid that
+``GridSpec`` rejects (no cells, a bad spacing, a non-finite origin).
 
 The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
 holds one row per (time step, tooth) minimum-z point with floats in ``repr``
-form, so it round-trips exactly. Every file millsurf writes goes through
+form, so it round-trips exactly, written from a stream of records such as
+``engine.trajectory``. Every file millsurf writes goes through
 ``atomic_write_bytes``, streamed in chunks to a uniquely named temp file in
 the target directory that is renamed over the target on success and removed
 on failure. Concurrent writers never share a temp file, and a write holds at
@@ -105,7 +107,10 @@ def read_surface(path: Path) -> HeightField:
         raise SurfaceFormatError(
             f"{path}: {bad.size} height(s) not finite, first at flat index {bad[0]}"
         )
-    spec = GridSpec(spacing_mm=spacing, x_min_mm=x_min, y_min_mm=y_min, m=m, n=n)
+    try:
+        spec = GridSpec(spacing_mm=spacing, x_min_mm=x_min, y_min_mm=y_min, m=m, n=n)
+    except DomainError as exc:  # no cells, a bad spacing or a non-finite origin
+        raise SurfaceFormatError(f"{path}: {exc}") from exc
     return HeightField(spec, sentinel, heights)
 
 
@@ -147,14 +152,15 @@ def write_graymap(field: HeightField, path: Path) -> None:
     atomic_write_bytes(Path(path), (header, memoryview(pixels.T.astype(">u2", order="C"))))
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
-    """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per recorded point, floats in repr form."""
-    columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
+def write_trajectory_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
+    """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per point of each record in turn, floats in repr."""
 
     def chunks():
         yield b"t_s,tooth,x_mm,y_mm,z_mm\n"
-        for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
-            rows = zip(*(c[lo : lo + _TRAJECTORY_CHUNK_ROWS].tolist() for c in columns))
-            yield "".join(f"{t!r},{k},{x!r},{y!r},{z!r}\n" for t, k, x, y, z in rows).encode()
+        for record in records:
+            columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
+            for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
+                rows = zip(*(c[lo : lo + _TRAJECTORY_CHUNK_ROWS].tolist() for c in columns))
+                yield "".join(f"{t!r},{k},{x!r},{y!r},{z!r}\n" for t, k, x, y, z in rows).encode()
 
     atomic_write_bytes(Path(path), chunks())

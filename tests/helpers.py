@@ -11,6 +11,7 @@ from millsurf import (
     HeightField,
     SimulationConfig,
     ToolDefinition,
+    TrajectoryRecord,
     derive_kinematics,
     effective_half_length,
 )
@@ -94,7 +95,6 @@ def small_random_config(seed: int, random_z0: bool = False) -> SimulationConfig:
         grid=grid,
         edge_point_count=n_points,
         time_step_s=dt,
-        record_trajectory=True,
         worker_count=1,
     )
 
@@ -186,6 +186,13 @@ def front_cut_config(feed_per_tooth_mm: float, spacing_mm: float, runouts=(),
         span_s=(0.0, t_end),
         worker_count=4,
     )
+
+
+def concat(records) -> TrajectoryRecord:
+    """The records of a trajectory stream joined into one."""
+    records = list(records)
+    return TrajectoryRecord(*(np.concatenate([getattr(r, f.name) for r in records])
+                              for f in dataclasses.fields(TrajectoryRecord)))
 
 
 def machined_rect_roi(field: HeightField):

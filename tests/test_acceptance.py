@@ -27,11 +27,14 @@ from millsurf import (
     simulate,
     simulate_reference,
     time_step,
+    trajectory,
     write_surface,
 )
+from millsurf.engine import trajectory_reference
 
 from helpers import (
     case1_tool,
+    concat,
     dominant_period_mm,
     front_cut_config,
     linear_fit_r2,
@@ -85,7 +88,7 @@ def test_criterion_1_kernel_oracle_equivalence(random_config_results):
         assert grid.m + 1 <= 200 and grid.n + 1 <= 200
         assert opt.trajectory_points <= 50_000
         worst = max(worst, float(np.max(np.abs(opt.field.heights - ref.field.heights))))
-        trajectories_equal &= opt.trajectory.equals(ref.trajectory)
+        trajectories_equal &= concat(trajectory(config)).equals(trajectory_reference(config))
         assert opt.in_grid_points == ref.in_grid_points
     ok = worst <= 1e-12 and trajectories_equal
     report(1, "kernel-oracle equivalence", ok,

@@ -60,6 +60,24 @@ class TestSimulateCommand:
         assert int(first[1]) == 1
         assert all(math.isfinite(float(v)) for v in first[2:])
 
+    def test_trajectory_format_in_config(self, config_path, tmp_path):
+        # The output format writes what the flag writes; the flag on top of it
+        # adds nothing, and the CSV is listed after the metrics.
+        flagged = tmp_path / "flag"
+        assert main(["simulate", "--config", str(config_path), "--out", str(flagged),
+                     "--trajectory"]) == 0
+        raw = sim_config_dict()
+        raw["output"]["formats"].append("trajectory")
+        config_path.write_text(json.dumps(raw))
+        for out, extra in ((tmp_path / "format", []), (tmp_path / "both", ["--trajectory"])):
+            assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                         *extra]) == 0
+            for name in ["part_trajectory.csv", "part_summary.json"]:
+                assert (out / name).read_bytes() == (flagged / name).read_bytes(), name
+        summary = json.loads((flagged / "part_summary.json").read_text())
+        assert summary["outputs"] == ["part.srtf", "part.csv", "part.pgm", "part_metrics.json",
+                                      "part_trajectory.csv"]
+
     def test_workers_override_same_outputs(self, config_path, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert main(["simulate", "--config", str(config_path), "--out", str(out1)]) == 0

@@ -153,6 +153,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="output.formats"):
             parse_config(json.dumps(raw))
 
+    def test_trajectory_is_an_output_format_not_an_engine_key(self):
+        raw = case1_raw(**{"engine.record_trajectory": True})
+        with pytest.raises(ConfigError, match=r"^engine\.record_trajectory: unknown key$"):
+            parse_config(json.dumps(raw))
+        raw = case1_raw(**{"output.formats": ["trajectory"]})
+        assert parse_config(json.dumps(raw)).output.formats == ("trajectory",)
+
     def test_grid_must_span_a_cell(self):
         raw = case1_raw(**{"grid.x_max_mm": -5.0})
         with pytest.raises(ConfigError):
@@ -190,7 +197,6 @@ class TestParseConfig:
             "time_step_s": 3e-5,
             "span_s": [0.001, 0.004],
             "workers": 3,
-            "record_trajectory": True,
         }
         sim = parse_config(json.dumps(raw)).to_simulation_config()
         assert sim.edge_point_count == 12
@@ -198,4 +204,3 @@ class TestParseConfig:
         assert sim.time_step_s == 3e-5
         assert sim.span_s == (0.001, 0.004)
         assert sim.worker_count == 3
-        assert sim.record_trajectory is True

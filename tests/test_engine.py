@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from millsurf import (
     simulate,
     simulate_reference,
     time_step,
+    trajectory,
 )
 from millsurf import engine
 
-from helpers import case1_tool, case1_process, small_random_config, wide_cutter_config
+from helpers import case1_tool, case1_process, concat, small_random_config, wide_cutter_config
 
 
 def tiny_config(**overrides):
@@ -25,7 +27,7 @@ def tiny_config(**overrides):
     process = case1_process(x0=0.0)
     grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.5))
     defaults = dict(tool=tool, process=process, grid=grid, edge_point_count=7,
-                    time_step_s=2e-4, record_trajectory=True, worker_count=1)
+                    time_step_s=2e-4, worker_count=1)
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
@@ -77,19 +79,20 @@ class TestSimulate:
         assert result.cells_updated == 0
         assert np.all(result.field.heights == cfg.process.depth_of_cut_mm)
         assert result.trajectory_points == result.time_steps * 2 * 7
-        # Every step is culled, yet the recorded trajectory covers all of them.
+        # Every step is culled, yet the trajectory covers all of them.
         assert result.evaluated_points == 0
         assert_kernels_agree(result, simulate_reference(cfg))
+        assert_trajectory_agrees(cfg)
 
     def test_counters(self):
         result = simulate(tiny_config())
         assert result.trajectory_points == result.time_steps * 2 * 7
-        assert len(result.trajectory) == result.time_steps * 2
+        assert len(concat(trajectory(tiny_config()))) == result.time_steps * 2
         assert result.cells_updated == result.field.machined_cell_count()
         assert result.cells_updated > 0
 
     def test_trajectory_sorted_by_time_then_tooth(self):
-        rec = simulate(tiny_config()).trajectory
+        rec = concat(trajectory(tiny_config()))
         t = rec.t_s[: len(rec)]
         tooth = rec.tooth[: len(rec)]
         assert np.all(np.diff(t) >= 0)
@@ -124,16 +127,20 @@ class TestSimulate:
         for workers in (2, 4):
             other = simulate(dataclasses.replace(cfg, worker_count=workers))
             assert np.array_equal(base.field.heights, other.field.heights)
-            assert base.trajectory.equals(other.trajectory)
+
+    def test_fewer_steps_than_workers(self):
+        # 3 steps at 4 workers run as 3 ranges of one step each.
+        dt = 3e-5
+        cfg = tiny_config(process=case1_process(x0=-5.0, y0=0.25), span_s=(0.0, 2.5 * dt),
+                          time_step_s=dt, worker_count=4)
+        result = simulate(cfg)
+        assert result.time_steps == 3
+        assert result.cells_updated > 0
+        assert_kernels_agree(result, simulate_reference(cfg))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigError):
             simulate(tiny_config(worker_count=0))
-
-    @pytest.mark.parametrize("value", ["no", 1, 0, None])
-    def test_non_bool_record_trajectory(self, value):
-        with pytest.raises(ConfigError, match="record_trajectory must be a bool"):
-            tiny_config(record_trajectory=value)
 
     def test_explicit_span_needs_y0(self):
         with pytest.raises(ConfigError):
@@ -177,12 +184,12 @@ def test_config_rejected_at_construction(overrides):
         dataclasses.replace(valid, **overrides)
 
 
+def assert_trajectory_agrees(cfg):
+    assert concat(trajectory(cfg)).equals(engine.trajectory_reference(cfg))
+
+
 def assert_kernels_agree(opt, ref):
     assert np.array_equal(opt.field.heights, ref.field.heights)
-    if ref.trajectory is None:
-        assert opt.trajectory is None
-    else:
-        assert opt.trajectory.equals(ref.trajectory)
     assert opt.time_steps == ref.time_steps
     assert opt.trajectory_points == ref.trajectory_points
     assert opt.cells_updated == ref.cells_updated
@@ -218,7 +225,7 @@ def dense_config():
                                 cutting_speed_m_min=100.0, feed_per_tooth_mm=0.15)
     grid = GridSpec.from_extents(0.08, (-1.8, 1.8), (0.0, 0.8))
     return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=16,
-                            max_step_angle_rad=0.05, record_trajectory=True)
+                            max_step_angle_rad=0.05)
 
 
 class TestKernelEquivalence:
@@ -226,6 +233,7 @@ class TestKernelEquivalence:
     def test_fields_and_trajectories_identical(self, seed):
         cfg = small_random_config(seed)
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+        assert_trajectory_agrees(cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_nonzero_z0_identical(self, seed):
@@ -234,6 +242,7 @@ class TestKernelEquivalence:
         cfg = small_random_config(seed, random_z0=True)
         assert cfg.process.initial_position_mm[2] != 0.0
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+        assert_trajectory_agrees(cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_far_from_origin_identical(self, seed):
@@ -242,18 +251,12 @@ class TestKernelEquivalence:
         # reference moves points across cell edges.
         cfg = far_from_origin(small_random_config(seed))
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+        assert_trajectory_agrees(cfg)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_fields_identical_without_trajectory(self, seed):
-        # Recording only adds a pass after the sweep; this checks the sweep's
-        # heights and counters when that pass does not run.
-        cfg = dataclasses.replace(small_random_config(seed), record_trajectory=False)
-        assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
-
-    @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wide_cutter_culls_and_agrees(self, seed, record):
-        cfg = dataclasses.replace(wide_cutter_config(seed), record_trajectory=record)
+    def test_wide_cutter_culls_and_agrees(self, seed):
+        cfg = wide_cutter_config(seed)
+        assert_trajectory_agrees(cfg)
         ref = simulate_reference(cfg)
         assert ref.in_grid_points > 0
         for workers in (1, 2):
@@ -278,14 +281,14 @@ class TestKernelEquivalence:
         # Production chunk sizes exceed these tests' step counts, and their
         # edge segments and coarse stride are coarse; shrink them so chunk,
         # block, segment and coarse-anchor boundaries fall inside the sweep
-        # and trajectory pass (with a stride of 2 and chunks of 5 steps, some
-        # chunks start between an anchor and the step after it).
+        # and the trajectory stream (with a stride of 2 and chunks of 5 steps,
+        # some chunks start between an anchor and the step after it).
         monkeypatch.setattr(engine, "_STEP_CHUNK", 5)
         monkeypatch.setattr(engine, "_POINT_BLOCK", 16)
         monkeypatch.setattr(engine, "_EDGE_SEGMENTS", 3)
         monkeypatch.setattr(engine, "_COARSE_STRIDE", 2)
         for cfg in (small_random_config(0), wide_cutter_config(0)):
-            cfg = dataclasses.replace(cfg, record_trajectory=True)
+            assert_trajectory_agrees(cfg)
             ref = simulate_reference(cfg)
             for workers in (1, 2):
                 opt = simulate(dataclasses.replace(cfg, worker_count=workers))
@@ -350,9 +353,29 @@ class TestDominanceCull:
                 assert_kernels_agree(opt, ref)
 
 
+class TestTrajectory:
+    def test_memory_bounded_by_chunks(self, monkeypatch):
+        # Consumed record by record, the stream holds a few chunks of steps at
+        # a time, not the whole run's trajectory.
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 256)
+        cfg = tiny_config(time_step_s=2e-6)
+        whole = rows = 0
+        tracemalloc.start()
+        try:
+            for record in trajectory(cfg):
+                rows += len(record)
+                whole += sum(getattr(record, f.name).nbytes
+                             for f in dataclasses.fields(record))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 2 * simulate(cfg).time_steps > 200 * engine._STEP_CHUNK
+        assert 8 * peak < whole
+
+
 class TestBenchmark:
     def test_single_size_report(self):
-        report = run_benchmark(tiny_config(record_trajectory=False), [1], case_id="tiny")
+        report = run_benchmark(tiny_config(), [1], case_id="tiny")
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.speedup > 0
@@ -367,10 +390,10 @@ class TestBenchmark:
     @pytest.mark.parametrize("size", [0.0, math.nan, math.inf])
     def test_bad_size(self, size):
         with pytest.raises(ConfigError):
-            run_benchmark(tiny_config(record_trajectory=False), [size])
+            run_benchmark(tiny_config(), [size])
 
     def test_scaling_doubles_points(self):
-        report = run_benchmark(tiny_config(record_trajectory=False), [1, 2], case_id="x")
+        report = run_benchmark(tiny_config(), [1, 2], case_id="x")
         a, b = report.rows
         assert b.trajectory_points == pytest.approx(2 * a.trajectory_points, rel=0.01)
 

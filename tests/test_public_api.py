@@ -32,13 +32,14 @@ PUBLIC_NAMES = [
     "simulate",
     "simulate_reference",
     "time_step",
+    "trajectory",
     "write_surface",
 ]
 
 
 def test_public_names_are_pinned():
     # growing or shrinking the public API must be a deliberate edit of this list
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(millsurf.__all__) == PUBLIC_NAMES
 
 

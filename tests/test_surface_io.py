@@ -86,8 +86,27 @@ class TestSurfaceRoundTrip:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<d", blob, offset, value)
         path.write_bytes(bytes(blob))
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(SurfaceFormatError, match="finite") as info:
             read_surface(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("fault", [
+        dict(m=0), dict(n=0), dict(spacing=0.0), dict(spacing=-0.01), dict(spacing=math.inf),
+        dict(x_min=-math.inf), dict(y_min=math.nan),
+    ], ids=lambda fault: ",".join(f"{k}={v}" for k, v in fault.items()))
+    def test_bad_grid_header(self, tmp_path, fault):
+        # A header with no cells, a bad spacing or a non-finite origin, and a
+        # payload of the length that header promises.
+        head = dict(m=2, n=3, spacing=0.01, x_min=0.0, y_min=0.0) | fault
+        path = tmp_path / "s.srtf"
+        path.write_bytes(
+            struct.pack("<4sIIIdddd", b"SRTF", 1, head["m"], head["n"], head["spacing"],
+                        head["x_min"], head["y_min"], 0.5)
+            + np.zeros((head["m"] + 1) * (head["n"] + 1), dtype="<f8").tobytes()
+        )
+        with pytest.raises(SurfaceFormatError) as info:
+            read_surface(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_sentinel(self, tmp_path, value):
@@ -263,7 +282,7 @@ class TestTrajectoryCsv:
             z_mm=np.array([0.1 + 0.2, -0.0625]),
         )
         path = tmp_path / "t.csv"
-        write_trajectory_csv(rec, path)
+        write_trajectory_csv([rec], path)
         header, *rows = path.read_text().splitlines()
         assert header == "t_s,tooth,x_mm,y_mm,z_mm"
         first = rows[0].split(",")
@@ -273,13 +292,16 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("rows", [0, 8])
     def test_chunks_match_one_shot_rendering(self, tmp_path, monkeypatch, rows):
+        # The rows arrive as a stream of two records, split inside a chunk.
         monkeypatch.setattr("millsurf.surface_io._TRAJECTORY_CHUNK_ROWS", 3)
         rng = np.random.default_rng(rows)
-        rec = TrajectoryRecord(rng.random(rows), np.arange(rows, dtype=np.int64) % 4 + 1,
-                               *rng.normal(size=(3, rows)))
+        columns = (rng.random(rows), np.arange(rows, dtype=np.int64) % 4 + 1,
+                   *rng.normal(size=(3, rows)))
         path = tmp_path / "t.csv"
-        write_trajectory_csv(rec, path)
-        columns = (rec.t_s, rec.tooth, rec.x_mm, rec.y_mm, rec.z_mm)
+        write_trajectory_csv(
+            (TrajectoryRecord(*(c[lo:hi] for c in columns)) for lo, hi in ((0, 5), (5, rows))),
+            path,
+        )
         lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
         lines.extend(
             f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
