@@ -5,12 +5,13 @@ Two kernels share one simulation plan and produce bit-identical results:
 ``simulate``
     Vectorized kernel. Past the fixed edge->tool step, the chain is a plane
     rotation plus a shift, so the plan keeps each tooth's tool-frame edge
-    (x_t, y_t) and its time-invariant workpiece z, and per (time chunk,
+    (x_t, y_t) and its time-invariant workpiece z, and per (run of steps,
     tooth, edge segment) the kernel rotates and shifts the edge points by
     broadcasting: ``x = c*x_t + s*y_t + x0`` and ``y = c*y_t - s*x_t + y(t)``.
-    Each chunk of steps runs through a row stage (``_rows``), which bounds
-    the (step, tooth) rows and (row, segment) pairs that can matter, and a
-    point stage (``_PointStage``), which rotates the kept pairs' edge points,
+    A coarse pass (``_live_steps``) turns the step range into runs of live
+    steps; each run goes through a row stage (``_rows``), which bounds the
+    (step, tooth) rows and (row, segment) pairs that can matter, and a point
+    stage (``_PointStage``), which rotates the kept pairs' edge points,
     indexes their cells and scatters their z values into the height field
     with an elementwise minimum. Work that provably cannot reach the grid, or
     cannot lower any cell it reaches, is skipped before it is computed, by
@@ -27,7 +28,10 @@ Two kernels share one simulation plan and produce bit-identical results:
       anchor, so the slack ``(max|x_t| + max|y_t|)*|omega|*K*dt + |v_f|*K*dt``
       covers it. (The smaller ``r_hi*|omega|*K*dt`` bounds how far one edge
       point moves, not how far the box bound moves.) Anchors are global step
-      numbers, so the steps kept do not depend on chunk or worker bounds;
+      numbers, so the steps kept do not depend on span, run or worker bounds.
+      The pass bounds ``_STEP_CHUNK`` anchors at a time and packs the steps
+      that pass into runs of ``_STEP_CHUNK`` live steps, across spans, so a
+      sparse sweep makes as few row- and point-stage calls as a dense one;
     - step cull: every edge point lies in an annulus about the spindle axis
       (the teeth's radial range in the tool frame); steps whose annulus misses
       the window are dropped before the trig (anchors use the coarse window);
@@ -54,7 +58,7 @@ Two kernels share one simulation plan and produce bit-identical results:
       minimum whatever the order.
 
     The point stage runs in blocks of about ``_POINT_BLOCK`` elements so
-    temporaries stay in cache; it computes the cell index in place with the
+    its buffers stay in cache; it computes the cell index in place with the
     same operations as ``surface_grid.locate``. The culls only choose which
     points are computed, never how: a kept point goes through exactly the
     arithmetic it would without them, a dropped point either lies outside the
@@ -74,7 +78,13 @@ Two kernels share one simulation plan and produce bit-identical results:
     each scattering 131,072 random points into their own 501,501-cell field
     ran at 0.50x the throughput of one thread doing both, against 1.75x for
     ``np.take`` of the same indices (2-vCPU VM). So the fewer points reach
-    the scatter, the better the workers scale.
+    the scatter, the better the workers scale. Every numpy call also holds
+    the GIL for its fixed overhead, so the stages take full runs of live
+    steps, not slices of the step grid: on ``configs/am_smooth.json``, where
+    3% of the 4.35M steps are live, slices of 32,768 steps made 1,256
+    ``_box_hits`` calls per 1-worker sweep against 76 with runs, and the two
+    workers' halves took 0.45-0.75 s as threads against 0.30-0.35 s each
+    alone (0.32-0.52 s as threads with runs; 2-vCPU VM).
 
     The sweep computes heights only.
 
@@ -138,15 +148,18 @@ from .tool_geometry import (
 DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
-# The row stage (_rows: coarse pass, step cull, trig, row and segment bounds
-# against the cull geometry built in _plan) runs over chunks of _STEP_CHUNK
-# steps, long enough that per-call overhead stays small; the point stage
+# The coarse pass (_live_steps) bounds spans of _STEP_CHUNK anchors, and the
+# row stage (_rows: step cull, trig, row and segment bounds against the cull
+# geometry built in _plan) takes runs of _STEP_CHUNK live steps, long enough
+# that per-call overhead stays small and that a run's interior groups reach
+# the dominance map's refresh size (at 8,192, case1's evaluated points at 2
+# workers rise from 14.2M to 26.7M). The point stage
 # (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
 # each edge segment's kept rows in blocks of about _POINT_BLOCK (row,
-# edge-point) elements, 1 MB per float64 temporary, so its working set stays
-# in cache.
+# edge-point) elements; its three float64 buffers take 0.5 MB each, so they
+# fit a 2 MB L2 cache together.
 _STEP_CHUNK = 32_768
-_POINT_BLOCK = 131_072
+_POINT_BLOCK = 65_536
 # Cull granularity, chosen by measurement; results do not depend on them.
 # Each tooth's edge is bounded in _EDGE_SEGMENTS contiguous index slices, and
 # the coarse step pass bounds every _COARSE_STRIDE-th global step.
@@ -170,6 +183,13 @@ class SimulationConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        # Comparisons take True and False as 1 and 0.
+        span = () if self.span_s is None else self.span_s
+        for name, value in (("time_step_s", self.time_step_s),
+                            ("max_step_angle_rad", self.max_step_angle_rad),
+                            *(("span_s", end) for end in span)):
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         # Chained comparisons with math.inf also reject NaN.
         if self.time_step_s is not None and not 0 < self.time_step_s < math.inf:
             raise ConfigError(f"time_step_s must be finite and > 0, got {self.time_step_s}")
@@ -445,27 +465,57 @@ def _annulus_hits(ty, x0, r_range, window):
     return (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
 
 
-def _rows(plan: _Plan, lo: int, hi: int):
-    """Row stage of the global steps [lo, hi): the coarse pass, the step cull,
-    the trig, and the row and segment bounds. Per tooth with kept rows it
-    yields ``(tooth, c, s, ty, keep, inside)``: the kept rows' cos, sin and
-    spindle-axis y as (R, 1) columns, and (R, S) masks of the (row, segment)
-    pairs to evaluate with the in-grid test and of the interior pairs."""
-    x0, stride, window, inner = plan.x0, plan.stride, plan.window, plan.inner
-    # Coarse pass at the global multiples of the stride, so the steps
-    # kept do not depend on the chunk or worker boundaries.
-    a_lo = lo - lo % stride
-    ta, tya = plan.step_times(np.arange(a_lo, hi, stride))
-    live = _annulus_hits(tya, x0, plan.r_range, plan.coarse)
-    ai = np.flatnonzero(live)
+def _live_anchors(plan: _Plan, anchors: np.ndarray) -> np.ndarray:
+    """Coarse pass: the anchor steps among ``anchors`` whose annulus and
+    per-tooth edge bounds can overlap the coarse window. A function of its
+    own, so its span-sized temporaries are freed before ``_live_steps``
+    yields a run to the row stage."""
+    x0 = plan.x0
+    ta, tya = plan.step_times(anchors)
+    ai = np.flatnonzero(_annulus_hits(tya, x0, plan.r_range, plan.coarse))
     ta, tya = ta[ai], tya[ai]
     hits = np.zeros(ai.size, dtype=bool)
     for k_idx, td in enumerate(plan.teeth):
         c, s = plan.tooth_trig(k_idx, ta)
         hits |= _box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, tya, plan.coarse)
-    live[ai] = hits
-    steps = np.flatnonzero(np.repeat(live, stride)[lo - a_lo : hi - a_lo]) + lo
+    return anchors[ai[hits]]
 
+
+def _live_steps(plan: _Plan, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The global steps in [lo, hi) whose anchor passes the coarse pass,
+    ascending, in runs of ``_STEP_CHUNK`` (the last run may be shorter). The
+    coarse pass bounds spans of ``_STEP_CHUNK`` anchors at once, and runs
+    carry live steps across spans, so the row and point stages see full runs
+    however sparse the live steps are."""
+    stride = plan.stride
+    offsets = np.arange(stride)
+    per_run = max(1, _STEP_CHUNK // stride)
+    pending = np.empty(0, dtype=np.int64)
+    # Anchors are the global multiples of the stride, so the steps kept do
+    # not depend on the span, run or worker boundaries.
+    for a_lo in range(lo - lo % stride, hi, _STEP_CHUNK * stride):
+        live = _live_anchors(plan, np.arange(a_lo, min(a_lo + _STEP_CHUNK * stride, hi), stride))
+        # Expand a run's worth of live anchors at a time, so a span whose
+        # anchors all pass never holds all of its steps. Only the first anchor
+        # can start before lo and only the last one can run past hi.
+        for g in range(0, live.size, per_run):
+            steps = (live[g : g + per_run, None] + offsets).ravel()
+            pending = np.concatenate((pending, steps[(steps >= lo) & (steps < hi)]))
+            full = pending.size - pending.size % _STEP_CHUNK
+            for r in range(0, full, _STEP_CHUNK):
+                yield pending[r : r + _STEP_CHUNK]
+            pending = pending[full:]
+    if pending.size:
+        yield pending
+
+
+def _rows(plan: _Plan, steps: np.ndarray):
+    """Row stage of a run of global steps: the step cull, the trig, and the
+    row and segment bounds. Per tooth with kept rows it yields ``(tooth, c,
+    s, ty, keep, inside)``: the kept rows' cos, sin and spindle-axis y as
+    (R, 1) columns, and (R, S) masks of the (row, segment) pairs to evaluate
+    with the in-grid test and of the interior pairs."""
+    x0, window, inner = plan.x0, plan.window, plan.inner
     t, ty = plan.step_times(steps)
     reach = _annulus_hits(ty, x0, plan.r_range, window)
     t, ty = t[reach], ty[reach]
@@ -498,7 +548,7 @@ class _PointStage:
         self.bound = None  # upper bound on the field per 3 x 3 tile block, once refreshed
         self.stale = True  # the field may have dropped since `bound` was taken
         seg_len = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
-        # Large enough for one block of the point stage and for one chunk of
+        # Large enough for one block of the point stage and for one run of
         # rows in bound_at.
         buf_size = max(_POINT_BLOCK, seg_len, _STEP_CHUNK)
         self.xw_buf, self.yw_buf, self.tmp_buf = (np.empty(buf_size) for _ in range(3))
@@ -632,11 +682,11 @@ class _PointStage:
 
 def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
     """Vectorized sweep over global steps [step_lo, step_hi) into a private
-    field, chunk by chunk from the row stage into the point stage. Returns
-    ``(evaluated points, in-grid points)``."""
+    field, run by run of live steps from the row stage into the point stage.
+    Returns ``(evaluated points, in-grid points)``."""
     points = _PointStage(plan, field)
-    for lo in range(step_lo, step_hi, _STEP_CHUNK):
-        for rows in _rows(plan, lo, min(lo + _STEP_CHUNK, step_hi)):
+    for steps in _live_steps(plan, step_lo, step_hi):
+        for rows in _rows(plan, steps):
             points.add(*rows)
     return points.evaluated, points.in_grid
 

@@ -152,6 +152,18 @@ def write_graymap(field: HeightField, path: Path) -> None:
     atomic_write_bytes(Path(path), (header, memoryview(pixels.T.astype(">u2", order="C"))))
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each of ``values``, computed once per distinct bit pattern
+    (so ``-0.0`` keeps its sign): a trajectory block repeats each step's time
+    once per tooth and each tooth's z on every step, and ``repr`` is most of
+    the cost of a row."""
+    _, first, index = np.unique(
+        values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
+    )
+    texts = list(map(repr, values[first].tolist()))
+    return [texts[i] for i in index.tolist()]
+
+
 def write_trajectory_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
     """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per point of each record in turn, floats in repr."""
 
@@ -160,7 +172,7 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path: Path) -> Non
         for record in records:
             columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
             for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
-                rows = zip(*(c[lo : lo + _TRAJECTORY_CHUNK_ROWS].tolist() for c in columns))
-                yield "".join(f"{t!r},{k},{x!r},{y!r},{z!r}\n" for t, k, x, y, z in rows).encode()
+                cells = (_reprs(c[lo : lo + _TRAJECTORY_CHUNK_ROWS]) for c in columns)
+                yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
     atomic_write_bytes(Path(path), chunks())

@@ -160,6 +160,10 @@ _Y0 = case1_process(y0=-3.0)
     pytest.param(dict(time_step_s=-1.0), id="time_step_s=-1"),
     pytest.param(dict(time_step_s=math.nan), id="time_step_s=nan"),
     pytest.param(dict(time_step_s=math.inf), id="time_step_s=inf"),
+    # A bool compares as 1 or 0 and would pass the range checks: True as a
+    # time step would run one step of 1 s.
+    pytest.param(dict(time_step_s=True), id="time_step_s=True"),
+    pytest.param(dict(time_step_s=None, max_step_angle_rad=True), id="max_step_angle_rad=True"),
     pytest.param(dict(max_step_angle_rad=0.0), id="max_step_angle_rad=0"),
     pytest.param(dict(max_step_angle_rad=math.nan), id="max_step_angle_rad=nan"),
     pytest.param(dict(max_step_angle_rad=math.inf), id="max_step_angle_rad=inf"),
@@ -168,6 +172,8 @@ _Y0 = case1_process(y0=-3.0)
     pytest.param(dict(process=_Y0, span_s=(-0.01, 0.01)), id="span_s-negative"),
     pytest.param(dict(process=_Y0, span_s=(0.0, math.inf)), id="span_s-inf"),
     pytest.param(dict(process=_Y0, span_s=(0.0, math.nan)), id="span_s-nan"),
+    pytest.param(dict(process=_Y0, span_s=(False, 0.01)), id="span_s-start=False"),
+    pytest.param(dict(process=_Y0, span_s=(0.0, True)), id="span_s-end=True"),
     pytest.param(dict(worker_count=0), id="worker_count=0"),
     pytest.param(dict(worker_count=2.5), id="worker_count=2.5"),
     pytest.param(dict(worker_count=True), id="worker_count=True"),
@@ -312,6 +318,84 @@ class TestKernelEquivalence:
                     counts.add((opt.evaluated_points, opt.in_grid_points))
             assert len(counts) == 1, counts
             assert counts.pop()[0] > 0
+
+
+def record_runs(monkeypatch):
+    """Spy on the row stage: the list it returns collects a copy of every run
+    of steps that ``simulate`` hands to ``engine._rows``."""
+    runs = []
+    rows = engine._rows
+
+    def spy(plan, steps):
+        runs.append(steps.copy())
+        return rows(plan, steps)
+
+    monkeypatch.setattr(engine, "_rows", spy)
+    return runs
+
+
+def runs_by_worker(runs, steps, workers):
+    """``runs`` grouped by the worker range that holds them, each group in
+    step order, with the ranges ``simulate`` splits ``steps`` into."""
+    bounds = [round(w * steps / workers) for w in range(workers + 1)]
+    groups = [[] for _ in range(workers)]
+    for run in sorted(runs, key=lambda r: r[0]):
+        w = int(np.searchsorted(bounds, run[0], side="right")) - 1
+        assert bounds[w] <= run[0] and run[-1] < bounds[w + 1]
+        groups[w].append(run)
+    return bounds, groups
+
+
+class TestLiveRuns:
+    """The coarse pass hands the row stage runs of live steps, not slices of
+    the step grid, so a sweep whose steps are mostly dead still makes few,
+    full row- and point-stage calls."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_sparse_runs_cross_spans_and_agree(self, monkeypatch, seed):
+        # In these configs most steps are dead. Spans of 5 anchors (10 steps)
+        # hold fewer than 5 live steps where the cutter enters or leaves the
+        # grid, so runs of 5 live steps take steps from more than one span,
+        # across the dead steps between them.
+        monkeypatch.setattr(engine, "_STEP_CHUNK", 5)
+        monkeypatch.setattr(engine, "_COARSE_STRIDE", 2)
+        span = 5 * 2
+        runs = record_runs(monkeypatch)
+        cfg = wide_cutter_config(seed)
+        ref = simulate_reference(cfg)
+        for workers in (1, 2):
+            runs.clear()
+            opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+            assert_kernels_agree(opt, ref)
+            bounds, groups = runs_by_worker(runs, opt.time_steps, workers)
+            live = sum(run.size for run in runs)
+            assert 0 < live < opt.time_steps // 2
+            crossing = [
+                run for lo, group in zip(bounds, groups) for run in group
+                if (run[0] - lo + lo % 2) // span != (run[-1] - lo + lo % 2) // span
+            ]
+            assert crossing
+
+    @pytest.mark.parametrize("chunk, stride", [(5, 2), (3, 4), (64, 16)])
+    def test_runs_are_full(self, monkeypatch, chunk, stride):
+        # Every run but each worker's last holds exactly _STEP_CHUNK live
+        # steps, and the runs of every worker count cover the same steps.
+        monkeypatch.setattr(engine, "_STEP_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_COARSE_STRIDE", stride)
+        runs = record_runs(monkeypatch)
+        cfg = wide_cutter_config(0)
+        covered = []
+        for workers in (1, 2, 3):
+            runs.clear()
+            steps = simulate(dataclasses.replace(cfg, worker_count=workers)).time_steps
+            _, groups = runs_by_worker(runs, steps, workers)
+            for group in groups:
+                assert group, "a worker with live steps made no run"
+                assert all(run.size == chunk for run in group[:-1])
+                assert 0 < group[-1].size <= chunk
+            covered.append(np.concatenate(sorted(runs, key=lambda r: r[0])))
+            assert np.all(np.diff(covered[-1]) > 0)
+        assert all(np.array_equal(covered[0], other) for other in covered[1:])
 
 
 class TestDominanceCull:

@@ -307,3 +307,19 @@ class TestTrajectoryCsv:
             f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
         )
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_repeated_and_special_values(self, tmp_path):
+        # Repeated values are formatted once per distinct bit pattern, so 0.0
+        # and -0.0 (equal as numbers) must still print with their own signs.
+        t = np.repeat([0.1, 0.2, 0.30000000000000004], 2)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0])
+        columns = (t, np.tile(np.array([1, 2], dtype=np.int64), 3),
+                   specials, specials[::-1].copy(), np.tile([-0.0, 0.0], 3))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv([TrajectoryRecord(*columns)], path)
+        lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
+        lines.extend(
+            f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
+        )
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert lines[2] == "0.1,2,-0.0,-inf,0.0"
