@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
-from .dataset import ParameterRange, generate_dataset
+from .dataset import _load_dataset_config, generate_dataset
 from .engine import run_benchmark, simulate, trajectory
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .roughness import MM_TO_UM, areal_metrics, extract_profile, line_roughness
@@ -165,60 +165,11 @@ def _cmd_roughness(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("dataset config must be a JSON object")
-    for key in raw:
-        if key not in {"base_config", "ranges", "count", "seed", "workers"}:
-            raise ConfigError(f"dataset config: unknown key {key!r}")
-
-    base = raw.get("base_config")
-    if isinstance(base, str):
-        base_path = Path(args.config).parent / base
-        try:
-            base = json.loads(base_path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read base config {base_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {base_path}: {exc}") from exc
-    if not isinstance(base, dict):
-        raise ConfigError("dataset config: base_config must be a path or an inline object")
-
-    ranges_raw = raw.get("ranges")
-    if not isinstance(ranges_raw, list) or not ranges_raw:
-        raise ConfigError("dataset config: ranges must be a non-empty list")
-    ranges = []
-    for k, item in enumerate(ranges_raw):
-        if not isinstance(item, dict) or set(item) != {"name", "low", "high"}:
-            raise ConfigError(f"dataset config: ranges[{k}] must be {{name, low, high}}")
-        low, high = item["low"], item["high"]
-        if any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-            for v in (low, high)
-        ):
-            raise ConfigError(f"dataset config: ranges[{k}] low and high must be finite numbers")
-        ranges.append(ParameterRange(item["name"], float(low), float(high)))
-
-    count = args.samples if args.samples is not None else raw.get("count")
-    seed = args.seed if args.seed is not None else raw.get("seed")
-    workers = raw.get("workers", 1)
-    if count is None:
-        raise ConfigError("sample count required: pass --samples or set count in the config")
-    if seed is None:
-        raise ConfigError("seed required: pass --seed or set seed in the config")
-    for name, value, minimum in (("count", count, 1), ("seed", seed, 0), ("workers", workers, 1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"dataset {name} must be an integer >= {minimum}, got {value!r}")
-
-    _info(f"generating {count} samples (seed {seed}) into {args.out} ...")
-    manifest = generate_dataset(ranges, count, seed, base, Path(args.out), workers=workers)
+    job = _load_dataset_config(Path(args.config), count=args.samples, seed=args.seed)
+    _info(f"generating {job['count']} samples (seed {job['seed']}) into {args.out} ...")
+    manifest = generate_dataset(**job, out_dir=Path(args.out))
     failed = sum(1 for row in manifest.rows if row["status"] != "ok")
-    _info(f"wrote {manifest.path} ({count - failed} ok, {failed} failed)")
+    _info(f"wrote {manifest.path} ({manifest.count - failed} ok, {failed} failed)")
     return 0 if failed == 0 else 2
 
 
@@ -288,10 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError, SurfaceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MillsurfError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MillsurfError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

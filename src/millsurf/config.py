@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
-from .engine import DEFAULT_MAX_STEP_ANGLE_RAD, SimulationConfig
+from .engine import SimulationConfig
 from .errors import ConfigError
 from .kinematics import ProcessParameters, derive_kinematics
 from .surface_grid import GridSpec
@@ -63,13 +64,16 @@ def _check_keys(block: dict, path: str, allowed: set[str], required: set[str]) -
             raise ConfigError(f"{path}.{key}: required key missing")
 
 
-def _number(block: dict, path: str, key: str, *, default=None, exclusive_min=None,
-            allow_none=False):
-    if key not in block or block[key] is None:
-        if key in block and not allow_none and default is None:
-            raise ConfigError(f"{path}.{key}: must not be null")
+_REQUIRED = object()  # the readers' default: an absent or null key is an error
+
+
+def _number(block: dict, path: str, key: str, *, default=_REQUIRED, exclusive_min=None):
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            problem = "must not be null" if key in block else "required key missing"
+            raise ConfigError(f"{path}.{key}: {problem}")
         return default
-    value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     value = float(value)
@@ -80,12 +84,13 @@ def _number(block: dict, path: str, key: str, *, default=None, exclusive_min=Non
     return value
 
 
-def _integer(block: dict, path: str, key: str, *, default=None, minimum=None, allow_none=False):
-    if key not in block or block[key] is None:
-        if key in block and not allow_none and default is None:
-            raise ConfigError(f"{path}.{key}: must not be null")
+def _integer(block: dict, path: str, key: str, *, default=_REQUIRED, minimum=None):
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            problem = "must not be null" if key in block else "required key missing"
+            raise ConfigError(f"{path}.{key}: {problem}")
         return default
-    value = block[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -93,10 +98,20 @@ def _integer(block: dict, path: str, key: str, *, default=None, minimum=None, al
     return value
 
 
+def _pair(value, path: str, shape: str) -> tuple[float, float]:
+    """A two-number JSON list as floats; ``shape`` names its members in the error."""
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+    ):
+        raise ConfigError(f"{path}: expected {shape}")
+    return float(value[0]), float(value[1])
+
+
 def _angle_rad(block: dict, path: str, stem: str) -> float:
     """Read `<stem>_deg` (default 0) and return radians."""
-    deg = _number(block, path, f"{stem}_deg", allow_none=True)
-    return 0.0 if deg is None else math.radians(deg)
+    return math.radians(_number(block, path, f"{stem}_deg", default=0.0))
 
 
 def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
@@ -123,28 +138,18 @@ def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
         raise ConfigError(f"{path}: rake angles must satisfy |angle| < 90 degrees")
 
     runouts = block.get("runouts_mm")
-    if runouts is None:
-        pairs: tuple[tuple[float, float], ...] = ()
-    else:
-        if not isinstance(runouts, list) or len(runouts) != teeth:
+    if runouts is not None and (not isinstance(runouts, list) or len(runouts) != teeth):
+        raise ConfigError(f"{path}.runouts_mm: expected a list of {teeth} [radial, axial] pairs")
+    pairs = tuple(
+        _pair(pair, f"{path}.runouts_mm[{k}]", "[radial_mm, axial_mm]")
+        for k, pair in enumerate(runouts or ())
+    )
+    for k, (radial, axial) in enumerate(pairs):
+        if not (abs(radial) < radius and abs(axial) < radius):  # also rejects NaN
             raise ConfigError(
-                f"{path}.runouts_mm: expected a list of {teeth} [radial, axial] pairs"
+                f"{path}.runouts_mm[{k}]: run-out must be finite and small against "
+                f"the insert radius {radius} mm, got {runouts[k]}"
             )
-        out = []
-        for k, pair in enumerate(runouts, start=1):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-            ):
-                raise ConfigError(f"{path}.runouts_mm[{k - 1}]: expected [radial_mm, axial_mm]")
-            if not all(abs(v) < radius for v in pair):  # also rejects NaN
-                raise ConfigError(
-                    f"{path}.runouts_mm[{k - 1}]: run-out must be finite and small against "
-                    f"the insert radius {radius} mm, got {pair}"
-                )
-            out.append((float(pair[0]), float(pair[1])))
-        pairs = tuple(out)
 
     return ToolDefinition(
         cutting_diameter_mm=diameter,
@@ -172,10 +177,10 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
         },
         required={"depth_of_cut_mm"},
     )
-    v_c = _number(block, path, "cutting_speed_m_min", exclusive_min=0.0, allow_none=True)
-    rpm = _number(block, path, "spindle_speed_rpm", exclusive_min=0.0, allow_none=True)
-    f_z = _number(block, path, "feed_per_tooth_mm", exclusive_min=0.0, allow_none=True)
-    v_f = _number(block, path, "feed_speed_mm_min", exclusive_min=0.0, allow_none=True)
+    v_c = _number(block, path, "cutting_speed_m_min", default=None, exclusive_min=0.0)
+    rpm = _number(block, path, "spindle_speed_rpm", default=None, exclusive_min=0.0)
+    f_z = _number(block, path, "feed_per_tooth_mm", default=None, exclusive_min=0.0)
+    v_f = _number(block, path, "feed_speed_mm_min", default=None, exclusive_min=0.0)
     a_p = _number(block, path, "depth_of_cut_mm", exclusive_min=0.0)
     phase = _angle_rad(block, path, "phase")
 
@@ -187,7 +192,7 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
         _require_dict(pos_block, pos_path)
         _check_keys(pos_block, pos_path, allowed={"x", "y", "z"}, required={"x"})
         x = _number(pos_block, pos_path, "x")
-        y = _number(pos_block, pos_path, "y", allow_none=True)
+        y = _number(pos_block, pos_path, "y", default=None)
         z = _number(pos_block, pos_path, "z", default=0.0)
         position = (x, y, z)
 
@@ -229,7 +234,8 @@ def _parse_engine(
     grid: GridSpec,
     path: str = "engine",
 ) -> SimulationConfig:
-    """The engine block's settings applied to the parsed tool, process and grid."""
+    """The engine block's settings applied to the parsed tool, process and grid;
+    ``SimulationConfig`` owns the default of each setting the block leaves out."""
     block = {} if block is None else _require_dict(block, path)
     _check_keys(
         block,
@@ -243,29 +249,20 @@ def _parse_engine(
         },
         required=set(),
     )
-    edge_points = _integer(block, path, "edge_points", minimum=2, allow_none=True)
-    max_deg = _number(block, path, "max_step_angle_deg", exclusive_min=0.0, allow_none=True)
-    max_angle = DEFAULT_MAX_STEP_ANGLE_RAD if max_deg is None else math.radians(max_deg)
-    dt = _number(block, path, "time_step_s", exclusive_min=0.0, allow_none=True)
+    max_deg = _number(block, path, "max_step_angle_deg", default=None, exclusive_min=0.0)
     span = block.get("span_s")
-    if span is not None:
-        if (
-            not isinstance(span, list)
-            or len(span) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in span)
-        ):
-            raise ConfigError(f"{path}.span_s: expected [t_start_s, t_end_s]")
-        span = (float(span[0]), float(span[1]))
-    workers = _integer(block, path, "workers", default=1, minimum=1)
+    given = {
+        "edge_point_count": _integer(block, path, "edge_points", default=None, minimum=2),
+        "max_step_angle_rad": None if max_deg is None else math.radians(max_deg),
+        "time_step_s": _number(block, path, "time_step_s", default=None, exclusive_min=0.0),
+        "span_s": None if span is None else _pair(span, f"{path}.span_s", "[t_start_s, t_end_s]"),
+        "worker_count": _integer(block, path, "workers", default=None, minimum=1),
+    }
     return SimulationConfig(
         tool=tool,
         process=process,
         grid=grid,
-        edge_point_count=edge_points,
-        max_step_angle_rad=max_angle,
-        time_step_s=dt,
-        span_s=span,
-        worker_count=workers,
+        **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -283,6 +280,8 @@ def _parse_output(block: dict | None, path: str = "output") -> OutputSettings:
     basename = block.get("basename", "surface")
     if not isinstance(basename, str) or not basename:
         raise ConfigError(f"{path}.basename: expected a non-empty string")
+    if PurePath(basename).name != basename:  # outputs stay inside the output directory
+        raise ConfigError(f"{path}.basename: expected a single file name, got {basename!r}")
     return OutputSettings(formats=tuple(formats), basename=basename)
 
 

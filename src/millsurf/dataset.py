@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict
+from .config import _check_keys, _integer, _number, _require_dict, config_from_dict
 from .engine import simulate
 from .errors import ConfigError, MillsurfError
 from .roughness import areal_metrics
@@ -202,14 +202,22 @@ def generate_dataset(
     Samples are independent and run concurrently up to ``workers``; each
     sample's simulation is single-threaded so results do not depend on the
     schedule. A failing sample is recorded in its manifest row and does not
-    abort the batch.
+    abort the batch. A parameter may be sampled once, and not together with
+    the other member of its pair (cutting speed and spindle speed).
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     base = config_from_dict(base_raw)  # fail fast on a broken base configuration
+    names = [prm.name for prm in ranges]
+    for k, name in enumerate(names):
+        # A row holds one value per name, and overriding one member of a pair
+        # clears the other, so either clash would record a value not simulated.
+        siblings = _PARAMETER_PATHS[name][2] if name in _PARAMETER_PATHS else ()
+        clashes = {name, *siblings} & set(names[:k])
+        if clashes:
+            raise ConfigError(f"ranges[{k}]: {name} cannot be sampled with {clashes.pop()}")
     _check_ranges_against_base(ranges, base.simulation.tool.insert_radius_mm)
     samples = lhs_sample(ranges, count, seed)
-    names = [prm.name for prm in ranges]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,3 +247,44 @@ def generate_dataset(
 
     atomic_write_bytes(manifest_path, lines())
     return DatasetManifest(seed=seed, count=count, rows=rows, path=manifest_path)
+
+
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _load_dataset_config(path: Path, count: int | None = None, seed: int | None = None) -> dict:
+    """``generate_dataset``'s arguments, but ``out_dir``, from a dataset config file.
+
+    ``count`` and ``seed`` replace the file's keys before they are checked.
+    The base config is passed on as written, since the manifest embeds it.
+    """
+    raw = _require_dict(_read_json(path, "dataset config"), "dataset")
+    _check_keys(raw, "dataset", allowed={"base_config", "ranges", "count", "seed", "workers"},
+                required={"base_config", "ranges"})
+    overrides = {"count": count, "seed": seed}
+    raw.update({key: value for key, value in overrides.items() if value is not None})
+    base = raw["base_config"]
+    if isinstance(base, str):  # a path relative to the dataset config
+        base = _read_json(path.parent / base, "base config")
+    if not isinstance(raw["ranges"], list) or not raw["ranges"]:
+        raise ConfigError("dataset.ranges: expected a non-empty list")
+    ranges = []
+    keys = {"name", "low", "high"}
+    for k, item in enumerate(raw["ranges"]):
+        item_path = f"dataset.ranges[{k}]"
+        _check_keys(_require_dict(item, item_path), item_path, allowed=keys, required=keys)
+        low, high = _number(item, item_path, "low"), _number(item, item_path, "high")
+        ranges.append(ParameterRange(item["name"], low, high))
+    return {
+        "ranges": ranges,
+        "count": _integer(raw, "dataset", "count", minimum=1),
+        "seed": _integer(raw, "dataset", "seed", minimum=0),
+        "base_raw": _require_dict(base, "dataset.base_config"),
+        "workers": _integer(raw, "dataset", "workers", default=1, minimum=1),
+    }

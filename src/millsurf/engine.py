@@ -74,17 +74,14 @@ Two kernels share one simulation plan and produce bit-identical results:
     makes ``evaluated_points`` depend on the worker count, since each worker
     tests against its own field.
 
-    The scatter ``np.minimum.at`` holds the GIL: in numpy 2.4.6 two threads
-    each scattering 131,072 random points into their own 501,501-cell field
-    ran at 0.50x the throughput of one thread doing both, against 1.75x for
-    ``np.take`` of the same indices (2-vCPU VM). So the fewer points reach
-    the scatter, the better the workers scale. Every numpy call also holds
-    the GIL for its fixed overhead, so the stages take full runs of live
-    steps, not slices of the step grid: on ``configs/am_smooth.json``, where
-    3% of the 4.35M steps are live, slices of 32,768 steps made 1,256
-    ``_box_hits`` calls per 1-worker sweep against 76 with runs, and the two
-    workers' halves took 0.45-0.75 s as threads against 0.30-0.35 s each
-    alone (0.32-0.52 s as threads with runs; 2-vCPU VM).
+    The scatter ``np.minimum.at`` holds the GIL, so two threads scattering
+    into their own fields run slower than one thread doing both, while a
+    gather such as ``np.take`` scales; the fewer points reach the scatter,
+    the better the workers scale. Every numpy call also holds the GIL for its
+    fixed overhead, so the stages take full runs of live steps, not slices of
+    the step grid: a sparse sweep, where few steps are live, then makes as
+    few calls as a dense one and its threads do not serialize on per-call
+    overhead. CHANGES.md and the ``BENCH_*.json`` files hold the measurements.
 
     The sweep computes heights only.
 

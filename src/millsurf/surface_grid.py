@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MillsurfError
 
 
 def _check_spacing(spacing_mm: float) -> None:
@@ -112,7 +112,12 @@ class HeightField:
         self.spec = spec
         self.initial_height_mm = float(initial_height_mm)
         if heights is None:
-            self.heights = np.full(spec.node_count, self.initial_height_mm, dtype=np.float64)
+            try:
+                self.heights = np.full(spec.node_count, self.initial_height_mm, dtype=np.float64)
+            except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+                raise MillsurfError(
+                    f"cannot allocate a height field of {spec.node_count} nodes: {exc}"
+                ) from exc
         else:
             if heights.shape != (spec.node_count,):
                 raise DomainError(

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_basename_outside_out_rejected(self, tmp_path):
+        raw = sim_config_dict()
+        raw["output"]["basename"] = "../escaped"
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert list(tmp_path.glob("escaped*")) == []
+
+    @pytest.mark.parametrize("spacing", [1e-8, 1e-200])
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys, spacing):
+        # a fixed edge count and time step keep the plan small; only the field is huge
+        raw = sim_config_dict()
+        raw["grid"]["spacing_mm"] = spacing
+        raw["engine"] = {"edge_points": 6, "time_step_s": 1e-4}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("runtime failure: cannot allocate a height field of ")
+
 
 class TestRoughnessCommand:
     @pytest.fixture
@@ -233,7 +254,17 @@ class TestDatasetCommand:
         }))
         argv = ["dataset", "--config", str(ds_config), "--out", str(tmp_path / "d"), *flags]
         assert main(argv) == 1
-        assert f"dataset {key} must be" in capsys.readouterr().err
+        problem = "expected an integer" if isinstance(value, bool) else "must be >="
+        assert f"error: dataset.{key}: {problem}" in capsys.readouterr().err
+
+    def test_shipped_example(self, tmp_path, capsys):
+        example = Path(__file__).resolve().parent.parent / "configs" / "dataset_example.json"
+        argv = ["dataset", "--config", str(example), "--samples", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header, row = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        assert json.loads(header)["seed"] == 42
+        assert json.loads(row)["status"] == "ok"
+        assert "(1 ok, 0 failed)" in capsys.readouterr().err
 
 
 class TestBenchCommand:

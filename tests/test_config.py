@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,13 @@ class TestParseConfig:
         raw = case1_raw(**{"output.formats": ["trajectory"]})
         assert parse_config(json.dumps(raw)).output.formats == ("trajectory",)
 
+    @pytest.mark.parametrize("basename", ["../../x/y", "a/b", "/abs", "."])
+    def test_basename_is_one_file_name(self, basename):
+        # outputs are named <basename>.<ext> inside the output directory
+        raw = case1_raw(**{"output.basename": basename})
+        with pytest.raises(ConfigError, match=r"^output\.basename: expected a single file name"):
+            parse_config(json.dumps(raw))
+
     def test_grid_must_span_a_cell(self):
         raw = case1_raw(**{"grid.x_max_mm": -5.0})
         with pytest.raises(ConfigError):
@@ -204,3 +212,14 @@ class TestParseConfig:
         assert sim.time_step_s == 3e-5
         assert sim.span_s == (0.001, 0.004)
         assert sim.worker_count == 3
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", [
+    "am_aggressive", "am_smooth", "bench_10x5", "case1", "case2", "case3",
+])
+def test_shipped_simulation_configs_parse(name):
+    doc = parse_config((CONFIGS / f"{name}.json").read_text())
+    assert doc.simulation.grid.node_count > 0

@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import millsurf.dataset
 from millsurf import ConfigError, ParameterRange, generate_dataset, lhs_sample, read_surface
+from millsurf.dataset import _load_dataset_config
 
 
 def base_raw(**grid_overrides):
@@ -173,8 +175,85 @@ class TestGenerateDataset:
             generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
                              base_raw=raw, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("names", [
+        ("feed_per_tooth_mm", "feed_per_tooth_mm"),
+        ("cutting_speed_m_min", "spindle_speed_rpm"),
+        ("spindle_speed_rpm", "depth_of_cut_mm", "cutting_speed_m_min"),
+    ])
+    def test_ranges_that_would_mislabel_samples(self, tmp_path, names):
+        # A repeated name has two header ranges but one row value; with both
+        # speeds sampled, each sample would run on the spindle speed alone
+        # while its row also records a cutting speed that was not simulated.
+        bounds = {"feed_per_tooth_mm": (0.2, 0.4), "cutting_speed_m_min": (150.0, 250.0),
+                  "spindle_speed_rpm": (5000.0, 9000.0), "depth_of_cut_mm": (0.1, 0.3)}
+        ranges = [ParameterRange(name, *bounds[name]) for name in names]
+        message = rf"^ranges\[{len(names) - 1}\]: \w+ cannot be sampled with \w+$"
+        with pytest.raises(ConfigError, match=message):
+            generate_dataset(ranges, 2, seed=0, base_raw=base_raw(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_workers_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
                              base_raw=base_raw(), out_dir=tmp_path, workers=0)
         assert not (tmp_path / "manifest.jsonl").exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestLoadDatasetConfig:
+    def write(self, tmp_path, **keys):
+        path = tmp_path / "dataset.json"
+        raw = {"base_config": base_raw(),
+               "ranges": [{"name": "feed_per_tooth_mm", "low": 0.2, "high": 0.4}],
+               "count": 2, "seed": 3}
+        raw.update(keys)
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_shipped_example_with_relative_base(self):
+        job = _load_dataset_config(CONFIGS / "dataset_example.json")
+        assert [prm.name for prm in job["ranges"]] == [
+            "cutting_speed_m_min", "feed_per_tooth_mm", "depth_of_cut_mm"]
+        assert (job["count"], job["seed"], job["workers"]) == (16, 42, 4)
+        assert job["base_raw"] == json.loads((CONFIGS / "case1.json").read_text())
+
+    def test_flags_replace_count_and_seed(self, tmp_path):
+        job = _load_dataset_config(self.write(tmp_path, count=0, seed=None), count=5, seed=7)
+        assert (job["count"], job["seed"], job["workers"]) == (5, 7, 1)
+
+    def test_null_workers_means_one(self, tmp_path):
+        assert _load_dataset_config(self.write(tmp_path, workers=None))["workers"] == 1
+
+    def test_base_config_passed_through_as_written(self, tmp_path):
+        base = base_raw()
+        base["engine"] = {"workers": None, "edge_points": None}
+        job = _load_dataset_config(self.write(tmp_path, base_config=base))
+        assert job["base_raw"] == base
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"cuont": 2}, r"^dataset\.cuont: unknown key$"),
+        ({"count": None}, r"^dataset\.count: must not be null$"),
+        ({"seed": 1.5}, r"^dataset\.seed: expected an integer, got 1\.5$"),
+        ({"base_config": [1]}, r"^dataset\.base_config: expected an object"),
+        ({"base_config": "missing.json"}, r"^cannot read base config "),
+        ({"ranges": []}, r"^dataset\.ranges: expected a non-empty list$"),
+        ({"ranges": [{"name": "phase_deg", "low": 0.0}]},
+         r"^dataset\.ranges\[0\]\.high: required key missing$"),
+        ({"ranges": [{"name": "phase_deg", "low": "0", "high": 1.0}]},
+         r"^dataset\.ranges\[0\]\.low: expected a number"),
+    ], ids=["unknown-key", "null-count", "float-seed", "list-base", "missing-base-file",
+            "empty-ranges", "range-without-high", "string-low"])
+    def test_errors_name_the_key_path(self, tmp_path, keys, message):
+        with pytest.raises(ConfigError, match=message):
+            _load_dataset_config(self.write(tmp_path, **keys))
+
+    def test_missing_count_is_required(self, tmp_path):
+        path = self.write(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["count"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"^dataset\.count: required key missing$"):
+            _load_dataset_config(path)
+        assert _load_dataset_config(path, count=1)["count"] == 1
