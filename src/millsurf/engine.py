@@ -40,22 +40,28 @@ Two kernels share one simulation plan and produce bit-identical results:
     - segment cull: each tooth's edge is split into ``_EDGE_SEGMENTS``
       contiguous index slices with their own tool-frame ranges, and per kept
       row the same interval bound drops the slices that miss the window;
-    - dominance cull: a (row, segment) pair whose bound lies inside the grid
-      window shrunk by half a cell, one cell inside the outermost cells'
-      edges (an *interior* pair), lands every point, so it skips the
-      in-grid test, and it is skipped outright when the segment's
-      lowest z is at or above an upper bound of every cell it can reach.
-      That bound is a map of tile maxima of the worker's private field,
-      dilated so that the tile of the cell one before the low corner of a
-      square that holds the rotated segment covers all the cells the segment
-      reaches. It is refreshed only when the field has changed since and the
-      interior group at hand holds at least ``_REFRESH_RATIO`` points per
+    - dominance cull: a kept (row, segment) pair is skipped when the
+      segment's lowest z is at or above an upper bound of every in-grid cell
+      it can reach. That bound is a map of tile maxima of the worker's
+      private field, dilated so that the tile of the cell one before the low
+      corner of a square that holds the rotated segment covers all the cells
+      the segment reaches. The corner's cell is clipped into the grid, which
+      is sound for a *boundary* pair, whose square crosses the grid's edge:
+      below the grid, the in-grid cells it reaches start at cell 0 and lie
+      within the span counted from the unclipped corner, so within the
+      clipped corner's 3 x 3 tile block; beyond the grid, it reaches no
+      in-grid cell along that axis; and points outside the grid never land.
+      The map is refreshed only when the field has changed since and the
+      group of pairs at hand holds at least ``_REFRESH_RATIO`` points per
       grid node, so a refresh costs no more than the group. Each tooth's
       segments are visited lowest first, so the tip lowers the field before
       the segments above it are tested. This is the lower envelope of the
       Z-map: the fields only decrease, so a stale map is still an upper
       bound, and a landing at or above a cell's height is a no-op of the
-      minimum whatever the order.
+      minimum whatever the order. A pair whose bound lies inside the grid
+      window shrunk by half a cell, one cell inside the outermost cells'
+      edges (an *interior* pair), lands every point, so it also skips the
+      in-grid test.
 
     The point stage runs in blocks of about ``_POINT_BLOCK`` elements so
     its buffers stay in cache; it computes the cell index in place with the
@@ -63,16 +69,16 @@ Two kernels share one simulation plan and produce bit-identical results:
     points are computed, never how: a kept point goes through exactly the
     arithmetic it would without them, a dropped point either lies outside the
     widened window, so it cannot land in a cell, or lands in the grid at or
-    above the height already there. Heights and ``in_grid_points`` are
-    therefore the same as with no cull at all; the extra cell of each window
-    absorbs the rounding differences between a bound and the point stage.
-    Work is split over contiguous time-step ranges, one private height field
-    per worker, merged with an elementwise minimum, so heights and
-    ``in_grid_points`` are independent of the worker count.
-    ``evaluated_points`` counts the points computed, and ``in_grid_points``
-    the points that landed, computed or known to land; the dominance cull
-    makes ``evaluated_points`` depend on the worker count, since each worker
-    tests against its own field.
+    above the height already there. Heights are therefore the same as with
+    no cull at all; the extra cell of each window absorbs the rounding
+    differences between a bound and the point stage. Work is split over
+    contiguous time-step ranges, one private height field per worker, merged
+    with an elementwise minimum, so heights are independent of the worker
+    count. ``evaluated_points`` counts the points computed, and
+    ``in_grid_points`` those of them that landed; the dominance cull makes
+    both depend on the worker count, since each worker tests against its own
+    field. With the dominance cull off, ``in_grid_points`` equals the count
+    of every trajectory point that lands.
 
     The scatter ``np.minimum.at`` holds the GIL, so two threads scattering
     into their own fields run slower than one thread doing both, while a
@@ -148,9 +154,10 @@ DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 # The coarse pass (_live_steps) bounds spans of _STEP_CHUNK anchors, and the
 # row stage (_rows: step cull, trig, row and segment bounds against the cull
 # geometry built in _plan) takes runs of _STEP_CHUNK live steps, long enough
-# that per-call overhead stays small and that a run's interior groups reach
-# the dominance map's refresh size (at 8,192, case1's evaluated points at 2
-# workers rise from 14.2M to 26.7M). The point stage
+# that per-call overhead stays small and that a run's groups of pairs reach
+# the dominance map's refresh size (at 8,192, before boundary pairs were
+# culled too, case1's evaluated points at 2 workers rose from 14.2M to
+# 26.7M). The point stage
 # (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
 # each edge segment's kept rows in blocks of about _POINT_BLOCK (row,
 # edge-point) elements; its three float64 buffers take 0.5 MB each, so they
@@ -163,8 +170,8 @@ _POINT_BLOCK = 65_536
 _EDGE_SEGMENTS = 8
 _COARSE_STRIDE = 16
 # The dominance cull's upper-bound map of a worker's field is refreshed only
-# before an interior group of at least _REFRESH_RATIO points per grid node, so
-# a refresh never costs more than the group it can cull.
+# before a group of at least _REFRESH_RATIO points per grid node, so a refresh
+# never costs more than the group it can cull.
 _REFRESH_RATIO = 1.0
 
 
@@ -226,10 +233,12 @@ class SimulationResult:
     main_loop_seconds: float
     # Trajectory points whose coordinates were computed. The dominance cull
     # skips points that cannot lower their cell, per worker field, so this
-    # depends on the worker count and can be below in_grid_points.
+    # depends on the worker count.
     evaluated_points: int
-    # Trajectory points that land in a grid cell, computed or not; the same
-    # for every worker count and for both kernels.
+    # Computed points that landed in a grid cell, so at most
+    # evaluated_points and, like it, dependent on the worker count. Without
+    # the dominance cull it counts every trajectory point that lands, as
+    # simulate_reference does.
     in_grid_points: int
 
 
@@ -294,14 +303,21 @@ class _Plan:
         return self.steps * self.tool.tooth_count * self.edge.point_count
 
     def step_times(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Time and spindle-axis y of the global steps ``steps``."""
-        t = self.t_start + np.asarray(steps, dtype=np.float64) * self.dt
-        return t, self.y0 + self.feed_speed * t
+        """Time and spindle-axis y of the global steps ``steps``, computed in
+        place as ``t_start + steps*dt`` and ``y0 + feed_speed*t``."""
+        t = np.array(steps, dtype=np.float64)
+        t *= self.dt
+        t += self.t_start
+        ty = np.multiply(t, self.feed_speed)
+        ty += self.y0
+        return t, ty
 
     def tooth_trig(self, k_idx: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of tooth ``k_idx + 1``'s angle at the times ``t``."""
+        """cos and sin of tooth ``k_idx + 1``'s angle at the times ``t``; the
+        cosine takes the angle's memory."""
         th = tooth_angle(self.phase, k_idx + 1, self.tool.tooth_count, self.omega, t)
-        return np.cos(th), np.sin(th)
+        s = np.sin(th)
+        return np.cos(th, out=th), s
 
 
 def _plan(config: SimulationConfig) -> _Plan:
@@ -457,25 +473,38 @@ def _annulus_hits(ty, x0, r_range, window):
     wx_lo, wx_hi, wy_lo, wy_hi = window
     near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
     far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
-    near_y = np.maximum(np.maximum(wy_lo - ty, 0.0), ty - wy_hi)
-    far_y = np.maximum(np.abs(ty - wy_lo), np.abs(ty - wy_hi))
-    return (np.hypot(near_x, near_y) <= r_hi) & (np.hypot(far_x, far_y) >= r_lo)
+    # In place in two arrays: near_y = max(wy_lo - ty, 0, ty - wy_hi), then
+    # far_y = max(|ty - wy_lo|, |ty - wy_hi|).
+    a = np.subtract(wy_lo, ty)
+    np.maximum(a, 0.0, out=a)
+    b = np.subtract(ty, wy_hi)
+    np.maximum(a, b, out=a)
+    hits = np.hypot(near_x, a, out=a) <= r_hi
+    np.abs(np.subtract(ty, wy_lo, out=a), out=a)
+    np.abs(np.subtract(ty, wy_hi, out=b), out=b)
+    np.maximum(a, b, out=a)
+    hits &= np.hypot(far_x, a, out=a) >= r_lo
+    return hits
 
 
-def _live_anchors(plan: _Plan, anchors: np.ndarray) -> np.ndarray:
-    """Coarse pass: the anchor steps among ``anchors`` whose annulus and
-    per-tooth edge bounds can overlap the coarse window. A function of its
-    own, so its span-sized temporaries are freed before ``_live_steps``
-    yields a run to the row stage."""
+def _live_anchors(plan: _Plan, a_lo: int, a_hi: int) -> np.ndarray:
+    """Coarse pass: the anchor steps in [a_lo, a_hi), multiples of the stride
+    from ``a_lo``, whose annulus and per-tooth edge bounds can overlap the
+    coarse window. A function of its own, so its span-sized temporaries are
+    freed before ``_live_steps`` yields a run to the row stage. They are kept
+    few: the annulus test works in place, only the anchors whose annulus
+    passes are bounded, and each tooth's cos and sin are freed before the
+    next tooth's are taken."""
     x0 = plan.x0
-    ta, tya = plan.step_times(anchors)
-    ai = np.flatnonzero(_annulus_hits(tya, x0, plan.r_range, plan.coarse))
-    ta, tya = ta[ai], tya[ai]
-    hits = np.zeros(ai.size, dtype=bool)
+    ta, tya = plan.step_times(np.arange(a_lo, a_hi, plan.stride))
+    near = _annulus_hits(tya, x0, plan.r_range, plan.coarse)
+    ta, tya = ta[near], tya[near]
+    hits = np.zeros(ta.size, dtype=bool)
     for k_idx, td in enumerate(plan.teeth):
-        c, s = plan.tooth_trig(k_idx, ta)
-        hits |= _box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, tya, plan.coarse)
-    return anchors[ai[hits]]
+        cs = plan.tooth_trig(k_idx, ta)
+        hits |= _box_hits(*cs, td.x_tool_range, td.y_tool_range, x0, tya, plan.coarse)
+        del cs
+    return a_lo + plan.stride * np.flatnonzero(near)[hits]
 
 
 def _live_steps(plan: _Plan, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -491,7 +520,7 @@ def _live_steps(plan: _Plan, lo: int, hi: int) -> Iterator[np.ndarray]:
     # Anchors are the global multiples of the stride, so the steps kept do
     # not depend on the span, run or worker boundaries.
     for a_lo in range(lo - lo % stride, hi, _STEP_CHUNK * stride):
-        live = _live_anchors(plan, np.arange(a_lo, min(a_lo + _STEP_CHUNK * stride, hi), stride))
+        live = _live_anchors(plan, a_lo, min(a_lo + _STEP_CHUNK * stride, hi))
         # Expand a run's worth of live anchors at a time, so a span whose
         # anchors all pass never holds all of its steps. Only the first anchor
         # can start before lo and only the last one can run past hi.
@@ -558,30 +587,27 @@ class _PointStage:
     def add(self, td: _ToothData, c, s, ty, keep, inside) -> None:
         """One tooth's kept rows from the row stage, lowest segment first, so
         the tip lowers the field before the segments above it are tested for
-        dominance."""
+        dominance. Per segment, its boundary rows and then its interior rows
+        are each culled by dominance and scattered, the boundary rows with the
+        in-grid test."""
         for j, sl in enumerate(td.segments):
             xt, yt, zw = td.x_tool[sl], td.y_tool[sl], td.z_workpiece[sl]
             width = xt.size
-            kj = np.flatnonzero(keep[:, j])
-            if kj.size:
-                self.evaluated += kj.size * width
-                self.in_grid += self.scatter(c[kj], s[kj], ty[kj], xt, yt, zw, False)
-                self.stale = True
-            kj = np.flatnonzero(inside[:, j])
-            if kj.size == 0:
-                continue
-            self.in_grid += kj.size * width
-            cj, sj, tyj = c[kj], s[kj], ty[kj]
-            if self.stale and kj.size * width >= self.refresh_points:
-                self.refresh()
-            if self.bound is not None:
-                live = self.bound_at(cj[:, 0], sj[:, 0], tyj[:, 0], td, j) > td.seg_min_z[j]
-                if not live.any():
+            for mask, all_land in ((keep, False), (inside, True)):
+                kj = np.flatnonzero(mask[:, j])
+                if kj.size == 0:
                     continue
-                cj, sj, tyj = cj[live], sj[live], tyj[live]
-            self.evaluated += cj.shape[0] * width
-            self.scatter(cj, sj, tyj, xt, yt, zw, True)
-            self.stale = True
+                cj, sj, tyj = c[kj], s[kj], ty[kj]
+                if self.stale and kj.size * width >= self.refresh_points:
+                    self.refresh()
+                if self.bound is not None:
+                    live = self.bound_at(cj[:, 0], sj[:, 0], tyj[:, 0], td, j) > td.seg_min_z[j]
+                    if not live.any():
+                        continue
+                    cj, sj, tyj = cj[live], sj[live], tyj[live]
+                self.evaluated += cj.shape[0] * width
+                self.in_grid += self.scatter(cj, sj, tyj, xt, yt, zw, all_land)
+                self.stale = True
 
     def scatter(self, cj, sj, tyj, xt, yt, zw, all_land) -> int:
         """Rotate, index and scatter-min one edge slice (xt, yt, zw) at the

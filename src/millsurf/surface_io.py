@@ -117,13 +117,18 @@ def read_surface(path: Path) -> HeightField:
 def write_heights_csv(field: HeightField, path: Path) -> None:
     """Heights in micrometres; header row = x coordinates (mm), one data row per y node."""
     heights = field.as_array()
-    row_format = ",".join(["%.6f"] * heights.shape[0]) + "\n"
+    width = heights.shape[0]
+    fixed = "%.6f".__mod__
 
     def chunks():
-        yield (row_format % tuple(field.spec.x_coords().tolist())).encode()
+        yield (",".join(map(fixed, field.spec.x_coords().tolist())) + "\n").encode()
         for lo in range(0, heights.shape[1], _HEIGHTS_CHUNK_ROWS):
-            block = heights[:, lo : lo + _HEIGHTS_CHUNK_ROWS] * MM_TO_UM
-            yield "".join(row_format % tuple(row) for row in block.T.tolist()).encode()
+            # A data row holds one y node's heights along x: a row of the block's transpose.
+            block = (heights[:, lo : lo + _HEIGHTS_CHUNK_ROWS] * MM_TO_UM).T.ravel()
+            cells = _texts(block, fixed)
+            yield "".join(
+                ",".join(cells[k : k + width]) + "\n" for k in range(0, len(cells), width)
+            ).encode()
 
     atomic_write_bytes(Path(path), chunks())
 
@@ -152,15 +157,17 @@ def write_graymap(field: HeightField, path: Path) -> None:
     atomic_write_bytes(Path(path), (header, memoryview(pixels.T.astype(">u2", order="C"))))
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each of ``values``, computed once per distinct bit pattern
-    (so ``-0.0`` keeps its sign): a trajectory block repeats each step's time
-    once per tooth and each tooth's z on every step, and ``repr`` is most of
-    the cost of a row."""
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of each of the 1-D contiguous ``values``, computed once per
+    distinct bit pattern (so ``-0.0`` keeps its sign). Formatting is most of
+    the cost of a CSV row, and both CSVs repeat values: a trajectory block
+    repeats each step's time once per tooth and each tooth's z on every step,
+    and a height field holds few distinct heights, since a tooth's z depends
+    only on the edge point."""
     _, first, index = np.unique(
         values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
     )
-    texts = list(map(repr, values[first].tolist()))
+    texts = list(map(fmt, values[first].tolist()))
     return [texts[i] for i in index.tolist()]
 
 
@@ -172,7 +179,7 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path: Path) -> Non
         for record in records:
             columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
             for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
-                cells = (_reprs(c[lo : lo + _TRAJECTORY_CHUNK_ROWS]) for c in columns)
+                cells = (_texts(c[lo : lo + _TRAJECTORY_CHUNK_ROWS], repr) for c in columns)
                 yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
     atomic_write_bytes(Path(path), chunks())

@@ -8,6 +8,7 @@ import pytest
 from millsurf import (
     ConfigError,
     GridSpec,
+    HeightField,
     SimulationConfig,
     ToolDefinition,
     derive_kinematics,
@@ -199,13 +200,12 @@ def assert_kernels_agree(opt, ref):
     assert opt.time_steps == ref.time_steps
     assert opt.trajectory_points == ref.trajectory_points
     assert opt.cells_updated == ref.cells_updated
-    # Equal heights can hide a culled in-grid point that was not the minimum.
-    assert opt.in_grid_points == ref.in_grid_points
     assert ref.evaluated_points == ref.trajectory_points
-    # The dominance cull counts the points it skips as landed, not evaluated,
-    # so evaluated points may be fewer than in-grid points.
-    assert opt.evaluated_points <= opt.trajectory_points
-    assert opt.in_grid_points <= opt.trajectory_points
+    # in_grid_points counts the computed points that landed, so the dominance
+    # cull, which skips points without computing them, can only lower it. With
+    # the cull off it equals the reference's count (TestInGridCount).
+    assert opt.in_grid_points <= opt.evaluated_points <= opt.trajectory_points
+    assert opt.in_grid_points <= ref.in_grid_points
 
 
 def far_from_origin(cfg):
@@ -398,14 +398,26 @@ class TestLiveRuns:
         assert all(np.array_equal(covered[0], other) for other in covered[1:])
 
 
+def strip_config(seed):
+    """``wide_cutter_config(seed)`` over a strip of the grid three nodes long,
+    with 16 edge points: as on am_smooth, every edge segment outgrows the
+    grid's inner window. Half the time step makes the passes overlap enough
+    for the dominance cull to skip pairs at 1, 2 and 4 workers (seeds 1 and
+    5)."""
+    cfg = wide_cutter_config(seed)
+    g = cfg.grid
+    return dataclasses.replace(cfg, grid=GridSpec(g.spacing_mm, g.x_min_mm, g.y_min_mm, g.m, 2),
+                               edge_point_count=16, time_step_s=cfg.time_step_s / 2)
+
+
 class TestDominanceCull:
-    """The dominance cull skips interior (row, segment) pairs whose lowest z is
-    at or above an upper bound of every cell they can reach. Its map is
-    refreshed only before groups of at least _REFRESH_RATIO points per grid
-    node, which keeps the small random configs off the path; lowering the
-    ratio and the chunk size refreshes it several times per sweep at 1 and 2
-    workers, and a ratio between 0 and 1 leaves some groups to use a stale
-    map."""
+    """The dominance cull skips (row, segment) pairs, interior or boundary,
+    whose lowest z is at or above an upper bound of every in-grid cell they
+    can reach. Its map is refreshed only before groups of at least
+    _REFRESH_RATIO points per grid node, which keeps the small random configs
+    off the path; lowering the ratio and the chunk size refreshes it several
+    times per sweep at 1 and 2 workers, and a ratio between 0 and 1 leaves
+    some groups to use a stale map."""
 
     @pytest.mark.parametrize("far", [False, True], ids=["near", "far_from_origin"])
     @pytest.mark.parametrize("ratio", [0.0, 0.5])
@@ -417,7 +429,8 @@ class TestDominanceCull:
         for workers in (1, 2):
             opt = simulate(dataclasses.replace(cfg, worker_count=workers))
             assert_kernels_agree(opt, ref)
-            assert opt.evaluated_points < opt.in_grid_points
+            # The cull skipped points that would have landed.
+            assert opt.in_grid_points < ref.in_grid_points
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_configs_agree(self, monkeypatch, seed):
@@ -435,6 +448,106 @@ class TestDominanceCull:
             for workers in (1, 2):
                 opt = simulate(dataclasses.replace(cfg, worker_count=workers))
                 assert_kernels_agree(opt, ref)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_boundary_pairs_culled(self, monkeypatch, seed):
+        # As on am_smooth, every kept pair is a boundary pair: its square
+        # crosses the outermost cells, and the map is read at its low corner
+        # clipped into the grid.
+        interior = []
+        rows = engine._rows
+
+        def spy(plan, steps):
+            for row in rows(plan, steps):
+                interior.append(bool(row[5].any()))
+                yield row
+
+        monkeypatch.setattr(engine, "_rows", spy)
+        cfg = strip_config(seed)
+        ref = simulate_reference(cfg)
+        evaluated = {}
+        for ratio in (math.inf, 0.0):
+            monkeypatch.setattr(engine, "_REFRESH_RATIO", ratio)
+            for workers in (1, 2, 4):
+                opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+                assert_kernels_agree(opt, ref)
+                evaluated[ratio, workers] = opt.evaluated_points
+        assert interior and not any(interior)
+        for workers in (1, 2, 4):
+            assert evaluated[0.0, workers] < evaluated[math.inf, workers]
+
+    @pytest.mark.parametrize("make, segments", [
+        (dense_config, 8), (lambda: far_from_origin(dense_config()), 8),
+        (lambda: strip_config(1), 8), (dense_config, 2),
+    ], ids=["dense", "dense_far_from_origin", "strip", "dense_2_segments"])
+    def test_map_covers_every_cell_a_segment_reaches(self, monkeypatch, make, segments):
+        # The invariant the cull rests on, checked directly: at every step of
+        # the sweep, the map read for a (row, segment) pair is at least the
+        # height of every in-grid cell the segment's points land in, also
+        # where the pair's square crosses the grid's edge and its low corner
+        # is clipped into the grid. Heights that rise or fall across the
+        # grid catch a map read from too few tiles after or before the
+        # corner's; random heights catch a misplaced tile. Only the long
+        # segments of a 2-segment edge reach the third tile of the block.
+        monkeypatch.setattr(engine, "_EDGE_SEGMENTS", segments)
+        plan = engine._plan(make())
+        grid = plan.grid
+        ramp = np.add.outer(np.arange(grid.m + 1.0), np.arange(grid.n + 1.0)).ravel()
+        random = np.random.default_rng(0).uniform(-1.0, 1.0, grid.node_count)
+        stages = [engine._PointStage(plan, HeightField(grid, 1.0, values))
+                  for values in (ramp, -ramp, random)]
+        for points in stages:
+            points.refresh()
+        t, ty = plan.step_times(np.arange(plan.steps))
+        checked = 0
+        for k_idx, td in enumerate(plan.teeth):
+            c, s = (a[:, None] for a in plan.tooth_trig(k_idx, t))
+            for j, sl in enumerate(td.segments):
+                xt, yt = td.x_tool[sl], td.y_tool[sl]
+                # The point stage's cell index, in its operation order.
+                i = np.floor(((c * xt + s * yt + plan.x0) - grid.x_min_mm) / grid.spacing_mm + 0.5)
+                k = np.floor(((c * yt - s * xt + ty[:, None]) - grid.y_min_mm) / grid.spacing_mm
+                             + 0.5)
+                lands = (i >= 0) & (i <= grid.m) & (k >= 0) & (k <= grid.n)
+                rows = np.flatnonzero(lands.any(axis=1))
+                i, k = (np.where(lands, a, 0).astype(int) for a in (i, k))
+                for points in stages:
+                    bound = points.bound_at(c[rows, 0], s[rows, 0], ty[rows], td, j)
+                    reached = np.where(lands, points.hmap[i, k], -np.inf)[rows].max(axis=1)
+                    assert np.all(bound >= reached)
+                checked += rows.size
+        assert checked > 0
+
+
+class TestInGridCount:
+    """in_grid_points counts the computed points that landed. With the
+    dominance cull off every point that can land is computed, so the count
+    equals the reference's at every worker count: equal heights can hide a
+    culled in-grid point that was not the minimum, and this count cannot."""
+
+    @pytest.mark.parametrize("kind, seed", [
+        *(("small_random", seed) for seed in range(5)),
+        *(("small_random_z0", seed) for seed in range(3)),
+        *(("small_random_far", seed) for seed in range(3)),
+        *(("wide_cutter", seed) for seed in range(5)),
+        ("dense", 0), ("dense_far", 0),
+    ])
+    def test_matches_reference_with_cull_off(self, monkeypatch, kind, seed):
+        monkeypatch.setattr(engine, "_REFRESH_RATIO", math.inf)
+        cfg = {
+            "small_random": lambda: small_random_config(seed),
+            "small_random_z0": lambda: small_random_config(seed, random_z0=True),
+            "small_random_far": lambda: far_from_origin(small_random_config(seed)),
+            "wide_cutter": lambda: wide_cutter_config(seed),
+            "dense": dense_config,
+            "dense_far": lambda: far_from_origin(dense_config()),
+        }[kind]()
+        ref = simulate_reference(cfg)
+        assert ref.in_grid_points > 0
+        for workers in (1, 2, 4):
+            opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+            assert_kernels_agree(opt, ref)
+            assert opt.in_grid_points == ref.in_grid_points
 
 
 class TestTrajectory:

@@ -229,6 +229,27 @@ class TestHeightsCsv:
         lines += [",".join(f"{v:.6f}" for v in block[:, j]) for j in range(block.shape[1])]
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_repeated_values_formatted_per_element(self, tmp_path, monkeypatch):
+        # The writer formats each distinct bit pattern once per chunk, so
+        # signed zeros, repeats and near-equal values must still come out as
+        # each element's own text, in place, across chunk boundaries.
+        monkeypatch.setattr("millsurf.surface_io._HEIGHTS_CHUNK_ROWS", 3)
+        spec = GridSpec(spacing_mm=0.01, x_min_mm=-0.25, y_min_mm=1.5, m=5, n=6)
+        near = 0.25 / MM_TO_UM
+        values = np.array([0.0, -0.0, near, np.nextafter(near, 1.0), 0.0, 0.125, -0.0])
+        assert values[2] * MM_TO_UM != values[3] * MM_TO_UM
+        assert "%.6f" % (values[2] * MM_TO_UM) == "%.6f" % (values[3] * MM_TO_UM)
+        heights = np.resize(values, spec.node_count)
+        field = HeightField(spec, 0.5, heights)
+        path = tmp_path / "grid.csv"
+        write_heights_csv(field, path)
+        block = field.as_array() * MM_TO_UM
+        lines = [",".join("%.6f" % x for x in field.spec.x_coords().tolist())]
+        lines += [",".join("%.6f" % v for v in block[:, j].tolist()) for j in range(spec.n + 1)]
+        text = path.read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert "-0.000000" in text and "0.000000," in text
+
     def test_chunks_match_one_shot_rendering(self, tmp_path, monkeypatch):
         monkeypatch.setattr("millsurf.surface_io._HEIGHTS_CHUNK_ROWS", 3)
         field = random_field(seed=5, m=4, n=9)  # 10 data rows: 3 + 3 + 3 + 1
