@@ -155,9 +155,9 @@ DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
 # row stage (_rows: step cull, trig, row and segment bounds against the cull
 # geometry built in _plan) takes runs of _STEP_CHUNK live steps, long enough
 # that per-call overhead stays small and that a run's groups of pairs reach
-# the dominance map's refresh size (at 8,192, before boundary pairs were
-# culled too, case1's evaluated points at 2 workers rose from 14.2M to
-# 26.7M). The point stage
+# the dominance map's refresh size (at 8,192, evaluated points at 2 workers
+# rise from 10.5M to 25.5M on case1 and from 4.3M to 7.9M on am_smooth).
+# The point stage
 # (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
 # each edge segment's kept rows in blocks of about _POINT_BLOCK (row,
 # edge-point) elements; its three float64 buffers take 0.5 MB each, so they

@@ -30,6 +30,7 @@ from millsurf import (
     trajectory,
     write_surface,
 )
+from millsurf import engine
 from millsurf.engine import trajectory_reference
 
 from helpers import (
@@ -52,11 +53,15 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def random_config_results():
-    """Criterion 1 workload: optimized + reference runs of randomized configs."""
+    """Criterion 1 workload: optimized + reference runs of randomized configs,
+    with the dominance cull off, so that the optimized kernel computes every
+    point that can land and its in-grid count must equal the reference's."""
     results = []
-    for seed in range(20):
-        config = small_random_config(seed + 1000)
-        results.append((config, simulate(config), simulate_reference(config)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_REFRESH_RATIO", math.inf)
+        for seed in range(20):
+            config = small_random_config(seed + 1000)
+            results.append((config, simulate(config), simulate_reference(config)))
     return results
 
 
