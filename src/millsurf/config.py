@@ -13,9 +13,10 @@ pair, and checks that two given members agree, is owned by
 ``kinematics.derive_kinematics``.
 
 Angles take ``*_deg`` fields only. Checks on a single object's own fields
-(the time step, step angle, span, worker count, and depth of cut against the
-insert radius) live in that object's constructor; this module adds the JSON
-type checks and the key paths as written.
+(the time step, step angle, span, worker count, and the process against the
+tool: depth of cut against the insert radius, feed speed against the tooth
+count) live in that object's constructor; this module adds the JSON type
+checks and the key paths as written.
 """
 
 from __future__ import annotations
@@ -197,8 +198,7 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
         position = (x, y, z)
 
     return derive_kinematics(
-        tooth_count=tool.tooth_count,
-        cutting_diameter_mm=tool.cutting_diameter_mm,
+        tool,
         depth_of_cut_mm=a_p,
         cutting_speed_m_min=v_c,
         spindle_speed_rpm=rpm,

@@ -222,6 +222,17 @@ class SimulationConfig:
                 f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
                 f"tool.insert_radius_mm {self.tool.insert_radius_mm}"
             )
+        # A process derived for another tool, built by hand, or kept through
+        # replace(config, tool=...) would cut a different feed per tooth.
+        proc = self.process
+        teeth = self.tool.tooth_count
+        feed = proc.feed_per_tooth_mm * teeth * proc.angular_velocity_rad_s / (2.0 * math.pi)
+        if abs(proc.feed_speed_mm_s - feed) > 1e-9 * feed:
+            raise ConfigError(
+                f"process.feed_speed_mm_s {proc.feed_speed_mm_s} does not match "
+                f"feed_per_tooth_mm {proc.feed_per_tooth_mm} on the tool's {teeth} teeth "
+                f"({feed} mm/s); derive the process from this tool"
+            )
 
 
 @dataclass
@@ -324,9 +335,7 @@ def _plan(config: SimulationConfig) -> _Plan:
     tool = config.tool
     proc = config.process
     grid = config.grid
-    half = effective_half_length(
-        tool.insert_radius_mm, proc.depth_of_cut_mm, proc.feed_per_tooth_mm, tool.radial_rake_rad
-    )
+    half = effective_half_length(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
     n_points = config.edge_point_count
     if n_points is None:
         n_points = default_point_count(half, grid.spacing_mm)

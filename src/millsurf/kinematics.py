@@ -21,7 +21,9 @@ evaluation order, which keeps the kernels bit-identical.
 
 ``derive_kinematics`` owns the rule that resolves the speed pair (cutting
 speed / spindle speed) and the feed pair (feed per tooth / feed speed), for
-config files and library callers alike; ``config`` only reads the keys.
+config files and library callers alike; ``config`` only reads the keys. It
+takes the tooth count and the cutting diameter from the ``ToolDefinition``
+it is given, which owns their checks.
 """
 
 from __future__ import annotations
@@ -155,8 +157,7 @@ def _apply4(m, x: float, y: float, z: float) -> tuple[float, float, float]:
 
 
 def derive_kinematics(
-    tooth_count: int,
-    cutting_diameter_mm: float,
+    tool: ToolDefinition,
     depth_of_cut_mm: float,
     cutting_speed_m_min: float | None = None,
     spindle_speed_rpm: float | None = None,
@@ -169,15 +170,13 @@ def derive_kinematics(
     (feed per tooth / feed speed).
 
     Standard machining relations: n = 1000 v_c / (pi D), omega = 2 pi n / 60,
-    v_f = f_z z_n n / 60. Each pair needs at least one member. When both are
-    given they must agree (1e-9 relative for the speeds, 1e-9 mm/s for the
-    feeds), and the spindle speed and the feed per tooth are used. Errors name
-    the keys as a config file's ``process`` block writes them.
+    v_f = f_z z_n n / 60, with the diameter D and the tooth count z_n read
+    from ``tool``. Each pair needs at least one member. When both are given
+    they must agree (1e-9 relative for the speeds, 1e-9 mm/s for the feeds),
+    and the spindle speed and the feed per tooth are used. Errors name the
+    keys as a config file's ``process`` block writes them.
     """
-    if isinstance(tooth_count, bool) or not isinstance(tooth_count, int) or tooth_count < 1:
-        raise ConfigError(f"tooth_count must be an integer >= 1, got {tooth_count!r}")
-    if cutting_diameter_mm <= 0:
-        raise ConfigError(f"cutting_diameter_mm must be > 0, got {cutting_diameter_mm}")
+    tooth_count = tool.tooth_count
     for key, value in (("cutting_speed_m_min", cutting_speed_m_min),
                        ("spindle_speed_rpm", spindle_speed_rpm),
                        ("feed_per_tooth_mm", feed_per_tooth_mm),
@@ -189,7 +188,7 @@ def derive_kinematics(
         raise ConfigError("process: one of cutting_speed_m_min / spindle_speed_rpm is required")
     rpm = spindle_speed_rpm
     if cutting_speed_m_min is not None:
-        implied_rpm = 1000.0 * cutting_speed_m_min / (math.pi * cutting_diameter_mm)
+        implied_rpm = 1000.0 * cutting_speed_m_min / (math.pi * tool.cutting_diameter_mm)
         if rpm is None:
             rpm = implied_rpm
         elif abs(implied_rpm - rpm) > 1e-9 * max(abs(rpm), 1.0):

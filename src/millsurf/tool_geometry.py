@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MillsurfError
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,17 @@ class EdgeDiscretization:
 
 
 def effective_half_length(
-    insert_radius_mm: float,
+    tool: ToolDefinition,
     depth_of_cut_mm: float,
     feed_per_tooth_mm: float,
-    radial_rake_rad: float = 0.0,
 ) -> float:
     """Engaged-arc half-length: max of the immersion half-chord and the feed floor.
 
-    The immersion branch is the half-chord of the arc at axial depth
-    ``depth_of_cut_mm``; the feed branch f_z / (2 cos(radial rake)) guarantees the
-    sampled edge spans one tooth advance even at shallow depths.
+    The immersion branch is the half-chord of the tool's insert arc at axial
+    depth ``depth_of_cut_mm``; the feed branch f_z / (2 cos(radial rake))
+    guarantees the sampled edge spans one tooth advance even at shallow depths.
     """
-    r = insert_radius_mm
+    r = tool.insert_radius_mm
     a_p = depth_of_cut_mm
     if a_p <= 0:
         raise DomainError(f"depth_of_cut_mm must be > 0, got {a_p}")
@@ -113,10 +112,8 @@ def effective_half_length(
         )
     if feed_per_tooth_mm <= 0:
         raise DomainError(f"feed_per_tooth_mm must be > 0, got {feed_per_tooth_mm}")
-    if abs(radial_rake_rad) >= math.pi / 2:
-        raise DomainError(f"radial rake {radial_rake_rad} rad must satisfy |rake| < pi/2")
     half_immersion = math.sqrt(r * r - (r - a_p) * (r - a_p))
-    half_feed = feed_per_tooth_mm / (2.0 * math.cos(radial_rake_rad))
+    half_feed = feed_per_tooth_mm / (2.0 * math.cos(tool.radial_rake_rad))
     return max(half_immersion, half_feed)
 
 
@@ -141,19 +138,22 @@ def discretize_edge(
     if point_count < 2:
         raise DomainError(f"point_count must be >= 2, got {point_count}")
     r = tool.insert_radius_mm
-    half = effective_half_length(r, depth_of_cut_mm, feed_per_tooth_mm, tool.radial_rake_rad)
+    half = effective_half_length(tool, depth_of_cut_mm, feed_per_tooth_mm)
     if half > r:
         raise DomainError(
             f"engaged half-length {half:.6g} mm exceeds the insert radius {r} mm "
             "(feed per tooth too large for this insert)"
         )
     n = point_count
-    l = -half + (2.0 * half) * np.arange(n, dtype=np.float64) / (n - 1)
-    l[0] = -half
-    l[-1] = half
-    points = np.empty((n, 4), dtype=np.float64)
-    points[:, 0] = l
-    points[:, 1] = 0.0
-    points[:, 2] = r - np.sqrt(r * r - l * l)
-    points[:, 3] = 1.0
+    try:
+        l = -half + (2.0 * half) * np.arange(n, dtype=np.float64) / (n - 1)
+        l[0] = -half
+        l[-1] = half
+        points = np.empty((n, 4), dtype=np.float64)
+        points[:, 0] = l
+        points[:, 1] = 0.0
+        points[:, 2] = r - np.sqrt(r * r - l * l)
+        points[:, 3] = 1.0
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise MillsurfError(f"cannot allocate {n} edge points: {exc}") from exc
     return EdgeDiscretization(half_length_mm=half, point_count=n, points=points)

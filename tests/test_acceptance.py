@@ -215,7 +215,7 @@ def test_criterion_5_metric_consistency(random_config_results, cusp_result, runo
 
 def _table6_config(v_c: float, f_z: float, a_p: float, dt: float) -> SimulationConfig:
     process = derive_kinematics(
-        tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=a_p,
+        case1_tool(), depth_of_cut_mm=a_p,
         cutting_speed_m_min=v_c, feed_per_tooth_mm=f_z,
         initial_position_mm=(0.0, None, 0.0),
     )

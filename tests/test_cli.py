@@ -8,6 +8,9 @@ from millsurf import read_surface
 from millsurf.cli import main
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def sim_config_dict():
     return {
         "tool": {"cutting_diameter_mm": 10.0, "insert_radius_mm": 5.0, "tooth_count": 2},
@@ -144,6 +147,22 @@ class TestSimulateCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("runtime failure: cannot allocate a height field of ")
 
+    def test_edge_too_long_to_allocate(self, tmp_path, capsys):
+        # without edge_points the edge count follows the spacing; at 1e-200
+        # numpy refuses the size before allocating anything
+        raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
+        del raw["engine"]["edge_points"]
+        raw["grid"]["spacing_mm"] = 1e-200
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failures = [line for line in err.splitlines() if line.startswith("runtime failure:")]
+        assert len(failures) == 1
+        assert failures[0].startswith("runtime failure: cannot allocate ")
+        assert " edge points: " in failures[0]
+
 
 class TestRoughnessCommand:
     @pytest.fixture
@@ -258,7 +277,7 @@ class TestDatasetCommand:
         assert f"error: dataset.{key}: {problem}" in capsys.readouterr().err
 
     def test_shipped_example(self, tmp_path, capsys):
-        example = Path(__file__).resolve().parent.parent / "configs" / "dataset_example.json"
+        example = CONFIGS / "dataset_example.json"
         argv = ["dataset", "--config", str(example), "--samples", "1", "--out", str(tmp_path)]
         assert main(argv) == 0
         header, row = (tmp_path / "manifest.jsonl").read_text().splitlines()

@@ -9,6 +9,7 @@ from millsurf import (
     ConfigError,
     GridSpec,
     HeightField,
+    ProcessParameters,
     SimulationConfig,
     ToolDefinition,
     derive_kinematics,
@@ -108,7 +109,7 @@ class TestSimulate:
         from millsurf import effective_half_length
 
         grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.3))
-        half = effective_half_length(5.0, 0.5, 0.6)
+        half = effective_half_length(case1_tool(), 0.5, 0.6)
         angle = grid.spacing_mm / (5.0 + half)
         cfg = tiny_config(grid=grid, edge_point_count=None, time_step_s=None,
                           max_step_angle_rad=angle)
@@ -156,6 +157,10 @@ class TestSimulate:
 
 
 _Y0 = case1_process(y0=-3.0)
+# case1's cutter with twice the teeth. A process derived for it at 0.6 mm per
+# tooth would cut 1.2 mm per tooth on case1's two teeth, and a case1 process
+# 0.3 mm per tooth on these four.
+_FOUR_TEETH = ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, tooth_count=4)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -184,6 +189,15 @@ _Y0 = case1_process(y0=-3.0)
     pytest.param(dict(edge_point_count=1), id="edge_point_count=1"),
     pytest.param(dict(edge_point_count=True), id="edge_point_count=True"),
     pytest.param(dict(process=case1_process(depth_of_cut_mm=5.5)), id="depth-beyond-insert"),
+    pytest.param(dict(process=derive_kinematics(_FOUR_TEETH, depth_of_cut_mm=0.5,
+                                                cutting_speed_m_min=170.0,
+                                                feed_per_tooth_mm=0.6)),
+                 id="process-for-another-tool"),
+    pytest.param(dict(process=ProcessParameters(angular_velocity_rad_s=_Y0.angular_velocity_rad_s,
+                                                feed_speed_mm_s=2.0 * _Y0.feed_speed_mm_s,
+                                                feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)),
+                 id="hand-built-process"),
+    pytest.param(dict(tool=_FOUR_TEETH), id="tool-replaced"),
 ])
 def test_config_rejected_at_construction(overrides):
     with pytest.raises(ConfigError):
@@ -191,6 +205,14 @@ def test_config_rejected_at_construction(overrides):
     valid = tiny_config()
     with pytest.raises(ConfigError):
         dataclasses.replace(valid, **overrides)
+
+
+def test_hand_built_process_for_the_tool_accepted():
+    rpm = 5000.0
+    process = ProcessParameters(angular_velocity_rad_s=2.0 * math.pi * rpm / 60.0,
+                                feed_speed_mm_s=0.6 * 2 * rpm / 60.0,
+                                feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
+    assert tiny_config(process=process).process is process
 
 
 def assert_trajectory_agrees(cfg):
@@ -243,8 +265,8 @@ def dense_config():
     already cut, next to cells that only the edge's outer segments reach."""
     tool = ToolDefinition(cutting_diameter_mm=2.0, insert_radius_mm=1.0, tooth_count=2,
                           runouts_mm=((0.0, 0.0), (0.005, 0.002)))
-    process = derive_kinematics(tooth_count=2, cutting_diameter_mm=2.0, depth_of_cut_mm=0.2,
-                                cutting_speed_m_min=100.0, feed_per_tooth_mm=0.15)
+    process = derive_kinematics(tool, depth_of_cut_mm=0.2, cutting_speed_m_min=100.0,
+                                feed_per_tooth_mm=0.15)
     grid = GridSpec.from_extents(0.08, (-1.8, 1.8), (0.0, 0.8))
     return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=16,
                             max_step_angle_rad=0.05)

@@ -22,6 +22,7 @@ from millsurf.kinematics import (
 from helpers import case1_tool, case1_process
 
 EDGE_ORIGIN = (0.0, 0.0, 0.0)  # lowest point of the edge arc
+FOUR_TOOTH_50MM = ToolDefinition(cutting_diameter_mm=50.0, insert_radius_mm=6.0, tooth_count=4)
 
 
 def chain(tool, params, tooth, t, point):
@@ -199,7 +200,7 @@ class TestTransformPoint:
         rng = np.random.default_rng(11)
         for _ in range(20):
             proc = derive_kinematics(
-                tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+                tool, depth_of_cut_mm=0.5,
                 cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6,
                 phase_rad=float(rng.uniform(0, 6.28)),
                 initial_position_mm=(0.0, -1.0, 0.25),
@@ -282,21 +283,19 @@ class TestDeriveKinematics:
         assert proc.feed_speed_mm_s == pytest.approx(0.6 * 2 * rpm / 60, rel=1e-12)
 
     def test_consistent_speed_pair_equals_rpm_only(self):
-        common = dict(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
-                      feed_per_tooth_mm=0.6)
+        common = dict(tool=case1_tool(), depth_of_cut_mm=0.5, feed_per_tooth_mm=0.6)
         rpm = 1000 * 170 / (math.pi * 10)
         both = derive_kinematics(cutting_speed_m_min=170.0, spindle_speed_rpm=rpm, **common)
         assert both == derive_kinematics(spindle_speed_rpm=rpm, **common)
 
     def test_consistent_feed_pair_equals_feed_per_tooth_only(self):
-        common = dict(tooth_count=4, cutting_diameter_mm=50.0, depth_of_cut_mm=2.5,
-                      spindle_speed_rpm=995.0)
+        common = dict(tool=FOUR_TOOTH_50MM, depth_of_cut_mm=2.5, spindle_speed_rpm=995.0)
         both = derive_kinematics(feed_per_tooth_mm=0.125, feed_speed_mm_min=497.5, **common)
         assert both == derive_kinematics(feed_per_tooth_mm=0.125, **common)
 
     def test_feed_speed_route(self):
         proc = derive_kinematics(
-            tooth_count=4, cutting_diameter_mm=50.0, depth_of_cut_mm=2.5,
+            FOUR_TOOTH_50MM, depth_of_cut_mm=2.5,
             spindle_speed_rpm=995.0, feed_speed_mm_min=125.0,
         )
         assert proc.feed_speed_mm_s == pytest.approx(2.0833, abs=5e-4)
@@ -304,7 +303,8 @@ class TestDeriveKinematics:
 
     def test_unit_case(self):
         proc = derive_kinematics(
-            tooth_count=1, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+            ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, tooth_count=1),
+            depth_of_cut_mm=0.5,
             spindle_speed_rpm=60.0, feed_per_tooth_mm=1.0,
         )
         assert proc.angular_velocity_rad_s == pytest.approx(2 * math.pi, rel=1e-15)
@@ -312,27 +312,21 @@ class TestDeriveKinematics:
 
     def test_exclusive_speed_inputs(self):
         with pytest.raises(ConfigError):
-            derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+            derive_kinematics(case1_tool(), depth_of_cut_mm=0.5,
                               cutting_speed_m_min=170.0, spindle_speed_rpm=5000.0,
                               feed_per_tooth_mm=0.6)
         with pytest.raises(ConfigError):
-            derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+            derive_kinematics(case1_tool(), depth_of_cut_mm=0.5,
                               feed_per_tooth_mm=0.6)
 
     def test_exclusive_feed_inputs(self):
         with pytest.raises(ConfigError):
-            derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+            derive_kinematics(case1_tool(), depth_of_cut_mm=0.5,
                               cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6,
                               feed_speed_mm_min=125.0)
-
-    @pytest.mark.parametrize("teeth", [2.5, 2.0, True, 0])
-    def test_tooth_count_must_be_positive_int(self, teeth):
-        with pytest.raises(ConfigError, match="tooth_count"):
-            derive_kinematics(tooth_count=teeth, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
-                              cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6)
 
     def test_positivity(self):
         for value in (-5.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="cutting_speed_m_min"):
-                derive_kinematics(tooth_count=2, cutting_diameter_mm=10.0, depth_of_cut_mm=0.5,
+                derive_kinematics(case1_tool(), depth_of_cut_mm=0.5,
                                   cutting_speed_m_min=value, feed_per_tooth_mm=0.6)

@@ -1,4 +1,11 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import millsurf
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "ArealMetrics",
@@ -46,3 +53,14 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in millsurf.__all__:
         assert getattr(millsurf, name) is not None
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("Sa ")
+    assert len(lines) > 8  # eight metric rows, then one line per trajectory record

@@ -51,31 +51,32 @@ class TestEdgePoint:
 
 class TestEffectiveHalfLength:
     def test_depth_branch_dominates(self):
-        half = effective_half_length(5.0, 0.5, 0.6, math.radians(0.6))
+        half = effective_half_length(make_tool(radial_rake_rad=math.radians(0.6)), 0.5, 0.6)
         assert half == pytest.approx(math.sqrt(25.0 - 20.25), abs=1e-12)
         assert half == pytest.approx(2.17945, abs=1e-5)
 
     def test_full_immersion(self):
-        assert effective_half_length(5.0, 5.0, 0.1, 0.0) == pytest.approx(5.0, abs=1e-12)
+        assert effective_half_length(make_tool(), 5.0, 0.1) == pytest.approx(5.0, abs=1e-12)
 
     def test_feed_branch_dominates(self):
-        assert effective_half_length(5.0, 1e-6, 0.6, 0.0) == pytest.approx(0.3, abs=1e-15)
+        assert effective_half_length(make_tool(), 1e-6, 0.6) == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("depth", [0.0, -0.1, 5.1])
     def test_depth_domain(self, depth):
         with pytest.raises(DomainError):
-            effective_half_length(5.0, depth, 0.6)
+            effective_half_length(make_tool(), depth, 0.6)
 
     def test_bad_feed(self):
         with pytest.raises(DomainError):
-            effective_half_length(5.0, 0.5, 0.0)
+            effective_half_length(make_tool(), 0.5, 0.0)
 
     def test_monotone_in_depth_and_feed(self):
+        tool = make_tool()
         depths = np.linspace(0.05, 5.0, 40)
-        halves = [effective_half_length(5.0, float(a), 0.01) for a in depths]
+        halves = [effective_half_length(tool, float(a), 0.01) for a in depths]
         assert all(b >= a for a, b in zip(halves, halves[1:]))
         feeds = np.linspace(0.05, 2.0, 40)
-        halves = [effective_half_length(5.0, 0.01, float(f)) for f in feeds]
+        halves = [effective_half_length(tool, 0.01, float(f)) for f in feeds]
         assert all(b >= a for a, b in zip(halves, halves[1:]))
 
 
