@@ -138,7 +138,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_roughness(args) -> int:
-    field = read_surface(Path(args.surface))
+    try:
+        field = read_surface(Path(args.surface))
+    except OSError as exc:
+        raise ConfigError(f"cannot read surface {args.surface}: {exc}") from exc
     roi = _parse_roi(field, args.roi)
     if args.profile is None:
         metrics = areal_metrics(field, roi, leveling=args.level)

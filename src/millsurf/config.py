@@ -8,9 +8,9 @@ JSON path.
 
 The ``process`` block gives the speed pair (cutting_speed_m_min /
 spindle_speed_rpm) and the feed pair (feed_per_tooth_mm / feed_speed_mm_min).
-This module checks each given value's type and sign; the rule that resolves a
-pair, and checks that two given members agree, is owned by
-``kinematics.derive_kinematics``.
+This module checks that each given value is a finite number;
+``kinematics.derive_kinematics`` checks its sign and owns the rule that
+resolves a pair and checks that two given members agree.
 
 Angles take ``*_deg`` fields only. Checks on a single object's own fields
 (the time step, step angle, span, worker count, and the process against the
@@ -178,10 +178,10 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
         },
         required={"depth_of_cut_mm"},
     )
-    v_c = _number(block, path, "cutting_speed_m_min", default=None, exclusive_min=0.0)
-    rpm = _number(block, path, "spindle_speed_rpm", default=None, exclusive_min=0.0)
-    f_z = _number(block, path, "feed_per_tooth_mm", default=None, exclusive_min=0.0)
-    v_f = _number(block, path, "feed_speed_mm_min", default=None, exclusive_min=0.0)
+    v_c = _number(block, path, "cutting_speed_m_min", default=None)
+    rpm = _number(block, path, "spindle_speed_rpm", default=None)
+    f_z = _number(block, path, "feed_per_tooth_mm", default=None)
+    v_f = _number(block, path, "feed_speed_mm_min", default=None)
     a_p = _number(block, path, "depth_of_cut_mm", exclusive_min=0.0)
     phase = _angle_rad(block, path, "phase")
 

@@ -10,6 +10,10 @@ streamed to a temp name and renamed into place whole when the batch ends.
 Reruns with the same seed and base configuration are byte-identical: rows
 reference surface files by relative name and carry only deterministic
 counters (wall time is deliberately excluded).
+
+Ranges are checked by the configuration's own readers, at each end. A sample
+fails in its manifest row only for what a run finds: a feed per tooth whose
+engaged half-length exceeds the insert radius, or an allocation failure.
 """
 
 from __future__ import annotations
@@ -49,19 +53,13 @@ _RUNOUT_NAMES = ("runout_radial_mm", "runout_axial_mm")
 
 PARAMETER_NAMES = tuple(_PARAMETER_PATHS) + _RUNOUT_NAMES
 
-# Parameters whose lower bound must stay strictly positive.
-_POSITIVE = {
-    "cutting_speed_m_min",
-    "spindle_speed_rpm",
-    "feed_per_tooth_mm",
-    "depth_of_cut_mm",
-    "grid_spacing_mm",
-}
-
 
 @dataclass(frozen=True)
 class ParameterRange:
-    """Closed sampling interval for one named machining parameter (linear scale)."""
+    """Closed sampling interval for one named machining parameter (linear scale).
+
+    ``generate_dataset`` checks the bounds against the base configuration.
+    """
 
     name: str
     low: float
@@ -78,12 +76,6 @@ class ParameterRange:
             )
         if not self.low < self.high:
             raise ConfigError(f"range for {self.name}: low {self.low} must be < high {self.high}")
-        if self.name in _POSITIVE and self.low <= 0:
-            raise ConfigError(f"range for {self.name}: bounds must be > 0, got low {self.low}")
-        if self.name in ("radial_rake_deg", "axial_rake_deg") and (
-            self.low <= -90 or self.high >= 90
-        ):
-            raise ConfigError(f"range for {self.name}: must stay within (-90, 90) degrees")
 
 
 @dataclass
@@ -144,18 +136,6 @@ def _apply_overrides(base_raw: dict, names: list[str], values: np.ndarray) -> di
     return raw
 
 
-def _check_ranges_against_base(ranges: list[ParameterRange], radius: float) -> None:
-    for prm in ranges:
-        if prm.name == "depth_of_cut_mm" and prm.high > radius:
-            raise ConfigError(
-                f"range for depth_of_cut_mm: high {prm.high} exceeds insert radius {radius}"
-            )
-        if prm.name in _RUNOUT_NAMES and max(abs(prm.low), abs(prm.high)) >= radius:
-            raise ConfigError(
-                f"range for {prm.name}: magnitude must stay below insert radius {radius}"
-            )
-
-
 def _run_sample(index: int, raw: dict, params: dict, out_dir: Path) -> dict:
     filename = f"sample_{index:05d}.srtf"
     row: dict = {
@@ -203,11 +183,13 @@ def generate_dataset(
     sample's simulation is single-threaded so results do not depend on the
     schedule. A failing sample is recorded in its manifest row and does not
     abort the batch. A parameter may be sampled once, and not together with
-    the other member of its pair (cutting speed and spindle speed).
+    the other member of its pair (cutting speed and spindle speed). A range
+    is rejected up front when the base configuration with either end applied
+    does not parse.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    base = config_from_dict(base_raw)  # fail fast on a broken base configuration
+    config_from_dict(base_raw)  # fail fast on a broken base configuration
     names = [prm.name for prm in ranges]
     for k, name in enumerate(names):
         # A row holds one value per name, and overriding one member of a pair
@@ -216,7 +198,14 @@ def generate_dataset(
         clashes = {name, *siblings} & set(names[:k])
         if clashes:
             raise ConfigError(f"ranges[{k}]: {name} cannot be sampled with {clashes.pop()}")
-    _check_ranges_against_base(ranges, base.simulation.tool.insert_radius_mm)
+        # Each rule the config applies to one sampled parameter admits an
+        # interval of its values (a sign, a bound against the insert radius or
+        # the grid extent), so a range whose two ends parse lies inside all.
+        for end in (ranges[k].low, ranges[k].high):
+            try:
+                config_from_dict(_apply_overrides(base_raw, [name], [end]))
+            except MillsurfError as exc:
+                raise ConfigError(f"ranges[{k}]: {name} = {end}: {exc}") from exc
     samples = lhs_sample(ranges, count, seed)
 
     out_dir = Path(out_dir)

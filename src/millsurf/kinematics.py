@@ -12,18 +12,21 @@ is a pure Z rotation by the instantaneous tooth angle, and the spindle-to-
 workpiece transform is the straight-line feed translation along Y.
 
 The ``*_rows`` builders return plain nested lists of Python floats and are the
-single source of truth for matrix entries. Both engine kernels apply the
-edge-to-tool rows to the edge point first (``_apply4``). The naive reference
-then applies the product (``_matmul4``) of the spindle-to-workpiece and
-tool-to-spindle rows; the vectorized sweep and ``engine.trajectory`` apply
-the same rotation by ``tooth_angle`` and shift directly, in the same
-evaluation order, which keeps the kernels bit-identical.
+single source of truth for matrix entries. They are private and check
+nothing: the engine passes tooth indices from ``1..tooth_count`` and times
+from a span that ``SimulationConfig`` keeps at or after 0. Both engine
+kernels apply the edge-to-tool rows to the edge point first (``_apply4``).
+The naive reference then applies the product (``_matmul4``) of the
+spindle-to-workpiece and tool-to-spindle rows; the vectorized sweep and
+``engine.trajectory`` apply the same rotation by ``tooth_angle`` and shift
+directly, in the same evaluation order, which keeps the kernels bit-identical.
 
 ``derive_kinematics`` owns the rule that resolves the speed pair (cutting
-speed / spindle speed) and the feed pair (feed per tooth / feed speed), for
-config files and library callers alike; ``config`` only reads the keys. It
-takes the tooth count and the cutting diameter from the ``ToolDefinition``
-it is given, which owns their checks.
+speed / spindle speed) and the feed pair (feed per tooth / feed speed), and
+checks that each given member is finite and > 0, for config files and library
+callers alike; ``config`` only reads the keys. It takes the tooth count and
+the cutting diameter from the ``ToolDefinition`` it is given, which owns
+their checks.
 """
 
 from __future__ import annotations
@@ -78,13 +81,7 @@ def tooth_angle(
     return base - angular_velocity_rad_s * t_s
 
 
-def _check_tooth_index(tooth_index: int, tooth_count: int) -> None:
-    if not 1 <= tooth_index <= tooth_count:
-        raise DomainError(f"tooth index {tooth_index} out of range 1..{tooth_count}")
-
-
 def _edge_to_tool_rows(tool: ToolDefinition, tooth_index: int) -> list[list[float]]:
-    _check_tooth_index(tooth_index, tool.tooth_count)
     cf = math.cos(tool.radial_rake_rad)
     sf = math.sin(tool.radial_rake_rad)
     cp = math.cos(tool.axial_rake_rad)
@@ -107,11 +104,6 @@ def _tool_to_spindle_rows(
     angular_velocity_rad_s: float,
     t_s: float,
 ) -> list[list[float]]:
-    if tooth_count < 1:
-        raise DomainError(f"tooth_count must be >= 1, got {tooth_count}")
-    _check_tooth_index(tooth_index, tooth_count)
-    if t_s < 0:
-        raise DomainError(f"time must be >= 0, got {t_s}")
     th = tooth_angle(phase_rad, tooth_index, tooth_count, angular_velocity_rad_s, t_s)
     c = math.cos(th)
     s = math.sin(th)
@@ -126,8 +118,6 @@ def _tool_to_spindle_rows(
 def _spindle_to_workpiece_rows(
     x0_mm: float, y0_mm: float, z0_mm: float, feed_speed_mm_s: float, t_s: float
 ) -> list[list[float]]:
-    if t_s < 0:
-        raise DomainError(f"time must be >= 0, got {t_s}")
     return [
         [1.0, 0.0, 0.0, x0_mm],
         [0.0, 1.0, 0.0, y0_mm + feed_speed_mm_s * t_s],
@@ -182,7 +172,7 @@ def derive_kinematics(
                        ("feed_per_tooth_mm", feed_per_tooth_mm),
                        ("feed_speed_mm_min", feed_speed_mm_min)):
         if value is not None and not 0 < value < math.inf:  # also rejects NaN
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+            raise ConfigError(f"process.{key}: must be finite and > 0, got {value}")
 
     if cutting_speed_m_min is None and spindle_speed_rpm is None:
         raise ConfigError("process: one of cutting_speed_m_min / spindle_speed_rpm is required")

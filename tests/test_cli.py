@@ -205,6 +205,11 @@ class TestRoughnessCommand:
         assert main(["roughness", "--surface", str(surface_path),
                      "--profile", "feed:notanumber"]) == 1
 
+    def test_missing_surface_file(self, tmp_path, capsys):
+        assert main(["roughness", "--surface", str(tmp_path / "missing.srtf")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read surface ")
+
     @pytest.mark.parametrize("roi", ["1,2,3", "nan,0,1,1", "-inf,0,1,1"])
     def test_bad_roi(self, surface_path, roi):
         assert main(["roughness", "--surface", str(surface_path), f"--roi={roi}"]) == 1

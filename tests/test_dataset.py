@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 import millsurf.dataset
-from millsurf import ConfigError, ParameterRange, generate_dataset, lhs_sample, read_surface
-from millsurf.dataset import _load_dataset_config
+from millsurf import (
+    ConfigError,
+    MillsurfError,
+    ParameterRange,
+    generate_dataset,
+    lhs_sample,
+    read_surface,
+)
+from millsurf.config import config_from_dict
+from millsurf.dataset import PARAMETER_NAMES, _apply_overrides, _load_dataset_config
 
 
 def base_raw(**grid_overrides):
@@ -78,18 +86,10 @@ class TestParameterRange:
         with pytest.raises(ConfigError):
             ParameterRange("feed_per_tooth_mm", 0.7, 0.2)
 
-    def test_positive_parameters(self):
-        with pytest.raises(ConfigError):
-            ParameterRange("cutting_speed_m_min", -10.0, 100.0)
-
     @pytest.mark.parametrize("low, high", [(100.0, math.inf), (math.nan, 250.0)])
     def test_non_finite_bounds(self, low, high):
         with pytest.raises(ConfigError, match="finite"):
             ParameterRange("cutting_speed_m_min", low, high)
-
-    def test_rake_bounds(self):
-        with pytest.raises(ConfigError):
-            ParameterRange("radial_rake_deg", -95.0, 5.0)
 
 
 class TestGenerateDataset:
@@ -125,8 +125,9 @@ class TestGenerateDataset:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_failed_sample_recorded_not_fatal(self, tmp_path):
-        # spacing samples above the grid extent make some configs invalid
-        ranges = [ParameterRange("grid_spacing_mm", 0.05, 1.8)]
+        # Both ends parse, but only a run finds that the largest feeds per
+        # tooth engage more than the insert radius.
+        ranges = [ParameterRange("feed_per_tooth_mm", 0.2, 14.0)]
         manifest = generate_dataset(ranges, 6, seed=2, base_raw=base_raw(),
                                     out_dir=tmp_path, workers=1)
         statuses = [row["status"] for row in manifest.rows]
@@ -134,7 +135,7 @@ class TestGenerateDataset:
         assert "ok" in statuses
         for row in manifest.rows:
             if row["status"] == "failed":
-                assert row["error"]
+                assert "exceeds the insert radius" in row["error"]
                 assert row["surface_file"] is None
             else:
                 assert (tmp_path / row["surface_file"]).exists()
@@ -154,10 +155,54 @@ class TestGenerateDataset:
         assert not (tmp_path / "manifest.jsonl").exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_range_validated_against_base_tool(self, tmp_path):
-        with pytest.raises(ConfigError, match="insert radius"):
-            generate_dataset([ParameterRange("depth_of_cut_mm", 0.1, 9.0)], 2, seed=0,
+    @pytest.mark.parametrize("name, low, high", [
+        ("cutting_speed_m_min", -10.0, 100.0),
+        ("spindle_speed_rpm", 0.0, 5000.0),
+        ("radial_rake_deg", -95.0, 5.0),
+        ("depth_of_cut_mm", 0.1, 9.0),
+        ("runout_radial_mm", 0.001, 5.0),
+        ("grid_spacing_mm", 0.05, 1.8),
+    ], ids=["negative-speed", "zero-rpm", "rake-past-90", "depth-past-insert",
+            "runout-at-radius", "spacing-past-grid"])
+    def test_range_end_checked_against_base(self, tmp_path, name, low, high):
+        # base_raw(): insert radius 5 mm, grid 0.6 x 0.3 mm
+        with pytest.raises(ConfigError, match=rf"^ranges\[0\]: {name} = "):
+            generate_dataset([ParameterRange(name, low, high)], 2, seed=0,
                              base_raw=base_raw(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ranges_with_parsing_ends_parse_throughout(self):
+        # generate_dataset parses only a range's ends; that covers its inside
+        # only while each config rule on one parameter admits an interval.
+        # Spans straddle every valid domain (insert radius 5 mm, grid 0.6 x 0.3 mm).
+        spans = {"cutting_speed_m_min": (-100.0, 400.0), "spindle_speed_rpm": (-2e3, 1e4),
+                 "feed_per_tooth_mm": (-0.5, 1.0), "depth_of_cut_mm": (-1.0, 7.0),
+                 "phase_deg": (-400.0, 400.0), "grid_spacing_mm": (-0.2, 1.0),
+                 "radial_rake_deg": (-120.0, 120.0), "axial_rake_deg": (-120.0, 120.0),
+                 "runout_radial_mm": (-7.0, 7.0), "runout_axial_mm": (-7.0, 7.0)}
+        assert set(spans) == set(PARAMETER_NAMES)
+        rng = np.random.default_rng(11)
+        base = base_raw()
+
+        def parses(name, value):
+            try:
+                config_from_dict(_apply_overrides(base, [name], [value]))
+            except MillsurfError:
+                return False
+            return True
+
+        accepted = rejected = 0
+        for name, span in spans.items():
+            for _ in range(20):
+                low, high = np.sort(rng.uniform(*span, size=2))
+                if not (parses(name, low) and parses(name, high)):
+                    rejected += 1
+                    continue
+                accepted += 1
+                samples = lhs_sample([ParameterRange(name, low, high)], 20, seed=accepted)
+                bad = [v for v in samples[:, 0] if not parses(name, v)]
+                assert bad == [], f"{name} in [{low}, {high}]"
+        assert accepted > 50 and rejected > 50
 
     def test_runout_override_applies_to_all_teeth(self, tmp_path):
         ranges = [ParameterRange("runout_radial_mm", 0.004, 0.005)]

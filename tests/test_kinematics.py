@@ -91,12 +91,6 @@ class TestEdgeToTool:
         assert m[1][3] == 0.0
         assert m[2][3] == pytest.approx(0.003, abs=1e-12)
 
-    def test_tooth_index_out_of_range(self):
-        with pytest.raises(DomainError):
-            _edge_to_tool_rows(case1_tool(), 3)
-        with pytest.raises(DomainError):
-            _edge_to_tool_rows(case1_tool(), 0)
-
 
 class TestToolToSpindle:
     def test_identity_at_zero_angle(self):
@@ -113,10 +107,6 @@ class TestToolToSpindle:
         t = (math.pi / 2) / omega
         m = np.array(_tool_to_spindle_rows(math.pi / 2, 1, 2, omega, t))
         assert np.allclose(m, np.eye(4), atol=1e-12)
-
-    def test_time_must_be_nonnegative(self):
-        with pytest.raises(DomainError):
-            _tool_to_spindle_rows(0.0, 1, 2, 100.0, -1e-9)
 
 
 class TestSpindleToWorkpiece:
