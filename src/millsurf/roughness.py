@@ -8,6 +8,19 @@ processed measurements should expect that difference).
 
 Skewness and kurtosis use population moments; both are undefined (None) on a
 perfectly flat region rather than zero.
+
+After mean leveling, the third and fourth moments take ``pow`` on the
+field's distinct deviations only and gather the powers back by cell. numpy
+has no fast path for the exponents 3 and 4, so ``d**3`` calls ``pow`` once per
+cell, while a simulated field holds few distinct heights: a tooth's workpiece
+z does not depend on time, so there are at most teeth x edge points + 1 of
+them (case1's 501,501 cells hold 117). The bits match ``np.mean(d**3)`` and
+``np.mean(d**4)``: ``pow`` works element by element on float64 in the same
+ufunc loop, so the gathered array equals ``d**3`` value for value, in the same
+cell order, and ``np.mean`` sums it the same way. ``np.unique`` merges
+``-0.0`` with ``0.0``; that cannot change a sum, which numpy starts at
+``+0.0``. Fields with many distinct values, such as plane-leveled ones, keep
+``d**3`` and ``d**4``.
 """
 
 from __future__ import annotations
@@ -96,6 +109,24 @@ def _roi_heights(field: HeightField, roi: tuple[int, int, int, int] | None) -> n
     return block
 
 
+def _third_and_fourth_means(d: np.ndarray) -> tuple[float, float]:
+    """``np.mean(d**3)`` and ``np.mean(d**4)``, bit for bit; may overwrite ``d``."""
+    u = np.unique(d)
+    # On an all-distinct 1001x501 normal field, direct pow took 71-81 ms and
+    # the lookup 259-297 ms (searchsorted against 501K values; np.unique alone
+    # 12 ms). With values in random cell order the two break even near 7,000
+    # to 9,000 distinct values on that grid, about 1/64 of its cells.
+    if u.size > d.size // 64:
+        return np.mean(d**3), np.mean(d**4)
+    i = np.searchsorted(u, d)
+    # The powers are gathered into d's own storage, so no third cell-sized
+    # array exists. Every index is in range; mode="raise" would buffer a copy.
+    np.take(u**3, i, out=d, mode="clip")
+    third = np.mean(d)
+    np.take(u**4, i, out=d, mode="clip")
+    return third, np.mean(d)
+
+
 def areal_metrics(
     field: HeightField,
     roi: tuple[int, int, int, int] | None = None,
@@ -109,7 +140,8 @@ def areal_metrics(
     block = _roi_heights(field, roi)
     z = block * MM_TO_UM
     if leveling == "mean":
-        d = z - z.mean()
+        z -= z.mean()
+        d = z
     elif leveling == "plane":
         ni, nj = z.shape
         xi, yj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
@@ -127,8 +159,12 @@ def areal_metrics(
         ssk = None
         sku = None
     else:
-        ssk = float(np.mean(d**3) / sq**3)
-        sku = float(np.mean(d**4) / sq**4)
+        if leveling == "mean":
+            third, fourth = _third_and_fourth_means(d)
+        else:  # a fitted plane leaves the deviations all distinct
+            third, fourth = np.mean(d**3), np.mean(d**4)
+        ssk = float(third / sq**3)
+        sku = float(fourth / sq**4)
     return ArealMetrics(
         sa_um=sa,
         sq_um=sq,

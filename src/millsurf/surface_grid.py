@@ -54,8 +54,15 @@ class GridSpec:
         y_range_mm: tuple[float, float],
     ) -> "GridSpec":
         _check_spacing(spacing_mm)
-        m = round((x_range_mm[1] - x_range_mm[0]) / spacing_mm)
-        n = round((y_range_mm[1] - y_range_mm[0]) / spacing_mm)
+        cells_x = (x_range_mm[1] - x_range_mm[0]) / spacing_mm
+        cells_y = (y_range_mm[1] - y_range_mm[0]) / spacing_mm
+        if not (math.isfinite(cells_x) and math.isfinite(cells_y)):
+            raise DomainError(
+                f"grid extents {x_range_mm} x {y_range_mm} at spacing {spacing_mm} "
+                "give an unbounded cell count"
+            )
+        m = round(cells_x)
+        n = round(cells_y)
         if m < 1 or n < 1:
             raise DomainError(
                 f"grid extents {x_range_mm} x {y_range_mm} span less than one cell "

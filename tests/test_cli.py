@@ -147,6 +147,18 @@ class TestSimulateCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("runtime failure: cannot allocate a height field of ")
 
+    def test_spacing_too_fine_to_count_cells(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "case1.json").read_text())
+        raw["grid"]["spacing_mm"] = 1e-310
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "at spacing 1e-310" in errors[0]
+
     def test_edge_too_long_to_allocate(self, tmp_path, capsys):
         # without edge_points the edge count follows the spacing; at 1e-200
         # numpy refuses the size before allocating anything

@@ -162,8 +162,9 @@ class TestGenerateDataset:
         ("depth_of_cut_mm", 0.1, 9.0),
         ("runout_radial_mm", 0.001, 5.0),
         ("grid_spacing_mm", 0.05, 1.8),
+        ("grid_spacing_mm", 1e-310, 0.01),
     ], ids=["negative-speed", "zero-rpm", "rake-past-90", "depth-past-insert",
-            "runout-at-radius", "spacing-past-grid"])
+            "runout-at-radius", "spacing-past-grid", "spacing-overflows-cell-count"])
     def test_range_end_checked_against_base(self, tmp_path, name, low, high):
         # base_raw(): insert radius 5 mm, grid 0.6 x 0.3 mm
         with pytest.raises(ConfigError, match=rf"^ranges\[0\]: {name} = "):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from helpers import front_cut_config
 from millsurf import (
     DomainError,
     GridSpec,
@@ -10,8 +13,9 @@ from millsurf import (
     areal_metrics,
     extract_profile,
     line_roughness,
+    simulate,
 )
-from millsurf.roughness import LineProfile
+from millsurf.roughness import MM_TO_UM, LineProfile
 
 
 def field_from_um(z_um: np.ndarray, sentinel_mm: float = 1.0) -> HeightField:
@@ -39,6 +43,83 @@ def brute_force_metrics(z_um: np.ndarray):
     ssk = (sum(v**3 for v in d) / count) / sq**3 if sq else None
     sku = (sum(v**4 for v in d) / count) / sq**4 if sq else None
     return sa, sq, sp, sv, ssk, sku
+
+
+def pow_moments(field: HeightField, roi=None, leveling="mean"):
+    """Ssk and Sku by the direct formulas ``np.mean(d**3)`` and ``np.mean(d**4)``:
+    the bit-identity oracle for the distinct-value lookup, and the memory baseline."""
+    i_lo, j_lo, i_hi, j_hi = roi or (0, 0, field.spec.m, field.spec.n)
+    z = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1] * MM_TO_UM
+    if leveling == "mean":
+        d = z - z.mean()
+    else:
+        ni, nj = z.shape
+        xi, yj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
+        a = np.column_stack([xi.ravel(), yj.ravel(), np.ones(z.size)])
+        coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=None)
+        d = z - (a @ coef).reshape(z.shape)
+    sq = float(np.sqrt(np.mean(d * d)))
+    return float(np.mean(d**3) / sq**3), float(np.mean(d**4) / sq**4)
+
+
+def shuffled_levels(shape, count, seed=0) -> HeightField:
+    """A field of ``count`` distinct heights (whole micrometres) in random cell order."""
+    cells = shape[0] * shape[1]
+    z_um = np.random.default_rng(seed).permutation(np.arange(cells) % count)
+    return field_from_um(z_um.reshape(shape).astype(float), sentinel_mm=1e6)
+
+
+@pytest.fixture(scope="module")
+def simulated_field():
+    """A fully machined case-1 leading-edge strip: 101 x 201 nodes, 61 distinct heights."""
+    config = front_cut_config(feed_per_tooth_mm=0.6, spacing_mm=0.01, roi_len_mm=2.0,
+                              x_half_mm=0.5)
+    return simulate(config).field
+
+
+def assert_same_bits(field, roi=None, leveling="mean"):
+    metrics = areal_metrics(field, roi, leveling)
+    ssk, sku = pow_moments(field, roi, leveling)
+    assert (metrics.ssk.hex(), metrics.sku.hex()) == (ssk.hex(), sku.hex())
+
+
+class TestMomentsBitIdentity:
+    @pytest.mark.parametrize("roi", [None, (10, 20, 90, 180)], ids=["full", "roi"])
+    @pytest.mark.parametrize("leveling", ["mean", "plane"])
+    def test_simulated_field(self, simulated_field, roi, leveling):
+        assert_same_bits(simulated_field, roi, leveling)
+
+    def test_all_distinct_field(self):
+        rng = np.random.default_rng(3)
+        assert_same_bits(field_from_um(rng.normal(0.0, 3.0, (301, 201)), sentinel_mm=1.0))
+
+    @pytest.mark.parametrize("extra, lookup", [(0, True), (1, False)],
+                             ids=["last-lookup", "first-fallback"])
+    def test_either_side_of_cut_over(self, extra, lookup):
+        shape = (257, 129)
+        field = shuffled_levels(shape, shape[0] * shape[1] // 64 + extra)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy:
+            assert_same_bits(field)
+        assert spy.called == lookup
+
+    def test_signed_zeros_and_zero_mean(self):
+        field = field_from_um(np.tile([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (60, 10)))
+        z = field.as_array() * MM_TO_UM
+        assert z.mean() == 0.0
+        assert sorted(set(np.signbit(z[z == 0.0]).tolist())) == [False, True]
+        assert_same_bits(field)
+
+    def test_peak_memory_not_above_pow(self):
+        field = shuffled_levels((1001, 501), 117, seed=5)
+        peaks = []
+        for moments in (pow_moments, areal_metrics):
+            tracemalloc.start()
+            try:
+                moments(field)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, f"traced peaks (pow, lookup): {peaks}"
 
 
 class TestArealMetrics:

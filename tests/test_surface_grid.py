@@ -22,6 +22,11 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec.from_extents(1.0, (0.0, 0.4), (0.0, 10.0))
 
+    def test_from_extents_unbounded_cell_count(self):
+        # finite and > 0, but 10 / 1e-310 overflows to inf
+        with pytest.raises(DomainError, match=r"\(-5\.0, 5\.0\) x \(0\.0, 5\.0\) at spacing 1e-310"):
+            GridSpec.from_extents(1e-310, (-5.0, 5.0), (0.0, 5.0))
+
     def test_bad_spacing(self):
         with pytest.raises(DomainError):
             make_spec(spacing=0.0)
