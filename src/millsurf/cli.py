@@ -49,6 +49,13 @@ def _load_config(path: str):
     return parse_config(text)
 
 
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {path}: {exc}") from exc
+
+
 def _parse_roi(field, roi_text: str | None):
     """--roi x0,y0,x1,y1 in mm -> inclusive node-index range."""
     if roi_text is None:
@@ -77,13 +84,13 @@ def _parse_roi(field, roi_text: str | None):
 
 def _cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    sim_config = doc.to_simulation_config()
+    sim_config = doc.simulation
     if args.workers is not None:
         sim_config = replace(sim_config, worker_count=args.workers)
     formats = doc.output.formats + (("trajectory",) if args.trajectory else ())
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     _info(f"simulating {sim_config.grid.m + 1}x{sim_config.grid.n + 1} nodes ...")
     result = simulate(sim_config)
     _info(
@@ -182,8 +189,9 @@ def _cmd_bench(args) -> int:
         sizes = [float(s) for s in args.scale.split(",") if s]
     except ValueError as exc:
         raise ConfigError(f"--scale expects comma-separated numbers, got {args.scale!r}") from exc
+    _make_out_dir(Path(args.out).parent)
     _info(f"benchmarking sizes {sizes} ...")
-    report = run_benchmark(doc.to_simulation_config(), sizes, case_id=Path(args.config).stem)
+    report = run_benchmark(doc.simulation, sizes, case_id=Path(args.config).stem)
     atomic_write_bytes(
         Path(args.out), (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
     )

@@ -47,6 +47,7 @@ class ConfigDocument:
     output: OutputSettings = field(default_factory=OutputSettings)
 
     def to_simulation_config(self) -> SimulationConfig:
+        """``simulation`` itself; kept only because ``perfbench/run.py`` calls it."""
         return self.simulation
 
 

@@ -150,7 +150,7 @@ def _run_sample(index: int, raw: dict, params: dict, out_dir: Path) -> dict:
     }
     try:
         doc = config_from_dict(raw)
-        sim_config = replace(doc.to_simulation_config(), worker_count=1)
+        sim_config = replace(doc.simulation, worker_count=1)
         result = simulate(sim_config)
         write_surface(result.field, out_dir / filename)
         row["counters"] = {

@@ -148,8 +148,6 @@ from .tool_geometry import (
     effective_half_length,
 )
 
-DEFAULT_MAX_STEP_ANGLE_RAD = math.radians(0.5)
-
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
 # The coarse pass (_live_steps) bounds spans of _STEP_CHUNK anchors, and the
 # row stage (_rows: step cull, trig, row and segment bounds against the cull
@@ -181,7 +179,7 @@ class SimulationConfig:
     process: ProcessParameters
     grid: GridSpec
     edge_point_count: int | None = None
-    max_step_angle_rad: float = DEFAULT_MAX_STEP_ANGLE_RAD
+    max_step_angle_rad: float | None = None  # None derives it from the grid
     time_step_s: float | None = None
     span_s: tuple[float, float] | None = None
     worker_count: int = 1
@@ -197,10 +195,9 @@ class SimulationConfig:
         # Chained comparisons with math.inf also reject NaN.
         if self.time_step_s is not None and not 0 < self.time_step_s < math.inf:
             raise ConfigError(f"time_step_s must be finite and > 0, got {self.time_step_s}")
-        if not 0 < self.max_step_angle_rad < math.inf:
-            raise ConfigError(
-                f"max_step_angle_rad must be finite and > 0, got {self.max_step_angle_rad}"
-            )
+        angle = self.max_step_angle_rad
+        if angle is not None and not 0 < angle < math.inf:
+            raise ConfigError(f"max_step_angle_rad must be finite and > 0, got {angle}")
         if self.span_s is not None:
             if not 0 <= self.span_s[0] < self.span_s[1] < math.inf:
                 raise ConfigError(
@@ -256,10 +253,20 @@ class SimulationResult:
 def time_step(config: SimulationConfig) -> float:
     """Resolved time increment: explicit value, else min of the step-angle and
     feed guards (tool turns at most max_step_angle and advances at most one
-    cell per step)."""
+    cell per step).
+
+    Without a step angle the angle is ``spacing / (D/2 + engaged half-length)``:
+    the edge's outermost point then moves at most one grid spacing per step.
+    ``default_point_count`` derives the edge point count from the spacing too.
+    """
     if config.time_step_s is not None:
         return config.time_step_s
-    by_angle = config.max_step_angle_rad / config.process.angular_velocity_rad_s
+    angle = config.max_step_angle_rad
+    if angle is None:
+        proc = config.process
+        half = effective_half_length(config.tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
+        angle = config.grid.spacing_mm / (config.tool.cutting_diameter_mm / 2.0 + half)
+    by_angle = angle / config.process.angular_velocity_rad_s
     by_feed = config.grid.spacing_mm / config.process.feed_speed_mm_s
     return min(by_angle, by_feed)
 

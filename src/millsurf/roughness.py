@@ -1,26 +1,30 @@
 """Areal (ISO 25178-2 style) and line roughness over a height field.
 
 Heights are stored in mm and reported in micrometres. Deviations are taken
-from the arithmetic mean plane by default; a least-squares plane fit is
-available for tilted data. Simulated surfaces carry no measurement noise, so
-no spatial filtering is applied (users comparing against S-filter/L-filter
-processed measurements should expect that difference).
+from the arithmetic mean plane by default, or from the least-squares plane
+for tilted data. Simulated surfaces carry no measurement noise, so no spatial
+filtering is applied (users comparing against S-filter/L-filter processed
+measurements should expect that difference).
 
-Skewness and kurtosis use population moments; both are undefined (None) on a
-perfectly flat region rather than zero.
+The plane needs no design matrix: uncut cells are refused, so the ROI is a
+full rectangle of nodes, whose centred indices ``i - (ni-1)/2`` and
+``j - (nj-1)/2`` are orthogonal to each other and to the constant. After the
+mean, the slope along i is ``sum(i * rowsum(d)) / (nj * sum(i**2))``, along j
+likewise; a one-node axis takes slope 0, as minimum-norm least squares does.
 
-After mean leveling, the third and fourth moments take ``pow`` on the
-field's distinct deviations only and gather the powers back by cell. numpy
-has no fast path for the exponents 3 and 4, so ``d**3`` calls ``pow`` once per
-cell, while a simulated field holds few distinct heights: a tooth's workpiece
-z does not depend on time, so there are at most teeth x edge points + 1 of
-them (case1's 501,501 cells hold 117). The bits match ``np.mean(d**3)`` and
-``np.mean(d**4)``: ``pow`` works element by element on float64 in the same
-ufunc loop, so the gathered array equals ``d**3`` value for value, in the same
-cell order, and ``np.mean`` sums it the same way. ``np.unique`` merges
-``-0.0`` with ``0.0``; that cannot change a sum, which numpy starts at
-``+0.0``. Fields with many distinct values, such as plane-leveled ones, keep
-``d**3`` and ``d**4``.
+Skewness and kurtosis use population moments, undefined (None) rather than
+zero on a perfectly flat region. Their third and fourth moments take ``pow``
+on the field's distinct deviations only and gather the powers back by cell.
+numpy has no fast path for the exponents 3 and 4, so ``d**3`` calls ``pow``
+once per cell, while a mean-leveled simulated field holds few distinct
+heights: a tooth's workpiece z does not depend on time, so there are at most
+teeth x edge points + 1 of them (case1's 501,501 cells hold 117). The bits
+match ``np.mean(d**3)`` and ``np.mean(d**4)``: ``pow`` works element by
+element on float64 in the same ufunc loop, so the gathered array equals
+``d**3`` value for value, in the same cell order, and ``np.mean`` sums it the
+same way. ``np.unique`` merges ``-0.0`` with ``0.0``; that cannot change a
+sum, which numpy starts at ``+0.0``. The helper's own count of distinct values
+sends fields with many, such as plane-leveled ones, to ``d**3`` and ``d**4``.
 """
 
 from __future__ import annotations
@@ -137,32 +141,27 @@ def areal_metrics(
     ``leveling='mean'`` subtracts the mean height (simulated surfaces are
     parallel to the grid plane); ``'plane'`` removes a least-squares plane.
     """
-    block = _roi_heights(field, roi)
-    z = block * MM_TO_UM
-    if leveling == "mean":
-        z -= z.mean()
-        d = z
-    elif leveling == "plane":
-        ni, nj = z.shape
-        xi, yj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-        a = np.column_stack([xi.ravel(), yj.ravel(), np.ones(z.size)])
-        coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=None)
-        d = z - (a @ coef).reshape(z.shape)
-    else:
+    if leveling not in ("mean", "plane"):
         raise DomainError(f"unknown leveling mode {leveling!r}")
+    d = _roi_heights(field, roi) * MM_TO_UM
+    d -= d.mean()
+    if leveling == "plane":  # the closed form of the module docstring
+        ni, nj = d.shape
+        i = np.arange(ni) - (ni - 1) / 2
+        j = np.arange(nj) - (nj - 1) / 2
+        if ni > 1:
+            d -= (i @ d.sum(axis=1) / (nj * (i @ i))) * i[:, None]
+        if nj > 1:
+            d -= (j @ d.sum(axis=0) / (ni * (j @ j))) * j
 
     sa = float(np.mean(np.abs(d)))
     sq = float(np.sqrt(np.mean(d * d)))
     sp = float(np.max(d))
     sv = float(-np.min(d))
     if sq == 0.0:
-        ssk = None
-        sku = None
+        ssk = sku = None
     else:
-        if leveling == "mean":
-            third, fourth = _third_and_fourth_means(d)
-        else:  # a fitted plane leaves the deviations all distinct
-            third, fourth = np.mean(d**3), np.mean(d**4)
+        third, fourth = _third_and_fourth_means(d)
         ssk = float(third / sq**3)
         sku = float(fourth / sq**4)
     return ArealMetrics(
@@ -173,7 +172,7 @@ def areal_metrics(
         sz_um=sp + sv,
         ssk=ssk,
         sku=sku,
-        cell_count=int(z.size),
+        cell_count=int(d.size),
     )
 
 

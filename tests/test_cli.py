@@ -123,6 +123,13 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    def test_out_is_a_file(self, config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: --out: ")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -324,6 +331,11 @@ class TestBenchCommand:
         payload = json.loads(report_path.read_text())
         assert payload["case_id"] == "bench"
         assert len(payload["rows"]) == 2
+
+    def test_out_in_new_directory(self, bench_config, tmp_path):
+        report_path = tmp_path / "new" / "deeper" / "report.json"
+        assert main(["bench", "--config", str(bench_config), "--out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["case_id"] == "bench"
 
     def test_bad_scale(self, bench_config, tmp_path):
         assert main(["bench", "--config", str(bench_config), "--scale", "1,x",

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from millsurf import ConfigError, parse_config
+from millsurf import ConfigError, parse_config, time_step
 
 
 def case1_raw(**overrides):
@@ -179,7 +179,9 @@ class TestParseConfig:
         del raw["output"]
         doc = parse_config(json.dumps(raw))
         assert doc.simulation.edge_point_count is None
-        assert doc.simulation.max_step_angle_rad == pytest.approx(math.radians(0.5), abs=1e-15)
+        assert doc.simulation.max_step_angle_rad is None  # derived from the grid
+        angle = time_step(doc.simulation) * doc.simulation.process.angular_velocity_rad_s
+        assert math.degrees(angle) == pytest.approx(0.0798, abs=1e-4)
         assert doc.simulation.worker_count == 1
         assert doc.output.formats == ("surface",)
 
@@ -206,7 +208,7 @@ class TestParseConfig:
             "span_s": [0.001, 0.004],
             "workers": 3,
         }
-        sim = parse_config(json.dumps(raw)).to_simulation_config()
+        sim = parse_config(json.dumps(raw)).simulation
         assert sim.edge_point_count == 12
         assert sim.max_step_angle_rad == math.radians(0.25)
         assert sim.time_step_s == 3e-5

@@ -12,7 +12,9 @@ from millsurf import (
     ProcessParameters,
     SimulationConfig,
     ToolDefinition,
+    areal_metrics,
     derive_kinematics,
+    effective_half_length,
     run_benchmark,
     simulate,
     simulate_reference,
@@ -21,7 +23,8 @@ from millsurf import (
 )
 from millsurf import engine
 
-from helpers import case1_tool, case1_process, concat, small_random_config, wide_cutter_config
+from helpers import (case1_tool, case1_process, concat, machined_rect_roi, small_random_config,
+                     wide_cutter_config)
 
 
 def tiny_config(**overrides):
@@ -34,12 +37,45 @@ def tiny_config(**overrides):
     return SimulationConfig(**defaults)
 
 
+def default_step_config(seed: int) -> SimulationConfig:
+    """A case1-like job with neither a time step nor a step angle: a random
+    tool, feed and spacing (20 to 60 cells per feed mark), on a 1 x 0.6 mm
+    grid inside the cutter's swath, so every cell must be cut."""
+    rng = np.random.default_rng(seed)
+    diameter = float(rng.uniform(8.0, 12.0))
+    tool = ToolDefinition(cutting_diameter_mm=diameter,
+                          insert_radius_mm=float(rng.uniform(0.4, 0.5)) * diameter,
+                          tooth_count=int(rng.integers(1, 5)),
+                          radial_rake_rad=float(rng.uniform(-0.035, 0.035)))
+    feed = float(rng.uniform(0.3, 0.8))
+    process = derive_kinematics(tool, depth_of_cut_mm=float(rng.uniform(0.3, 0.7)),
+                                cutting_speed_m_min=float(rng.uniform(120.0, 220.0)),
+                                feed_per_tooth_mm=feed, initial_position_mm=(0.0, None, 0.0))
+    grid = GridSpec.from_extents(feed / float(rng.uniform(20.0, 60.0)), (-0.5, 0.5), (0.0, 0.6))
+    return SimulationConfig(tool=tool, process=process, grid=grid)
+
+
 class TestTimeStep:
     def test_angle_guard_value(self):
+        # No step angle: spacing / (D/2 + engaged half-length), 0.399 deg here.
         cfg = tiny_config(time_step_s=None)
         dt = time_step(cfg)
-        assert dt == pytest.approx(1.5400e-5, rel=1e-4)
-        assert dt == math.radians(0.5) / cfg.process.angular_velocity_rad_s
+        assert dt == pytest.approx(1.2290e-5, rel=1e-4)
+        half = effective_half_length(cfg.tool, 0.5, 0.6)
+        assert dt == cfg.grid.spacing_mm / (5.0 + half) / cfg.process.angular_velocity_rad_s
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_step_cuts_every_cell(self, seed):
+        cfg = default_step_config(seed)
+        field = simulate(cfg).field
+        assert machined_rect_roi(field) == (0, 0, cfg.grid.m, cfg.grid.n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_step_converges(self, seed):
+        cfg = default_step_config(seed)
+        sa = areal_metrics(simulate(cfg).field).sa_um
+        finer = dataclasses.replace(cfg, time_step_s=time_step(cfg) / 2)
+        assert sa == pytest.approx(areal_metrics(simulate(finer).field).sa_um, rel=0.01)
 
     def test_explicit_passthrough(self):
         assert time_step(tiny_config(time_step_s=1e-5)) == 1e-5

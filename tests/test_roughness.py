@@ -15,6 +15,7 @@ from millsurf import (
     line_roughness,
     simulate,
 )
+from millsurf import roughness
 from millsurf.roughness import MM_TO_UM, LineProfile
 
 
@@ -47,19 +48,59 @@ def brute_force_metrics(z_um: np.ndarray):
 
 def pow_moments(field: HeightField, roi=None, leveling="mean"):
     """Ssk and Sku by the direct formulas ``np.mean(d**3)`` and ``np.mean(d**4)``:
-    the bit-identity oracle for the distinct-value lookup, and the memory baseline."""
+    the bit-identity oracle for the distinct-value lookup, and the memory baseline.
+    The plane is removed by the same closed form as ``areal_metrics``, so that
+    only the moments are compared; ``lstsq_metrics`` checks the leveling."""
     i_lo, j_lo, i_hi, j_hi = roi or (0, 0, field.spec.m, field.spec.n)
     z = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1] * MM_TO_UM
-    if leveling == "mean":
-        d = z - z.mean()
-    else:
-        ni, nj = z.shape
-        xi, yj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-        a = np.column_stack([xi.ravel(), yj.ravel(), np.ones(z.size)])
-        coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=None)
-        d = z - (a @ coef).reshape(z.shape)
+    d = z - z.mean()
+    if leveling == "plane":
+        ni, nj = d.shape
+        i = np.arange(ni) - (ni - 1) / 2
+        j = np.arange(nj) - (nj - 1) / 2
+        if ni > 1:
+            d -= (i @ d.sum(axis=1) / (nj * (i @ i))) * i[:, None]
+        if nj > 1:
+            d -= (j @ d.sum(axis=0) / (ni * (j @ j))) * j
     sq = float(np.sqrt(np.mean(d * d)))
     return float(np.mean(d**3) / sq**3), float(np.mean(d**4) / sq**4)
+
+
+def lstsq_metrics(field: HeightField, roi=None):
+    """Plane-leveled deviations and metrics by ``np.linalg.lstsq`` on an N x 3
+    design matrix: the oracle for the closed-form plane. The index columns are
+    centred, which keeps the oracle's own rounding below the 1e-12 um the
+    comparison allows on heights of hundreds of um; Ssk and Sku are None where
+    Sq is below that tolerance."""
+    i_lo, j_lo, i_hi, j_hi = roi or (0, 0, field.spec.m, field.spec.n)
+    z = field.as_array()[i_lo : i_hi + 1, j_lo : j_hi + 1] * MM_TO_UM
+    ni, nj = z.shape
+    xi, yj = np.meshgrid(np.arange(ni) - ni // 2, np.arange(nj) - nj // 2, indexing="ij")
+    a = np.column_stack([xi.ravel(), yj.ravel(), np.ones(z.size)])
+    coef, *_ = np.linalg.lstsq(a, z.ravel(), rcond=None)
+    d = z - (a @ coef).reshape(z.shape)
+    sq = float(np.sqrt(np.mean(d * d)))
+    flat = sq < 1e-12
+    return d, {
+        "Sa_um": float(np.mean(np.abs(d))),
+        "Sq_um": sq,
+        "Sp_um": float(np.max(d)),
+        "Sv_um": float(-np.min(d)),
+        "Sz_um": float(np.max(d) - np.min(d)),
+        "Ssk": None if flat else float(np.mean(d**3) / sq**3),
+        "Sku": None if flat else float(np.mean(d**4) / sq**4),
+        "cell_count": z.size,
+    }
+
+
+def tilted_field(shape, seed) -> HeightField:
+    """Normal heights (um) on a random plane: slopes of up to 5 um per node and
+    an offset of up to 500 um, the depth scale of the shipped configs."""
+    rng = np.random.default_rng(seed)
+    xi, yj = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
+    slope_i, slope_j, offset = rng.uniform(-5.0, 5.0, 3)
+    z = rng.normal(0.0, 2.0, shape) + slope_i * xi + slope_j * yj + 100.0 * offset
+    return field_from_um(z, sentinel_mm=1e6)
 
 
 def shuffled_levels(shape, count, seed=0) -> HeightField:
@@ -233,6 +274,40 @@ class TestArealMetrics:
         a = areal_metrics(field_from_um(z, sentinel_mm=99.0), leveling="plane")
         b = areal_metrics(field_from_um(tilted, sentinel_mm=99.0), leveling="plane")
         assert b.sq_um == pytest.approx(a.sq_um, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("roi", [None, (7, 2, 7, 20), (3, 11, 30, 11), (12, 9, 12, 9)],
+                             ids=["full", "1xk", "kx1", "1x1"])
+    def test_plane_matches_lstsq(self, seed, roi):
+        field = tilted_field((37, 23), seed)
+        expected_d, expected = lstsq_metrics(field, roi)
+        seen = []
+        real = roughness._third_and_fourth_means
+
+        def spy(d):
+            seen.append(d.copy())
+            return real(d)
+
+        with mock.patch.object(roughness, "_third_and_fourth_means", side_effect=spy):
+            metrics = areal_metrics(field, roi, leveling="plane").to_json_dict()
+        if seen:  # the helper is skipped where Sq is 0
+            assert seen[0] == pytest.approx(expected_d, rel=1e-12, abs=1e-12)
+        else:
+            assert metrics["Sq_um"] == 0.0
+            assert expected_d == pytest.approx(np.zeros_like(expected_d), abs=1e-12)
+        assert metrics == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_plane_peak_memory_below_lstsq(self):
+        field = tilted_field((1001, 501), seed=9)
+        peaks = []
+        for leveled in (lstsq_metrics, lambda f: areal_metrics(f, leveling="plane")):
+            tracemalloc.start()
+            try:
+                leveled(field)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0], f"traced peaks (lstsq, closed form): {peaks}"
 
     def test_unknown_leveling(self):
         with pytest.raises(DomainError):
