@@ -80,6 +80,15 @@ Two kernels share one simulation plan and produce bit-identical results:
     field. With the dominance cull off, ``in_grid_points`` equals the count
     of every trajectory point that lands.
 
+    Every broadcast of the row and point stages runs along the rows: the
+    segment bounds are (segment, row) arrays, from (S, 1) tool-frame ranges
+    and 1-D rows, and a point block is (edge point, row), filled from an
+    edge column and scaled in place by a contiguous row of cos, sin or y(t).
+    A tooth has 8 segments and a segment tens to hundreds of points, but a
+    run holds thousands of rows, so numpy's inner loops run long and
+    contiguous instead of a few elements at a time. A product only swaps its
+    operands, which is exact, so no value changes.
+
     The scatter ``np.minimum.at`` holds the GIL, so two threads scattering
     into their own fields run slower than one thread doing both, while a
     gather such as ``np.take`` scales; the fewer points reach the scatter,
@@ -157,9 +166,9 @@ from .tool_geometry import (
 # rise from 10.5M to 25.5M on case1 and from 4.3M to 7.9M on am_smooth).
 # The point stage
 # (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
-# each edge segment's kept rows in blocks of about _POINT_BLOCK (row,
-# edge-point) elements; its three float64 buffers take 0.5 MB each, so they
-# fit a 2 MB L2 cache together.
+# each edge segment's kept rows in blocks of about _POINT_BLOCK (edge point,
+# row) elements, rows fastest; its three float64 buffers take 0.5 MB each, so
+# they fit a 2 MB L2 cache together.
 _STEP_CHUNK = 32_768
 _POINT_BLOCK = 65_536
 # Cull granularity, chosen by measurement; results do not depend on them.
@@ -281,10 +290,11 @@ class _ToothData:
     y_tool_range: tuple[float, float]
     # Contiguous edge-index slices covering the edge, lowest first: ascending
     # in their minimum z_workpiece, ties by index. The per-slice arrays below
-    # follow the same order.
+    # follow the same order. The ranges are (S, 1) columns, so that bounds
+    # against 1-D rows are (S, R), rows fastest.
     segments: tuple[slice, ...]
-    seg_x_range: tuple[np.ndarray, np.ndarray]  # (S,) x_tool min and max per slice
-    seg_y_range: tuple[np.ndarray, np.ndarray]  # (S,) y_tool min and max per slice
+    seg_x_range: tuple[np.ndarray, np.ndarray]  # (S, 1) x_tool min and max per slice
+    seg_y_range: tuple[np.ndarray, np.ndarray]  # (S, 1) y_tool min and max per slice
     seg_min_z: np.ndarray  # (S,) z_workpiece minimum per slice
     # At any rotation a slice lies in the square of half-side seg_half (the
     # half-sum of its tool-frame box's sides) about its box's rotated centre.
@@ -387,8 +397,8 @@ def _plan(config: SimulationConfig) -> _Plan:
                 x_tool_range=(float(xt.min()), float(xt.max())),
                 y_tool_range=(float(yt.min()), float(yt.max())),
                 segments=tuple(slices[i] for i in order),
-                seg_x_range=(sx_lo, sx_hi),
-                seg_y_range=(sy_lo, sy_hi),
+                seg_x_range=(sx_lo[:, None], sx_hi[:, None]),
+                seg_y_range=(sy_lo[:, None], sy_hi[:, None]),
                 seg_min_z=seg_min_z[order],
                 seg_centre=((sx_lo + sx_hi) / 2.0, (sy_lo + sy_hi) / 2.0),
                 seg_half=((sx_hi - sx_lo) + (sy_hi - sy_lo)) / 2.0,
@@ -443,8 +453,9 @@ def _plan(config: SimulationConfig) -> _Plan:
 def _box_hits(c, s, x_range, y_range, x0, ty, window, inner=None):
     """Interval bound on the tool-frame box ``x_range`` x ``y_range`` rotated
     by (c, s) and shifted by (x0, ty): True where it can overlap ``window``
-    ``(x_lo, x_hi, y_lo, y_hi)``. Broadcasts over steps and boxes. It works
-    in place in four arrays, since the (step, segment) bounds are the
+    ``(x_lo, x_hi, y_lo, y_hi)``. Broadcasts over steps and boxes: 1-D
+    steps against (S, 1) boxes give (S, R) results, steps fastest. It works
+    in place in four arrays, since the (segment, row) bounds are the
     kernel's largest temporaries after the point-stage buffers.
 
     With an ``inner`` window it returns ``(hits, inside)``, where ``inside``
@@ -555,8 +566,9 @@ def _rows(plan: _Plan, steps: np.ndarray):
     """Row stage of a run of global steps: the step cull, the trig, and the
     row and segment bounds. Per tooth with kept rows it yields ``(tooth, c,
     s, ty, keep, inside)``: the kept rows' cos, sin and spindle-axis y as
-    (R, 1) columns, and (R, S) masks of the (row, segment) pairs to evaluate
-    with the in-grid test and of the interior pairs."""
+    1-D (R,) arrays, and (S, R) masks of the (segment, row) pairs to evaluate
+    with the in-grid test and of the interior pairs, so that a segment's
+    rows are one contiguous mask row."""
     x0, window, inner = plan.x0, plan.window, plan.inner
     t, ty = plan.step_times(steps)
     reach = _annulus_hits(ty, x0, plan.r_range, window)
@@ -568,7 +580,7 @@ def _rows(plan: _Plan, steps: np.ndarray):
         ki = np.flatnonzero(_box_hits(c, s, td.x_tool_range, td.y_tool_range, x0, ty, window))
         if ki.size == 0:
             continue
-        ck, sk, tyk = c[ki, None], s[ki, None], ty[ki, None]
+        ck, sk, tyk = c[ki], s[ki], ty[ki]
         keep, inside = _box_hits(ck, sk, td.seg_x_range, td.seg_y_range, x0, tyk, window, inner)
         keep &= ~inside
         yield td, ck, sk, tyk, keep, inside
@@ -610,43 +622,52 @@ class _PointStage:
             xt, yt, zw = td.x_tool[sl], td.y_tool[sl], td.z_workpiece[sl]
             width = xt.size
             for mask, all_land in ((keep, False), (inside, True)):
-                kj = np.flatnonzero(mask[:, j])
+                kj = np.flatnonzero(mask[j])
                 if kj.size == 0:
                     continue
                 cj, sj, tyj = c[kj], s[kj], ty[kj]
                 if self.stale and kj.size * width >= self.refresh_points:
                     self.refresh()
                 if self.bound is not None:
-                    live = self.bound_at(cj[:, 0], sj[:, 0], tyj[:, 0], td, j) > td.seg_min_z[j]
+                    live = self.bound_at(cj, sj, tyj, td, j) > td.seg_min_z[j]
                     if not live.any():
                         continue
                     cj, sj, tyj = cj[live], sj[live], tyj[live]
-                self.evaluated += cj.shape[0] * width
+                self.evaluated += cj.size * width
                 self.in_grid += self.scatter(cj, sj, tyj, xt, yt, zw, all_land)
                 self.stale = True
 
     def scatter(self, cj, sj, tyj, xt, yt, zw, all_land) -> int:
         """Rotate, index and scatter-min one edge slice (xt, yt, zw) at the
-        rows (cj, sj, tyj). Returns the count of points that landed; with
-        ``all_land`` every point is known to land."""
+        1-D rows (cj, sj, tyj), in (edge point, row) blocks. Returns the
+        count of points that landed; with ``all_land`` every point is known
+        to land."""
         grid, x0, hflat, xw_buf = self.plan.grid, self.plan.x0, self.hflat, self.xw_buf
         n1, dd, x_min, y_min = grid.n + 1, grid.spacing_mm, grid.x_min_mm, grid.y_min_mm
         width = xt.size
-        rows = cj.shape[0]
+        rows = cj.size
         block_rows = max(1, _POINT_BLOCK // width)
         landed = 0
         for b in range(0, rows, block_rows):
             r = min(block_rows, rows - b)
             size = r * width
             cb, sb = cj[b : b + r], sj[b : b + r]
-            xw = xw_buf[:size].reshape(r, width)
-            yw = self.yw_buf[:size].reshape(r, width)
-            tmp = self.tmp_buf[:size].reshape(r, width)
-            np.multiply(cb, xt, out=xw)
-            xw += np.multiply(sb, yt, out=tmp)
+            xw = xw_buf[:size].reshape(width, r)
+            yw = self.yw_buf[:size].reshape(width, r)
+            tmp = self.tmp_buf[:size].reshape(width, r)
+            # Fill, then scale in place: each product's inner loop runs along
+            # the block's rows, and c*xt == xt*c exactly.
+            xw[...] = xt[:, None]
+            xw *= cb
+            tmp[...] = yt[:, None]
+            tmp *= sb
+            xw += tmp
             xw += x0
-            np.multiply(cb, yt, out=yw)
-            yw -= np.multiply(sb, xt, out=tmp)
+            yw[...] = yt[:, None]
+            yw *= cb
+            tmp[...] = xt[:, None]
+            tmp *= sb
+            yw -= tmp
             yw += tyj[b : b + r]
 
             # Cell index floor((w - w_min)/dd + 1/2), computed in place in
@@ -666,7 +687,7 @@ class _PointStage:
                 xw += yw
                 idx = self.idx_buf[:size]
                 idx[...] = xw_buf[:size]
-                xw[...] = zw
+                xw[...] = zw[:, None]
                 np.minimum.at(hflat, idx, xw_buf[:size])
                 landed += size
                 continue
@@ -676,7 +697,7 @@ class _PointStage:
                 flat *= n1
                 flat += yw[ok]
                 landed += flat.size
-                zvals = np.broadcast_to(zw, xw.shape)[ok]
+                zvals = np.broadcast_to(zw[:, None], xw.shape)[ok]
                 np.minimum.at(hflat, flat.astype(np.int64), zvals)
         return landed
 

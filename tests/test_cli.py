@@ -300,6 +300,52 @@ class TestDatasetCommand:
         problem = "expected an integer" if isinstance(value, bool) else "must be >="
         assert f"error: dataset.{key}: {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine, spacing_range, noted", [
+        ({"max_step_angle_deg": 0.08, "span_s": [0.0, 0.001]}, True, True),
+        ({"span_s": [0.0, 0.001]}, True, False),
+        ({"max_step_angle_deg": 0.08, "span_s": [0.0, 0.001]}, False, False),
+    ], ids=["fixed_step", "derived_step", "no_spacing_range"])
+    def test_fixed_step_under_resolves_spacing(self, tmp_path, capsys, engine, spacing_range,
+                                               noted):
+        # At 0.016 mm a 0.08 deg step resolves the grid (the spacing derives
+        # 0.143 deg); at the range's low end of 0.008 mm it derives 0.072 deg.
+        base = sim_config_dict()
+        base["grid"] = {"spacing_mm": 0.016, "x_min_mm": -0.08, "x_max_mm": 0.08,
+                        "y_min_mm": 0.0, "y_max_mm": 0.08}
+        base["process"]["initial_position_mm"]["y"] = -5.0
+        base["engine"] = engine
+        (tmp_path / "sim.json").write_text(json.dumps(base))
+        name, low, high = (("grid_spacing_mm", 0.008, 0.016) if spacing_range
+                           else ("feed_per_tooth_mm", 0.2, 0.4))
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json", "count": 1, "seed": 3,
+            "ranges": [{"name": name, "low": low, "high": high}],
+        }))
+        out = tmp_path / "d"
+        assert main(["dataset", "--config", str(ds_config), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+        if noted:
+            [note] = notes
+            assert "grid_spacing_mm = 0.008 mm" in note
+            steps = [float(w) for w in note.split() if w[0].isdigit() and "e-" in w]
+            assert len(steps) == 2 and steps[0] > steps[1]
+        else:
+            assert notes == []
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "sample_00000.srtf"]
+
+    def test_spacing_range_on_broken_base(self, tmp_path, capsys):
+        (tmp_path / "sim.json").write_text(json.dumps({**sim_config_dict(), "grid": []}))
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json", "count": 1, "seed": 3,
+            "ranges": [{"name": "grid_spacing_mm", "low": 0.02, "high": 0.05}],
+        }))
+        assert main(["dataset", "--config", str(ds_config), "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: grid")
+
     def test_shipped_example(self, tmp_path, capsys):
         example = CONFIGS / "dataset_example.json"
         argv = ["dataset", "--config", str(example), "--samples", "1", "--out", str(tmp_path)]

@@ -620,6 +620,110 @@ class TestInGridCount:
             assert_kernels_agree(simulate(dataclasses.replace(cfg, worker_count=workers)), ref)
 
 
+def box_hits_oracle(c, s, x_range, y_range, x0, ty, window, inner):
+    """``_box_hits`` of one (row, box) pair: the same formulas, in the same
+    order, on Python floats."""
+    axl, axh = x_range
+    ayl, ayh = y_range
+    x_lo = min(c * axl, c * axh) + min(s * ayl, s * ayh) + x0
+    x_hi = max(c * axl, c * axh) + max(s * ayl, s * ayh) + x0
+    y_lo = min(c * ayl, c * ayh) - max(s * axl, s * axh) + ty
+    y_hi = max(c * ayl, c * ayh) - min(s * axl, s * axh) + ty
+    wx_lo, wx_hi, wy_lo, wy_hi = window
+    ix_lo, ix_hi, iy_lo, iy_hi = inner
+    hits = x_hi >= wx_lo and x_lo <= wx_hi and y_hi >= wy_lo and y_lo <= wy_hi
+    inside = x_lo >= ix_lo and x_hi <= ix_hi and y_lo >= iy_lo and y_hi <= iy_hi
+    return hits, inside, (x_lo, x_hi, y_lo, y_hi)
+
+
+class TestBroadcastLayout:
+    """The row stage bounds (segment, row) pairs and the point stage rotates
+    (edge point, row) blocks, so that each broadcast runs along the rows.
+    Neither layout may change a value: bounds, heights and counts are those
+    of a pair-by-pair evaluation."""
+
+    def test_segment_bounds_match_scalar_oracle(self):
+        rng = np.random.default_rng(7)
+        S, R = 5, 64
+        lo = rng.uniform(-3.0, 2.0, (2, S))
+        hi = lo + rng.uniform(0.0, 1.0, (2, S))
+        hi[:, 0] = lo[:, 0]  # a box of zero width along both axes
+        x_range = (lo[0][:, None], hi[0][:, None])
+        y_range = (lo[1][:, None], hi[1][:, None])
+        th = rng.uniform(0.0, 2.0 * math.pi, R)
+        th[:4] = (0.0, math.pi / 2, math.pi, -math.pi / 2)
+        c, s = np.cos(th), np.sin(th)
+        x0 = 0.37
+        ty = rng.uniform(-2.0, 2.0, R)
+
+        def scalar(window, inner):
+            pairs = [[box_hits_oracle(c[r], s[r], (lo[0, j], hi[0, j]), (lo[1, j], hi[1, j]),
+                                      x0, ty[r], window, inner) for r in range(R)]
+                     for j in range(S)]
+            hits = np.array([[p[0] for p in row] for row in pairs])
+            inside = np.array([[p[1] for p in row] for row in pairs])
+            return hits, inside, [[p[2] for p in row] for row in pairs]
+
+        # A window cut from the middle of the bounds, then, per edge, windows
+        # open on every other side whose edge lies exactly on one pair's
+        # bound (hits) or on another's (inside), so that the comparisons'
+        # ties are checked.
+        _, _, bounds = scalar((0.0,) * 4, (0.0,) * 4)
+        bounds = np.array(bounds)  # (S, R, 4): x_lo, x_hi, y_lo, y_hi
+        flat = bounds.reshape(-1, 4)
+        windows = [(tuple(np.median(flat, axis=0)),
+                    tuple(np.quantile(flat, [0.25, 0.75, 0.25, 0.75], axis=0).diagonal()))]
+        wide = np.array([-1e9, 1e9, -1e9, 1e9])
+        for e in range(4):
+            (j, r), (k, q) = rng.integers(0, [S, R], (2, 2))
+            window, inner = wide.copy(), wide.copy()
+            window[e] = bounds[j, r, e ^ 1]  # the pair's far side touches the edge
+            inner[e] = bounds[k, q, e]  # the pair's near side touches the edge
+            windows.append((tuple(window), tuple(inner)))
+        for window, inner in windows:
+            hits_want, inside_want, _ = scalar(window, inner)
+            hits, inside = engine._box_hits(c, s, x_range, y_range, x0, ty, window, inner)
+            assert hits.shape == inside.shape == (S, R)
+            assert np.array_equal(hits, hits_want)
+            assert np.array_equal(inside, inside_want)
+            assert hits.any() and inside.any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_size_keeps_values(self, monkeypatch, seed):
+        # Blocks of one row, of one row with a block size a point short of or
+        # past a segment's width, and of many rows: heights equal the
+        # reference's bit for bit and the counts do not depend on the block
+        # size, with the dominance cull off the path and on it.
+        cfg = small_random_config(seed)
+        cfg = dataclasses.replace(cfg, edge_point_count=21,
+                                  time_step_s=cfg.time_step_s * 21 / cfg.edge_point_count)
+        plan = engine._plan(cfg)
+        assert cfg.tool.radial_rake_rad != 0.0 and any(map(any, cfg.tool.runouts_mm))
+        assert all(np.any(td.y_tool != 0.0) for td in plan.teeth)
+        width = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
+        ref = simulate_reference(cfg).field.heights.view(np.int64)
+        paths = set()
+        scatter = engine._PointStage.scatter
+
+        def spy(self, *args):
+            paths.add(args[-1])
+            return scatter(self, *args)
+
+        monkeypatch.setattr(engine._PointStage, "scatter", spy)
+        blocks = (1, width - 1, width + 1, engine._POINT_BLOCK)
+        for ratio in (engine._REFRESH_RATIO, 0.0):
+            monkeypatch.setattr(engine, "_REFRESH_RATIO", ratio)
+            for workers in (1, 3):
+                counts = set()
+                for block in blocks:
+                    monkeypatch.setattr(engine, "_POINT_BLOCK", block)
+                    opt = simulate(dataclasses.replace(cfg, worker_count=workers))
+                    assert np.array_equal(opt.field.heights.view(np.int64), ref)
+                    counts.add((opt.evaluated_points, opt.in_grid_points))
+                assert len(counts) == 1, counts
+        assert paths == {False, True}
+
+
 class TestTrajectory:
     def test_memory_bounded_by_chunks(self, monkeypatch):
         # Consumed record by record, the stream holds a few chunks of steps at
