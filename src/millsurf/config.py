@@ -69,6 +69,15 @@ def _check_keys(block: dict, path: str, allowed: set[str], required: set[str]) -
 _REQUIRED = object()  # the readers' default: an absent or null key is an error
 
 
+def _float(value: int | float, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is an error
+    that names ``path``, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
+
+
 def _number(block: dict, path: str, key: str, *, default=_REQUIRED, exclusive_min=None):
     value = block.get(key)
     if value is None:
@@ -78,7 +87,7 @@ def _number(block: dict, path: str, key: str, *, default=_REQUIRED, exclusive_mi
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
+    value = _float(value, f"{path}.{key}")
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: must be finite, got {value}")
     if exclusive_min is not None and value <= exclusive_min:
@@ -108,7 +117,7 @@ def _pair(value, path: str, shape: str) -> tuple[float, float]:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ConfigError(f"{path}: expected {shape}")
-    return float(value[0]), float(value[1])
+    return _float(value[0], f"{path}[0]"), _float(value[1], f"{path}[1]")
 
 
 def _angle_rad(block: dict, path: str, stem: str) -> float:
@@ -304,6 +313,6 @@ def config_from_dict(raw: dict) -> ConfigDocument:
 def parse_config(text: str) -> ConfigDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
     return config_from_dict(raw)

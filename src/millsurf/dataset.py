@@ -243,7 +243,7 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -42,8 +42,8 @@ Two kernels share one simulation plan and produce bit-identical results:
       row the same interval bound drops the slices that miss the window;
     - dominance cull: a kept (row, segment) pair is skipped when the
       segment's lowest z is at or above an upper bound of every in-grid cell
-      it can reach. That bound is a map of tile maxima of the worker's
-      private field, dilated so that the tile of the cell one before the low
+      it can reach. That bound is the worker's map of tile maxima of the
+      shared field, dilated so that the tile of the cell one before the low
       corner of a square that holds the rotated segment covers all the cells
       the segment reaches. The corner's cell is clipped into the grid, which
       is sound for a *boundary* pair, whose square crosses the grid's edge:
@@ -51,12 +51,12 @@ Two kernels share one simulation plan and produce bit-identical results:
       within the span counted from the unclipped corner, so within the
       clipped corner's 3 x 3 tile block; beyond the grid, it reaches no
       in-grid cell along that axis; and points outside the grid never land.
-      The map is refreshed only when the field has changed since and the
+      The map is refreshed only when the worker has scattered since and the
       group of pairs at hand holds at least ``_REFRESH_RATIO`` points per
       grid node, so a refresh costs no more than the group. Each tooth's
       segments are visited lowest first, so the tip lowers the field before
       the segments above it are tested. This is the lower envelope of the
-      Z-map: the fields only decrease, so a stale map is still an upper
+      Z-map: the field only decreases, so a stale map is still an upper
       bound, and a landing at or above a cell's height is a no-op of the
       minimum whatever the order. A pair whose bound lies inside the grid
       window shrunk by half a cell, one cell inside the outermost cells'
@@ -72,13 +72,19 @@ Two kernels share one simulation plan and produce bit-identical results:
     above the height already there. Heights are therefore the same as with
     no cull at all; the extra cell of each window absorbs the rounding
     differences between a bound and the point stage. Work is split over
-    contiguous time-step ranges, one private height field per worker, merged
-    with an elementwise minimum, so heights are independent of the worker
-    count. ``evaluated_points`` counts the points computed, and
-    ``in_grid_points`` those of them that landed; the dominance cull makes
-    both depend on the worker count, since each worker tests against its own
-    field. With the dominance cull off, ``in_grid_points`` equals the count
-    of every trajectory point that lands.
+    contiguous time-step ranges, one per worker thread, and every worker
+    scatters into one shared height field. One lock is held around each
+    scatter and around the refresh's read of the field, so no read of the
+    field overlaps a write and no two scatters interleave their
+    read-modify-write of a cell. A minimum does not depend on the order of
+    its operands, and a map taken under the lock stays an upper bound while
+    heights only fall, so heights are independent of the worker count and of
+    thread timing. ``evaluated_points`` counts the points computed, and
+    ``in_grid_points`` those of them that landed; with the dominance cull on,
+    each worker's map sees every worker's cuts as of its last refresh, so at
+    more than one worker both counts depend on thread timing. With the
+    dominance cull off, ``in_grid_points`` equals the count of every
+    trajectory point that lands.
 
     Every broadcast of the row and point stages runs along the rows: the
     segment bounds are (segment, row) arrays, from (S, 1) tool-frame ranges
@@ -89,8 +95,8 @@ Two kernels share one simulation plan and produce bit-identical results:
     contiguous instead of a few elements at a time. A product only swaps its
     operands, which is exact, so no value changes.
 
-    The scatter ``np.minimum.at`` holds the GIL, so two threads scattering
-    into their own fields run slower than one thread doing both, while a
+    The scatter ``np.minimum.at`` runs under the field's lock, so two
+    threads scattering run no faster than one thread doing both, while a
     gather such as ``np.take`` scales; the fewer points reach the scatter,
     the better the workers scale. Every numpy call also holds the GIL for its
     fixed overhead, so the stages take full runs of live steps, not slices of
@@ -123,14 +129,15 @@ of the spindle->workpiece and tool->spindle rows has the exact entries c, s,
 -s, x0, y(t) and z0, and its zero entries add only zeros); the minimum
 reduction is order-insensitive.
 
-Wall time covers only the main loop (and the final min-merge); planning,
-validation and export are excluded.
+Wall time covers only the main loop; planning, validation and export are
+excluded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -162,8 +169,9 @@ from .tool_geometry import (
 # row stage (_rows: step cull, trig, row and segment bounds against the cull
 # geometry built in _plan) takes runs of _STEP_CHUNK live steps, long enough
 # that per-call overhead stays small and that a run's groups of pairs reach
-# the dominance map's refresh size (at 8,192, evaluated points at 2 workers
-# rise from 10.5M to 25.5M on case1 and from 4.3M to 7.9M on am_smooth).
+# the dominance map's refresh size (at 8,192, with one field per worker,
+# evaluated points at 2 workers rose from 10.5M to 25.5M on case1 and from
+# 4.3M to 7.9M on am_smooth).
 # The point stage
 # (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
 # each edge segment's kept rows in blocks of about _POINT_BLOCK (edge point,
@@ -176,7 +184,7 @@ _POINT_BLOCK = 65_536
 # the coarse step pass bounds every _COARSE_STRIDE-th global step.
 _EDGE_SEGMENTS = 8
 _COARSE_STRIDE = 16
-# The dominance cull's upper-bound map of a worker's field is refreshed only
+# A worker's dominance map, an upper bound of the shared field, is refreshed only
 # before a group of at least _REFRESH_RATIO points per grid node, so a refresh
 # never costs more than the group it can cull.
 _REFRESH_RATIO = 1.0
@@ -249,13 +257,14 @@ class SimulationResult:
     cells_updated: int
     main_loop_seconds: float
     # Trajectory points whose coordinates were computed. The dominance cull
-    # skips points that cannot lower their cell, per worker field, so this
-    # depends on the worker count.
+    # skips points that cannot lower their cell in the shared field as of the
+    # worker's last map refresh, so at more than one worker this depends on
+    # thread timing.
     evaluated_points: int
     # Computed points that landed in a grid cell, so at most
-    # evaluated_points and, like it, dependent on the worker count. Without
-    # the dominance cull it counts every trajectory point that lands, as
-    # simulate_reference does.
+    # evaluated_points and, like it, dependent on thread timing at more than
+    # one worker. Without the dominance cull it counts every trajectory point
+    # that lands, as simulate_reference does.
     in_grid_points: int
 
 
@@ -588,19 +597,22 @@ def _rows(plan: _Plan, steps: np.ndarray):
 
 class _PointStage:
     """Point stage of one worker: rotation, cell index and scatter-min of kept
-    (row, segment) pairs into the worker's private field, and the dominance
-    map of that field. Counts the points evaluated and the points that land."""
+    (row, segment) pairs into the field that all workers share, and the
+    worker's dominance map of that field. ``lock`` is held around every write
+    and read of the field. Counts the points evaluated and the points that
+    land."""
 
-    def __init__(self, plan: _Plan, field: HeightField):
+    def __init__(self, plan: _Plan, field: HeightField, lock: threading.Lock):
         grid = plan.grid
         self.plan = plan
+        self.lock = lock
         self.hflat = field.heights
         self.hmap = field.heights.reshape(grid.m + 1, grid.n + 1)
         self.tile_i = np.arange(0, grid.m + 1, plan.tile)
         self.tile_j = np.arange(0, grid.n + 1, plan.tile)
         self.refresh_points = _REFRESH_RATIO * grid.node_count
         self.bound = None  # upper bound on the field per 3 x 3 tile block, once refreshed
-        self.stale = True  # the field may have dropped since `bound` was taken
+        self.stale = True  # this worker has scattered since `bound` was taken
         seg_len = max(sl.stop - sl.start for sl in plan.teeth[0].segments)
         # Large enough for one block of the point stage and for one run of
         # rows in bound_at.
@@ -688,7 +700,8 @@ class _PointStage:
                 idx = self.idx_buf[:size]
                 idx[...] = xw_buf[:size]
                 xw[...] = zw[:, None]
-                np.minimum.at(hflat, idx, xw_buf[:size])
+                with self.lock:
+                    np.minimum.at(hflat, idx, xw_buf[:size])
                 landed += size
                 continue
             ok = (xw >= 0.0) & (xw <= grid.m) & (yw >= 0.0) & (yw <= grid.n)
@@ -698,14 +711,18 @@ class _PointStage:
                 flat += yw[ok]
                 landed += flat.size
                 zvals = np.broadcast_to(zw[:, None], xw.shape)[ok]
-                np.minimum.at(hflat, flat.astype(np.int64), zvals)
+                flat = flat.astype(np.int64)
+                with self.lock:
+                    np.minimum.at(hflat, flat, zvals)
         return landed
 
     def refresh(self) -> None:
         """Take the dominance map: the maximum height over each 3 x 3 block
         of tiles of the field."""
-        # Reducing axis 1 first reads the field in memory order.
-        b = np.maximum.reduceat(self.hmap, self.tile_j, axis=1)
+        # Reducing axis 1 first reads the field in memory order; it is the
+        # only read of the field.
+        with self.lock:
+            b = np.maximum.reduceat(self.hmap, self.tile_j, axis=1)
         b = np.maximum.reduceat(b, self.tile_i, axis=0)
         for _ in range(2):
             b[:-1] = np.maximum(b[:-1], b[1:])
@@ -740,11 +757,13 @@ class _PointStage:
         return np.take(bound, idx, out=v)
 
 
-def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField):
-    """Vectorized sweep over global steps [step_lo, step_hi) into a private
-    field, run by run of live steps from the row stage into the point stage.
-    Returns ``(evaluated points, in-grid points)``."""
-    points = _PointStage(plan, field)
+def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField,
+                    lock: threading.Lock):
+    """Vectorized sweep over global steps [step_lo, step_hi) into the field
+    shared by all workers and guarded by ``lock``, run by run of live steps
+    from the row stage into the point stage. Returns ``(evaluated points,
+    in-grid points)``."""
+    points = _PointStage(plan, field, lock)
     for steps in _live_steps(plan, step_lo, step_hi):
         for rows in _rows(plan, steps):
             points.add(*rows)
@@ -771,25 +790,24 @@ def trajectory(config: SimulationConfig) -> Iterator[TrajectoryRecord]:
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
-    """Run the optimized sweep. Deterministic and independent of worker_count."""
+    """Run the optimized sweep. Heights are deterministic and independent of
+    worker_count; the point counts are too at one worker."""
     plan = _plan(config)
     workers = min(config.worker_count, plan.steps)
 
-    # All buffers exist before the timed main loop starts. With no more
+    # The field exists before the timed main loop starts. With no more
     # workers than steps, every range holds at least one step.
     bounds = [round(w * plan.steps / workers) for w in range(workers + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    fields = [HeightField(plan.grid, plan.initial_height) for _ in ranges]
+    field = HeightField(plan.grid, plan.initial_height)
+    lock = threading.Lock()
 
     t0 = time.perf_counter()
     if len(ranges) == 1:
-        parts = [_run_step_range(plan, *ranges[0], fields[0])]
+        parts = [_run_step_range(plan, *ranges[0], field, lock)]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(lambda r, f: _run_step_range(plan, *r, f), ranges, fields))
-    field = fields[0]
-    for other in fields[1:]:
-        field.merge_min(other)
+            parts = list(pool.map(lambda r: _run_step_range(plan, *r, field, lock), ranges))
     wall = time.perf_counter() - t0
 
     return SimulationResult(

@@ -108,9 +108,9 @@ class HeightField:
 
     The backing array is one contiguous row-major float64 buffer of length
     (m+1)*(n+1), allocated once at construction and never resized; index
-    (i, j) maps to flat offset i*(n+1) + j. Single-writer: concurrent
-    simulation uses one private field per worker and merges with
-    ``merge_min``.
+    (i, j) maps to flat offset i*(n+1) + j. Its methods take no lock: the
+    workers of a concurrent simulation share one field and guard its reads
+    and writes with a lock of their own.
     """
 
     __slots__ = ("spec", "initial_height_mm", "heights")
@@ -138,11 +138,6 @@ class HeightField:
 
     def machined_cell_count(self) -> int:
         return int(np.count_nonzero(self.heights < self.initial_height_mm))
-
-    def merge_min(self, other: "HeightField") -> None:
-        if other.spec != self.spec:
-            raise DomainError("cannot merge height fields with different grids")
-        np.minimum(self.heights, other.heights, out=self.heights)
 
 
 def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:

@@ -166,6 +166,17 @@ class TestSimulateCommand:
         assert len(errors) == 1
         assert "at spacing 1e-310" in errors[0]
 
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
+        raw["process"]["depth_of_cut_mm"] = 10**400
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: process.depth_of_cut_mm: integer too large for a float"]
+
     def test_edge_too_long_to_allocate(self, tmp_path, capsys):
         # without edge_points the edge count follows the spacing; at 1e-200
         # numpy refuses the size before allocating anything
@@ -272,7 +283,8 @@ class TestDatasetCommand:
         assert main(["dataset", "--config", str(ds_config), "--samples", "2",
                      "--seed", "3", "--out", str(tmp_path / "d")]) == 1
 
-    @pytest.mark.parametrize("low", ["abc", None, True, -math.inf])
+    @pytest.mark.parametrize("low", ["abc", None, True, -math.inf,
+                                     pytest.param(10**400, id="integer_too_large")])
     def test_non_numeric_range_bound(self, config_path, tmp_path, capsys, low):
         ds_config = tmp_path / "dataset.json"
         ds_config.write_text(json.dumps({

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,26 @@ class TestParseConfig:
         raw = case1_raw(**{"process.depth_of_cut_mm": 6.0})
         with pytest.raises(ConfigError, match="depth_of_cut_mm"):
             parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("path, value, named", [
+        ("process.depth_of_cut_mm", 10**400, "process.depth_of_cut_mm"),
+        ("grid.x_min_mm", -10**400, "grid.x_min_mm"),
+        ("tool.runouts_mm", [[0.0, 0.0], [0.011, 10**400]], "tool.runouts_mm[1][1]"),
+        ("engine.span_s", [0, 10**400], "engine.span_s[1]"),
+    ], ids=["number", "negative_number", "runout_pair", "span_pair"])
+    def test_integer_too_large_for_a_float(self, path, value, named):
+        # The number and pair readers both name the key, not an OverflowError.
+        raw = case1_raw(**{path: value})
+        message = rf"^{re.escape(named)}: integer too large for a float$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    def test_integer_past_the_digit_limit(self):
+        # Beyond int()'s digit limit json.loads itself raises a ValueError.
+        with pytest.raises(ConfigError, match="^malformed JSON: "):
+            parse_config('{"tool": ' + "1" * 5000 + "}")
 
     def test_runout_pair_count(self):
         raw = case1_raw(**{"tool.runouts_mm": [[0.0, 0.0]]})

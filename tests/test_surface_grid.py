@@ -137,23 +137,6 @@ class TestHeightField:
         with pytest.raises(DomainError):
             HeightField(make_spec(m=2, n=2), 1.0, heights=np.zeros(4))
 
-    def test_merge_min(self):
-        spec = make_spec(m=2, n=2)
-        a = HeightField(spec, 1.0)
-        b = HeightField(spec, 1.0)
-        update_min(a, (0, 0), 0.3)
-        update_min(b, (0, 0), 0.1)
-        update_min(b, (1, 1), 0.2)
-        a.merge_min(b)
-        assert a.as_array()[0, 0] == 0.1
-        assert a.as_array()[1, 1] == 0.2
-
-    def test_merge_grid_mismatch(self):
-        a = HeightField(make_spec(m=2, n=2), 1.0)
-        b = HeightField(make_spec(m=3, n=2), 1.0)
-        with pytest.raises(DomainError):
-            a.merge_min(b)
-
     def test_machined_cell_count(self):
         field = HeightField(make_spec(m=2, n=2), 1.0)
         assert field.machined_cell_count() == 0
