@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
     sim_config = doc.simulation
     if args.workers is not None:
         sim_config = replace(sim_config, worker_count=args.workers)
-    formats = doc.output.formats + (("trajectory",) if args.trajectory else ())
+    formats = doc.output.formats
 
     out_dir = Path(args.out)
     _make_out_dir(out_dir)
@@ -198,6 +198,7 @@ def _note_fixed_step(job: dict) -> None:
 def _cmd_dataset(args) -> int:
     job = _load_dataset_config(Path(args.config), count=args.samples, seed=args.seed)
     _note_fixed_step(job)
+    _make_out_dir(Path(args.out))
     _info(f"generating {job['count']} samples (seed {job['seed']}) into {args.out} ...")
     manifest = generate_dataset(**job, out_dir=Path(args.out))
     failed = sum(1 for row in manifest.rows if row["status"] != "ok")
@@ -230,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--workers", type=int, default=None, help="override worker count")
-    p_sim.add_argument("--trajectory", action="store_true",
-                       help="add the trajectory format: a CSV of per-(step, tooth) minima")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rough = sub.add_parser("roughness", help="areal metrics or a line profile from a surface file")

@@ -57,7 +57,12 @@ def _require_dict(value, path: str) -> dict:
     return value
 
 
-def _check_keys(block: dict, path: str, allowed: set[str], required: set[str]) -> None:
+def _check_keys(block: dict, path: str, allowed: set[str],
+                required: tuple[str, ...] = ()) -> None:
+    """Reject the first key of ``block`` outside ``allowed``, then the first
+    missing key of ``required``, in the order given. A key that ``_number`` or
+    ``_integer`` reads is left out of ``required``: they report it missing, in
+    the order they read."""
     for key in block:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
@@ -138,7 +143,6 @@ def _parse_tool(block: dict, path: str = "tool") -> ToolDefinition:
             "axial_rake_deg",
             "runouts_mm",
         },
-        required={"cutting_diameter_mm", "insert_radius_mm", "tooth_count"},
     )
     diameter = _number(block, path, "cutting_diameter_mm", exclusive_min=0.0)
     radius = _number(block, path, "insert_radius_mm", exclusive_min=0.0)
@@ -186,7 +190,6 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
             "phase_deg",
             "initial_position_mm",
         },
-        required={"depth_of_cut_mm"},
     )
     v_c = _number(block, path, "cutting_speed_m_min", default=None)
     rpm = _number(block, path, "spindle_speed_rpm", default=None)
@@ -201,7 +204,7 @@ def _parse_process(block: dict, tool: ToolDefinition, path: str = "process") -> 
     else:
         pos_path = f"{path}.initial_position_mm"
         _require_dict(pos_block, pos_path)
-        _check_keys(pos_block, pos_path, allowed={"x", "y", "z"}, required={"x"})
+        _check_keys(pos_block, pos_path, allowed={"x", "y", "z"})
         x = _number(pos_block, pos_path, "x")
         y = _number(pos_block, pos_path, "y", default=None)
         z = _number(pos_block, pos_path, "z", default=0.0)
@@ -225,7 +228,6 @@ def _parse_grid(block: dict, path: str = "grid") -> GridSpec:
         block,
         path,
         allowed={"spacing_mm", "x_min_mm", "x_max_mm", "y_min_mm", "y_max_mm"},
-        required={"spacing_mm", "x_min_mm", "x_max_mm", "y_min_mm", "y_max_mm"},
     )
     spacing = _number(block, path, "spacing_mm", exclusive_min=0.0)
     x_lo = _number(block, path, "x_min_mm")
@@ -257,7 +259,6 @@ def _parse_engine(
             "span_s",
             "workers",
         },
-        required=set(),
     )
     max_deg = _number(block, path, "max_step_angle_deg", default=None, exclusive_min=0.0)
     span = block.get("span_s")
@@ -278,7 +279,7 @@ def _parse_engine(
 
 def _parse_output(block: dict | None, path: str = "output") -> OutputSettings:
     block = {} if block is None else _require_dict(block, path)
-    _check_keys(block, path, allowed={"formats", "basename"}, required=set())
+    _check_keys(block, path, allowed={"formats", "basename"})
     formats = block.get("formats", ["surface"])
     if not isinstance(formats, list) or not formats:
         raise ConfigError(f"{path}.formats: expected a non-empty list")
@@ -301,7 +302,7 @@ def config_from_dict(raw: dict) -> ConfigDocument:
         raw,
         "<config>",
         allowed={"tool", "process", "grid", "engine", "output"},
-        required={"tool", "process", "grid"},
+        required=("tool", "process", "grid"),
     )
     tool = _parse_tool(raw["tool"])
     process = _parse_process(raw["process"], tool)

@@ -255,7 +255,7 @@ def _load_dataset_config(path: Path, count: int | None = None, seed: int | None 
     """
     raw = _require_dict(_read_json(path, "dataset config"), "dataset")
     _check_keys(raw, "dataset", allowed={"base_config", "ranges", "count", "seed", "workers"},
-                required={"base_config", "ranges"})
+                required=("base_config", "ranges"))
     overrides = {"count": count, "seed": seed}
     raw.update({key: value for key, value in overrides.items() if value is not None})
     base = raw["base_config"]
@@ -264,10 +264,10 @@ def _load_dataset_config(path: Path, count: int | None = None, seed: int | None 
     if not isinstance(raw["ranges"], list) or not raw["ranges"]:
         raise ConfigError("dataset.ranges: expected a non-empty list")
     ranges = []
-    keys = {"name", "low", "high"}
     for k, item in enumerate(raw["ranges"]):
         item_path = f"dataset.ranges[{k}]"
-        _check_keys(_require_dict(item, item_path), item_path, allowed=keys, required=keys)
+        _check_keys(_require_dict(item, item_path), item_path, allowed={"name", "low", "high"},
+                    required=("name",))
         low, high = _number(item, item_path, "low"), _number(item, item_path, "high")
         ranges.append(ParameterRange(item["name"], low, high))
     return {

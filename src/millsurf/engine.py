@@ -15,13 +15,21 @@ Two kernels share one simulation plan and produce bit-identical results:
     indexes their cells and scatters their z values into the height field
     with an elementwise minimum. Work that provably cannot reach the grid, or
     cannot lower any cell it reaches, is skipped before it is computed, by
-    cull geometry built once in ``_plan``; the first four culls bound against
+    cull geometry built once in ``_plan``; the first three culls bound against
     the grid window widened by 1.5 cells:
 
     - coarse step pass: every ``_COARSE_STRIDE``-th global step (an anchor)
       is bounded first, against the window widened by a slack that covers the
-      stride, and a step is looked at further only if its anchor passes. A
-      box bound such as ``max(c*a_lo, c*a_hi) + max(s*b_lo, s*b_hi) + x0`` is
+      stride, and a step is looked at further only if its anchor passes. Every
+      edge point lies in an annulus about the spindle axis (the teeth's radial
+      range in the tool frame), and ``_plan`` turns the test of that annulus
+      against the coarse window into a band of spindle-axis y: anchors outside
+      it, whose annulus misses the window or holds it in its hole, are dropped
+      before the trig, and the rest are bounded per tooth by the edge's box.
+      The band's edges differ from a per-anchor test of the nearest and
+      farthest window points only by rounding, which the window's margin
+      absorbs. A box bound such as
+      ``max(c*a_lo, c*a_hi) + max(s*b_lo, s*b_hi) + x0`` is
       a sum of terms ``a*cos`` or ``a*sin``, so it moves by at most
       ``(max|x_t| + max|y_t|)*|omega|`` per unit of angle, and ``y(t)`` by
       ``|v_f|`` per second; a step lies less than K steps of dt after its
@@ -32,9 +40,6 @@ Two kernels share one simulation plan and produce bit-identical results:
       The pass bounds ``_STEP_CHUNK`` anchors at a time and packs the steps
       that pass into runs of ``_STEP_CHUNK`` live steps, across spans, so a
       sparse sweep makes as few row- and point-stage calls as a dense one;
-    - step cull: every edge point lies in an annulus about the spindle axis
-      (the teeth's radial range in the tool frame); steps whose annulus misses
-      the window are dropped before the trig (anchors use the coarse window);
     - row cull: per (step, tooth), interval bounds on the edge's x and y
       extent drop rows whose edge misses the window;
     - segment cull: each tooth's edge is split into ``_EDGE_SEGMENTS``
@@ -165,18 +170,17 @@ from .tool_geometry import (
 )
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
-# The coarse pass (_live_steps) bounds spans of _STEP_CHUNK anchors, and the
-# row stage (_rows: step cull, trig, row and segment bounds against the cull
-# geometry built in _plan) takes runs of _STEP_CHUNK live steps, long enough
-# that per-call overhead stays small and that a run's groups of pairs reach
-# the dominance map's refresh size (at 8,192, with one field per worker,
-# evaluated points at 2 workers rose from 10.5M to 25.5M on case1 and from
-# 4.3M to 7.9M on am_smooth).
-# The point stage
-# (_PointStage: rotation, cell index, scatter-min, dominance map) runs over
-# each edge segment's kept rows in blocks of about _POINT_BLOCK (edge point,
-# row) elements, rows fastest; its three float64 buffers take 0.5 MB each, so
-# they fit a 2 MB L2 cache together.
+# The coarse pass (_live_steps: annulus band and box bounds of anchors) bounds
+# spans of _STEP_CHUNK anchors, and the row stage (_rows: trig, row and segment
+# bounds against the cull geometry built in _plan) takes runs of _STEP_CHUNK
+# live steps, long enough that per-call overhead stays small and that a run's
+# groups of pairs reach the dominance map's refresh size (at 8,192, with one
+# field per worker, evaluated points at 2 workers rose from 10.5M to 25.5M on
+# case1 and from 4.3M to 7.9M on am_smooth).
+# The point stage (_PointStage: rotation, cell index, scatter-min, dominance
+# map) runs over each edge segment's kept rows in blocks of about _POINT_BLOCK
+# (edge point, row) elements, rows fastest; its three float64 buffers take
+# 0.5 MB each, so they fit a 2 MB L2 cache together.
 _STEP_CHUNK = 32_768
 _POINT_BLOCK = 65_536
 # Cull granularity, chosen by measurement; results do not depend on them.
@@ -332,7 +336,9 @@ class _Plan:
     stride: int
     coarse: tuple[float, float, float, float]
     inner: tuple[float, float, float, float]
-    r_range: tuple[float, float]
+    # Spindle-axis y of anchors whose annulus can overlap the coarse window:
+    # (y_lo, y_hi, y_mid, hole) keeps y_lo <= y <= y_hi with |y - y_mid| >= hole.
+    band: tuple[float, float, float, float]
     tile: int
 
     @property
@@ -425,8 +431,21 @@ def _plan(config: SimulationConfig) -> _Plan:
         max(map(abs, td.x_tool_range)) + max(map(abs, td.y_tool_range)) for td in teeth
     )
     slack = (lipschitz * abs(omega) + abs(v_f)) * _COARSE_STRIDE * dt
-    # Every edge point of every tooth lies in this annulus about the spindle axis.
+    coarse = (wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack)
+    # Every edge point of every tooth lies in the annulus [r_lo, r_hi] about
+    # the spindle axis (x0, y(t)). It overlaps the coarse window only while
+    # the window's nearest point is within r_hi, so y(t) within `reach` of its
+    # y range, and its farthest point beyond r_lo, so y(t) at least `hole`
+    # from its middle; a `reach` of -inf keeps no step, a `hole` of -inf all.
+    # Factored differences of squares keep both accurate near zero.
     radii = [np.hypot(td.x_tool, td.y_tool) for td in teeth]
+    r_lo, r_hi = min(float(r.min()) for r in radii), max(float(r.max()) for r in radii)
+    cx_lo, cx_hi, cy_lo, cy_hi = coarse
+    near_x = max(cx_lo - x0, 0.0, x0 - cx_hi)
+    far_x = max(abs(x0 - cx_lo), abs(x0 - cx_hi))
+    reach = math.sqrt((r_hi - near_x) * (r_hi + near_x)) if near_x <= r_hi else -math.inf
+    hole = (math.sqrt((r_lo - far_x) * (r_lo + far_x)) - (cy_hi - cy_lo) / 2.0
+            if far_x < r_lo else -math.inf)
     # From one cell before the low corner of a segment's square, its cells span
     # at most 2*seg_half/dd + 4 cells per axis; with tiles of at least half the
     # largest such span they lie in the 3 x 3 tiles from that cell's tile.
@@ -449,12 +468,12 @@ def _plan(config: SimulationConfig) -> _Plan:
         initial_height=initial_height,
         window=(wx_lo, wx_hi, wy_lo, wy_hi),
         stride=_COARSE_STRIDE,
-        coarse=(wx_lo - slack, wx_hi + slack, wy_lo - slack, wy_hi + slack),
+        coarse=coarse,
         # The span of cell indices 1..m-1 (x) and 1..n-1 (y): every point of a
         # box bound inside it lands, with one cell of slack on each side.
         inner=(grid.x_min_mm + 0.5 * dd, grid.x_min_mm + (grid.m - 0.5) * dd,
                grid.y_min_mm + 0.5 * dd, grid.y_min_mm + (grid.n - 0.5) * dd),
-        r_range=(min(float(r.min()) for r in radii), max(float(r.max()) for r in radii)),
+        band=(cy_lo - reach, cy_hi + reach, (cy_lo + cy_hi) / 2.0, hole),
         tile=math.ceil(span / 2.0),
     )
 
@@ -501,39 +520,18 @@ def _box_hits(c, s, x_range, y_range, x0, ty, window, inner=None):
     return hits, inside
 
 
-def _annulus_hits(ty, x0, r_range, window):
-    """True where the annulus ``r_range`` about the spindle axis (x0, ty) can
-    overlap ``window``: the nearest window point is within r_hi and the
-    farthest beyond r_lo."""
-    r_lo, r_hi = r_range
-    wx_lo, wx_hi, wy_lo, wy_hi = window
-    near_x = max(wx_lo - x0, 0.0, x0 - wx_hi)
-    far_x = max(abs(x0 - wx_lo), abs(x0 - wx_hi))
-    # In place in two arrays: near_y = max(wy_lo - ty, 0, ty - wy_hi), then
-    # far_y = max(|ty - wy_lo|, |ty - wy_hi|).
-    a = np.subtract(wy_lo, ty)
-    np.maximum(a, 0.0, out=a)
-    b = np.subtract(ty, wy_hi)
-    np.maximum(a, b, out=a)
-    hits = np.hypot(near_x, a, out=a) <= r_hi
-    np.abs(np.subtract(ty, wy_lo, out=a), out=a)
-    np.abs(np.subtract(ty, wy_hi, out=b), out=b)
-    np.maximum(a, b, out=a)
-    hits &= np.hypot(far_x, a, out=a) >= r_lo
-    return hits
-
-
 def _live_anchors(plan: _Plan, a_lo: int, a_hi: int) -> np.ndarray:
     """Coarse pass: the anchor steps in [a_lo, a_hi), multiples of the stride
-    from ``a_lo``, whose annulus and per-tooth edge bounds can overlap the
-    coarse window. A function of its own, so its span-sized temporaries are
-    freed before ``_live_steps`` yields a run to the row stage. They are kept
-    few: the annulus test works in place, only the anchors whose annulus
-    passes are bounded, and each tooth's cos and sin are freed before the
-    next tooth's are taken."""
+    from ``a_lo``, whose spindle-axis y lies in the plan's annulus band and
+    whose per-tooth edge bounds can overlap the coarse window. A function of
+    its own, so its span-sized temporaries are freed before ``_live_steps``
+    yields a run to the row stage. They are kept few: only the anchors in the
+    band are bounded, and each tooth's cos and sin are freed before the next
+    tooth's are taken."""
     x0 = plan.x0
+    y_lo, y_hi, y_mid, hole = plan.band
     ta, tya = plan.step_times(np.arange(a_lo, a_hi, plan.stride))
-    near = _annulus_hits(tya, x0, plan.r_range, plan.coarse)
+    near = (tya >= y_lo) & (tya <= y_hi) & (np.abs(tya - y_mid) >= hole)
     ta, tya = ta[near], tya[near]
     hits = np.zeros(ta.size, dtype=bool)
     for k_idx, td in enumerate(plan.teeth):
@@ -572,16 +570,14 @@ def _live_steps(plan: _Plan, lo: int, hi: int) -> Iterator[np.ndarray]:
 
 
 def _rows(plan: _Plan, steps: np.ndarray):
-    """Row stage of a run of global steps: the step cull, the trig, and the
-    row and segment bounds. Per tooth with kept rows it yields ``(tooth, c,
-    s, ty, keep, inside)``: the kept rows' cos, sin and spindle-axis y as
-    1-D (R,) arrays, and (S, R) masks of the (segment, row) pairs to evaluate
-    with the in-grid test and of the interior pairs, so that a segment's
-    rows are one contiguous mask row."""
+    """Row stage of a run of live global steps: the trig, and the row and
+    segment bounds. Per tooth with kept rows it yields ``(tooth, c, s, ty,
+    keep, inside)``: the kept rows' cos, sin and spindle-axis y as 1-D (R,)
+    arrays, and (S, R) masks of the (segment, row) pairs to evaluate with the
+    in-grid test and of the interior pairs, so that a segment's rows are one
+    contiguous mask row."""
     x0, window, inner = plan.x0, plan.window, plan.inner
     t, ty = plan.step_times(steps)
-    reach = _annulus_hits(ty, x0, plan.r_range, window)
-    t, ty = t[reach], ty[reach]
     for k_idx, td in enumerate(plan.teeth):
         c, s = plan.tooth_trig(k_idx, t)
         # Interval bounds on the tooth's whole edge per step, then on each

@@ -51,36 +51,38 @@ class TestSimulateCommand:
         field = read_surface(out / "part.srtf")
         assert (field.as_array() < field.initial_height_mm).all()
 
-    def test_trajectory_flag(self, config_path, tmp_path):
+    def test_trajectory_csv(self, tmp_path):
+        raw = sim_config_dict()
+        raw["output"]["formats"] = ["trajectory"]
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        code = main(["simulate", "--config", str(config_path), "--out", str(out), "--trajectory"])
-        assert code == 0
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         lines = (out / "part_trajectory.csv").read_text().strip().split("\n")
         assert lines[0] == "t_s,tooth,x_mm,y_mm,z_mm"
         summary = json.loads((out / "part_summary.json").read_text())
+        assert summary["outputs"] == ["part_trajectory.csv"]
         assert len(lines) - 1 == summary["time_steps"] * 2
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert int(first[1]) == 1
         assert all(math.isfinite(float(v)) for v in first[2:])
 
-    def test_trajectory_format_in_config(self, config_path, tmp_path):
-        # The output format writes what the flag writes; the flag on top of it
-        # adds nothing, and the CSV is listed after the metrics.
-        flagged = tmp_path / "flag"
-        assert main(["simulate", "--config", str(config_path), "--out", str(flagged),
-                     "--trajectory"]) == 0
+    def test_trajectory_format_in_config(self, config_path, tmp_path, capsys):
+        # The CSV is listed after the metrics. The output format is the one
+        # way to ask for it: simulate has no --trajectory flag.
         raw = sim_config_dict()
         raw["output"]["formats"].append("trajectory")
         config_path.write_text(json.dumps(raw))
-        for out, extra in ((tmp_path / "format", []), (tmp_path / "both", ["--trajectory"])):
-            assert main(["simulate", "--config", str(config_path), "--out", str(out),
-                         *extra]) == 0
-            for name in ["part_trajectory.csv", "part_summary.json"]:
-                assert (out / name).read_bytes() == (flagged / name).read_bytes(), name
-        summary = json.loads((flagged / "part_summary.json").read_text())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "part_summary.json").read_text())
         assert summary["outputs"] == ["part.srtf", "part.csv", "part.pgm", "part_metrics.json",
                                       "part_trajectory.csv"]
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                     "--trajectory"]) == 1
+        assert "unrecognized arguments: --trajectory" in capsys.readouterr().err
 
     def test_workers_override_same_outputs(self, config_path, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -273,6 +275,22 @@ class TestDatasetCommand:
         }))
         assert main(["dataset", "--config", str(ds_config), "--samples", "2",
                      "--out", str(tmp_path / "d")]) == 1
+
+    def test_out_is_a_file(self, config_path, tmp_path, capsys):
+        # As for simulate: a validation error before any sample is generated.
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json",
+            "ranges": [{"name": "feed_per_tooth_mm", "low": 0.2, "high": 0.4}],
+        }))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["dataset", "--config", str(ds_config), "--samples", "2",
+                     "--seed", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: --out: ")
+        assert "generating" not in err
 
     def test_unknown_range_name(self, config_path, tmp_path):
         ds_config = tmp_path / "dataset.json"

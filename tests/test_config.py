@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -236,6 +238,38 @@ class TestParseConfig:
         assert sim.time_step_s == 3e-5
         assert sim.span_s == (0.001, 0.004)
         assert sim.worker_count == 3
+
+    def test_missing_keys_named_alike_in_every_process(self, tmp_path):
+        # Each config lacks two required keys. The first one the readers
+        # reach is named whatever the hash seed, which orders a set.
+        raw = case1_raw(**{"tool.insert_radius_mm": _DELETE, "tool.tooth_count": _DELETE})
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"count": 1, "seed": 0}))
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from millsurf import ConfigError, parse_config\n"
+            "from millsurf.dataset import _load_dataset_config\n"
+            "for parse, arg in ((parse_config, sys.argv[1]), (parse_config, '{}'),\n"
+            "                   (_load_dataset_config, Path(sys.argv[2]))):\n"
+            "    try:\n"
+            "        parse(arg)\n"
+            "    except ConfigError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script, json.dumps(raw), str(dataset)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+        assert outputs == {
+            "tool.insert_radius_mm: required key missing\n"
+            "<config>.tool: required key missing\n"
+            "dataset.base_config: required key missing\n"
+        }
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

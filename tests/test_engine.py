@@ -475,6 +475,111 @@ class TestLiveRuns:
         assert all(np.array_equal(covered[0], other) for other in covered[1:])
 
 
+def annulus_meets(x0, y, r_lo, r_hi, window):
+    """The exact annulus test: the annulus [r_lo, r_hi] about (x0, y) meets
+    ``window`` when the window's nearest point lies within r_hi and its
+    farthest beyond r_lo."""
+    x_lo, x_hi, y_lo, y_hi = window
+    near = math.hypot(max(x_lo - x0, 0.0, x0 - x_hi), max(y_lo - y, 0.0, y - y_hi))
+    far = math.hypot(max(x0 - x_lo, x_hi - x0), max(y - y_lo, y_hi - y))
+    return near <= r_hi and far >= r_lo
+
+
+def in_band(y, band):
+    y_lo, y_hi, y_mid, hole = band
+    return y_lo <= y <= y_hi and abs(y - y_mid) >= hole
+
+
+def random_band_config(seed: int) -> SimulationConfig:
+    """A random tool and a random grid, from a fiftieth of the cutter's width
+    to more than it, that lies about the spindle axis, across the cutter's
+    rim or beyond its reach: the coarse window lies in the annulus's hole,
+    across the annulus or outside it."""
+    rng = np.random.default_rng(seed)
+    diameter = float(rng.uniform(2.0, 12.0))
+    radius = float(rng.uniform(0.05, 0.3)) * diameter
+    teeth = int(rng.integers(1, 5))
+    tool = ToolDefinition(
+        cutting_diameter_mm=diameter, insert_radius_mm=radius, tooth_count=teeth,
+        radial_rake_rad=float(rng.uniform(-0.035, 0.035)),
+        runouts_mm=tuple((float(rng.uniform(-0.02, 0.02)), 0.0) for _ in range(teeth)),
+    )
+    x0 = float(rng.uniform(-5.0, 5.0))
+    process = derive_kinematics(
+        tool, depth_of_cut_mm=float(rng.uniform(0.1, 0.9)) * radius,
+        cutting_speed_m_min=float(rng.uniform(80.0, 250.0)),
+        feed_per_tooth_mm=float(rng.uniform(0.05, 0.5)), initial_position_mm=(x0, None, 0.0),
+    )
+    width, length = (diameter * 10.0 ** float(rng.uniform(-1.7, 0.1)) for _ in range(2))
+    offset = float(rng.choice([rng.uniform(0.0, 0.2), rng.uniform(0.3, 0.6),
+                               rng.uniform(0.8, 1.5)]))
+    x_mid = x0 + float(rng.choice([-1.0, 1.0])) * offset * diameter
+    grid = GridSpec.from_extents(float(rng.uniform(0.01, 0.1)),
+                                 (x_mid - width / 2.0, x_mid + width / 2.0), (0.0, length))
+    return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=8,
+                            max_step_angle_rad=float(rng.uniform(0.0002, 0.004)))
+
+
+def crossing_config() -> SimulationConfig:
+    """A scaled-down am_smooth: a cutter 11 times the width of a 0.4 x 0.2 mm
+    grid, whose spindle axis crosses the grid. The span runs from before the
+    cutter's front reaches the grid to the axis over the grid's middle, so the
+    first half of the steps cuts and the second half lies mostly in the
+    annulus's hole."""
+    tool = ToolDefinition(cutting_diameter_mm=4.4, insert_radius_mm=0.5, tooth_count=2)
+    depth, feed = 0.2, 0.3
+    reach = 2.2 + effective_half_length(tool, depth, feed)
+    process = derive_kinematics(tool, depth_of_cut_mm=depth, cutting_speed_m_min=120.0,
+                                feed_per_tooth_mm=feed, phase_rad=0.3,
+                                initial_position_mm=(0.03, -reach - 0.1, 0.0))
+    grid = GridSpec.from_extents(0.02, (-0.2, 0.2), (0.0, 0.2))
+    t_end = (reach + 0.2) / process.feed_speed_mm_s
+    return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=6,
+                            max_step_angle_rad=0.01, span_s=(0.0, t_end))
+
+
+class TestAnnulusBand:
+    """The coarse pass keeps an anchor only while its spindle-axis y lies in
+    the plan's band, the annulus test against the coarse window solved for
+    y."""
+
+    def test_band_matches_exact_annulus_test(self):
+        # The band keeps every y that the exact test passes, and drops every
+        # y more than 1e-9 mm inside a region where it fails. y is sampled at
+        # a third of a cell, so a band a cell too narrow or too wide fails.
+        eps = 1e-9
+        kinds = set()
+        for seed in range(24):
+            plan = engine._plan(random_band_config(seed))
+            radii = np.concatenate([np.hypot(td.x_tool, td.y_tool) for td in plan.teeth])
+            r_lo, r_hi = float(radii.min()), float(radii.max())
+            _, _, cy_lo, cy_hi = plan.coarse
+            dd = plan.grid.spacing_mm
+            ys = np.arange(cy_lo - r_hi - 1.0, cy_hi + r_hi + 1.0, dd / 3.0)
+            passes = [annulus_meets(plan.x0, float(y), r_lo, r_hi, plan.coarse) for y in ys]
+            for y, ok in zip(ys.tolist(), passes):
+                if ok:
+                    assert in_band(y, plan.band), (seed, y)
+                elif not any(annulus_meets(plan.x0, y + d, r_lo, r_hi, plan.coarse)
+                             for d in (-eps, eps)):
+                    assert not in_band(y, plan.band), (seed, y)
+            kinds.add((any(passes), plan.band[3] > 0.0))
+        # Windows beyond the annulus, in its hole and across it all occur.
+        assert kinds == {(False, False), (True, True), (True, False)}, kinds
+
+    @pytest.mark.usefixtures("cull_off")
+    def test_hole_drops_anchors_and_agrees(self):
+        cfg = crossing_config()
+        plan = engine._plan(cfg)
+        _, ty = plan.step_times(np.arange(0, plan.steps, plan.stride))
+        _, _, y_mid, hole = plan.band
+        assert np.count_nonzero(np.abs(ty - y_mid) < hole) > ty.size // 4
+        ref = simulate_reference(cfg)
+        assert ref.in_grid_points > 0
+        for workers in (1, 2):
+            assert_kernels_agree(simulate(dataclasses.replace(cfg, worker_count=workers)), ref)
+
+
 def strip_config(seed):
     """``wide_cutter_config(seed)`` over a strip of the grid three nodes long,
     with 16 edge points: as on am_smooth, every edge segment outgrows the
