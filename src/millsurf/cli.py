@@ -15,9 +15,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import config_from_dict, parse_config
-from .dataset import _apply_overrides, _load_dataset_config, generate_dataset
-from .engine import run_benchmark, simulate, time_step, trajectory
+from .config import parse_config
+from .dataset import _load_dataset_config, generate_dataset
+from .engine import run_benchmark, simulate, trajectory
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .roughness import MM_TO_UM, areal_metrics, extract_profile, line_roughness
 from .surface_io import (
@@ -46,7 +46,12 @@ def _load_config(path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        if not isinstance(exc.__cause__, ValueError):  # raised on the JSON decode only
+            raise
+        raise ConfigError(f"malformed JSON in {path}: {exc.__cause__}") from exc.__cause__
 
 
 def _make_out_dir(path: Path) -> None:
@@ -174,33 +179,13 @@ def _cmd_roughness(args) -> int:
     return 0
 
 
-def _note_fixed_step(job: dict) -> None:
-    """Note on stderr a sampled grid spacing that the base config's fixed step
-    under-resolves: one whose derived step would be smaller. Both steps scale
-    with the spacing at most linearly, so the range's low end is the worst."""
-    for k, prm in enumerate(job["ranges"]):
-        if prm.name != "grid_spacing_mm":
-            continue
-        try:
-            config_from_dict(job["base_raw"])  # before _apply_overrides walks it
-            raw = _apply_overrides(job["base_raw"], [prm.name], [prm.low])
-            sim = config_from_dict(raw).simulation
-        except MillsurfError:
-            return  # generate_dataset reports the error
-        fixed = time_step(sim)
-        derived = time_step(replace(sim, max_step_angle_rad=None, time_step_s=None))
-        if fixed > derived:
-            _info(f"note: ranges[{k}] grid_spacing_mm = {prm.low:g} mm is under-resolved by "
-                  f"the base config's fixed time step {fixed:.4g} s; the spacing derives "
-                  f"{derived:.4g} s")
-
-
 def _cmd_dataset(args) -> int:
     job = _load_dataset_config(Path(args.config), count=args.samples, seed=args.seed)
-    _note_fixed_step(job)
     _make_out_dir(Path(args.out))
     _info(f"generating {job['count']} samples (seed {job['seed']}) into {args.out} ...")
     manifest = generate_dataset(**job, out_dir=Path(args.out))
+    for note in manifest.notes:
+        _info(f"note: {note}")
     failed = sum(1 for row in manifest.rows if row["status"] != "ok")
     _info(f"wrote {manifest.path} ({manifest.count - failed} ok, {failed} failed)")
     return 0 if failed == 0 else 2

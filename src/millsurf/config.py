@@ -14,9 +14,9 @@ resolves a pair and checks that two given members agree.
 
 Angles take ``*_deg`` fields only. Checks on a single object's own fields
 (the time step, step angle, span, worker count, and the process against the
-tool: depth of cut against the insert radius, feed speed against the tooth
-count) live in that object's constructor; this module adds the JSON type
-checks and the key paths as written.
+tool: depth of cut against the insert radius, and a feed speed on the tool's
+teeth that is finite and > 0) live in that object's constructor; this module
+adds the JSON type checks and the key paths as written.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def _parse_output(block: dict | None, path: str = "output") -> OutputSettings:
     basename = block.get("basename", "surface")
     if not isinstance(basename, str) or not basename:
         raise ConfigError(f"{path}.basename: expected a non-empty string")
-    if PurePath(basename).name != basename:  # outputs stay inside the output directory
+    if PurePath(basename).name != basename or "\0" in basename:  # a file in the out dir
         raise ConfigError(f"{path}.basename: expected a single file name, got {basename!r}")
     return OutputSettings(formats=tuple(formats), basename=basename)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _check_keys, _integer, _number, _require_dict, config_from_dict
-from .engine import simulate
+from .engine import simulate, time_step
 from .errors import ConfigError, MillsurfError
 from .roughness import areal_metrics
 from .surface_io import atomic_write_bytes, write_surface
@@ -84,6 +84,9 @@ class DatasetManifest:
     count: int
     rows: list[dict]
     path: Path
+    # One line per sampled grid spacing that the base config's fixed time
+    # step under-resolves; the run and its outputs do not change.
+    notes: list[str]
 
 
 def lhs_sample(ranges: list[ParameterRange], count: int, seed: int) -> np.ndarray:
@@ -191,6 +194,7 @@ def generate_dataset(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     config_from_dict(base_raw)  # fail fast on a broken base configuration
     names = [prm.name for prm in ranges]
+    notes = []
     for k, name in enumerate(names):
         # A row holds one value per name, and overriding one member of a pair
         # clears the other, so either clash would record a value not simulated.
@@ -203,9 +207,18 @@ def generate_dataset(
         # the grid extent), so a range whose two ends parse lies inside all.
         for end in (ranges[k].low, ranges[k].high):
             try:
-                config_from_dict(_apply_overrides(base_raw, [name], [end]))
+                sim = config_from_dict(_apply_overrides(base_raw, [name], [end])).simulation
             except MillsurfError as exc:
                 raise ConfigError(f"ranges[{k}]: {name} = {end}: {exc}") from exc
+            # Both steps scale at most linearly with the spacing: its low end is the worst.
+            if name == "grid_spacing_mm" and end == ranges[k].low:
+                fixed = time_step(sim)
+                derived = time_step(replace(sim, max_step_angle_rad=None, time_step_s=None))
+                if fixed > derived:
+                    notes.append(
+                        f"ranges[{k}] grid_spacing_mm = {end:g} mm is under-resolved by the "
+                        f"base config's fixed time step {fixed:.4g} s; the spacing derives "
+                        f"{derived:.4g} s")
     samples = lhs_sample(ranges, count, seed)
 
     out_dir = Path(out_dir)
@@ -235,7 +248,7 @@ def generate_dataset(
                 yield (json.dumps(row) + "\n").encode()
 
     atomic_write_bytes(manifest_path, lines())
-    return DatasetManifest(seed=seed, count=count, rows=rows, path=manifest_path)
+    return DatasetManifest(seed=seed, count=count, rows=rows, path=manifest_path, notes=notes)
 
 
 def _read_json(path: Path, what: str):

@@ -174,9 +174,9 @@ from .tool_geometry import (
 # spans of _STEP_CHUNK anchors, and the row stage (_rows: trig, row and segment
 # bounds against the cull geometry built in _plan) takes runs of _STEP_CHUNK
 # live steps, long enough that per-call overhead stays small and that a run's
-# groups of pairs reach the dominance map's refresh size (at 8,192, with one
-# field per worker, evaluated points at 2 workers rose from 10.5M to 25.5M on
-# case1 and from 4.3M to 7.9M on am_smooth).
+# groups of pairs reach the dominance map's refresh size (at 8,192, evaluated
+# points at 2 workers rose from 8.8-9.4M to 22.3-23.9M on case1 and from 4.3M
+# to 7.9M on am_smooth, and each sweep took about twice as long).
 # The point stage (_PointStage: rotation, cell index, scatter-min, dominance
 # map) runs over each edge segment's kept rows in blocks of about _POINT_BLOCK
 # (edge point, row) elements, rows fastest; its three float64 buffers take
@@ -240,17 +240,9 @@ class SimulationConfig:
                 f"process.depth_of_cut_mm {self.process.depth_of_cut_mm} exceeds "
                 f"tool.insert_radius_mm {self.tool.insert_radius_mm}"
             )
-        # A process derived for another tool, built by hand, or kept through
-        # replace(config, tool=...) would cut a different feed per tooth.
-        proc = self.process
-        teeth = self.tool.tooth_count
-        feed = proc.feed_per_tooth_mm * teeth * proc.angular_velocity_rad_s / (2.0 * math.pi)
-        if abs(proc.feed_speed_mm_s - feed) > 1e-9 * feed:
-            raise ConfigError(
-                f"process.feed_speed_mm_s {proc.feed_speed_mm_s} does not match "
-                f"feed_per_tooth_mm {proc.feed_per_tooth_mm} on the tool's {teeth} teeth "
-                f"({feed} mm/s); derive the process from this tool"
-            )
+        feed = self.process.feed_speed_mm_s(self.tool)  # f_z*z*n may under- or overflow
+        if not 0 < feed < math.inf:
+            raise ConfigError(f"feed speed on the tool's teeth must be finite and > 0, got {feed}")
 
 
 @dataclass
@@ -283,13 +275,13 @@ def time_step(config: SimulationConfig) -> float:
     """
     if config.time_step_s is not None:
         return config.time_step_s
+    proc = config.process
     angle = config.max_step_angle_rad
     if angle is None:
-        proc = config.process
         half = effective_half_length(config.tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
         angle = config.grid.spacing_mm / (config.tool.cutting_diameter_mm / 2.0 + half)
-    by_angle = angle / config.process.angular_velocity_rad_s
-    by_feed = config.grid.spacing_mm / config.process.feed_speed_mm_s
+    by_angle = angle / proc.angular_velocity_rad_s
+    by_feed = config.grid.spacing_mm / proc.feed_speed_mm_s(config.tool)
     return min(by_angle, by_feed)
 
 
@@ -374,6 +366,7 @@ def _plan(config: SimulationConfig) -> _Plan:
     edge = discretize_edge(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm, n_points)
 
     dt = time_step(config)
+    v_f = proc.feed_speed_mm_s(tool)
     x0, y0, z0 = proc.initial_position_mm
     if config.span_s is None:
         # Auto-span: tool centre travels from just below the grid to just past
@@ -382,12 +375,13 @@ def _plan(config: SimulationConfig) -> _Plan:
         margin = tool.cutting_diameter_mm / 2.0 + edge.half_length_mm
         y0 = grid.y_min_mm - margin
         t_start = 0.0
-        t_end = (grid.y_max_mm + margin - y0) / proc.feed_speed_mm_s
+        t_end = (grid.y_max_mm + margin - y0) / v_f
     else:
         t_start, t_end = config.span_s
-    if z0 is None:
-        z0 = 0.0
-    steps = int(math.floor((t_end - t_start) / dt)) + 1
+    count = (t_end - t_start) / dt if dt > 0 else math.inf  # a derived dt can round to 0
+    if not count < math.inf:
+        raise ConfigError(f"time step {dt} s takes infinitely many steps over {t_end - t_start} s")
+    steps = int(math.floor(count)) + 1
 
     initial_height = z0 + proc.depth_of_cut_mm
     # Near-equal, non-empty edge slices; fewer than _EDGE_SEGMENTS when the
@@ -424,7 +418,7 @@ def _plan(config: SimulationConfig) -> _Plan:
     # of slack, which absorbs the difference between the bounds' and the point
     # stage's floating-point evaluation orders; the coarse window's slack
     # covers how far a box bound can move in one stride of steps.
-    dd, omega, v_f = grid.spacing_mm, proc.angular_velocity_rad_s, proc.feed_speed_mm_s
+    dd, omega = grid.spacing_mm, proc.angular_velocity_rad_s
     wx_lo, wx_hi = grid.x_min_mm - 1.5 * dd, grid.x_max_mm + 1.5 * dd
     wy_lo, wy_hi = grid.y_min_mm - 1.5 * dd, grid.y_max_mm + 1.5 * dd
     lipschitz = max(

@@ -21,6 +21,10 @@ spindle-to-workpiece and tool-to-spindle rows; the vectorized sweep and
 ``engine.trajectory`` apply the same rotation by ``tooth_angle`` and shift
 directly, in the same evaluation order, which keeps the kernels bit-identical.
 
+A ``ProcessParameters`` keeps the spindle speed n in rpm and derives
+omega = 2 pi n / 60 from it; its feed speed v_f = f_z z n / 60 follows from
+the tooth count z of the tool it is asked about, so it cannot disagree with it.
+
 ``derive_kinematics`` owns the rule that resolves the speed pair (cutting
 speed / spindle speed) and the feed pair (feed per tooth / feed speed), and
 checks that each given member is finite and > 0, for config files and library
@@ -40,19 +44,26 @@ from .tool_geometry import ToolDefinition
 
 @dataclass(frozen=True)
 class ProcessParameters:
-    """Kinematic state of one cut. Feed speed is mm/s; angles rad; lengths mm."""
+    """Kinematic state of one cut: spindle speed in rpm, lengths mm, angles rad;
+    angular velocity rad/s, and feed speed mm/s on a given tool's teeth."""
 
-    angular_velocity_rad_s: float
-    feed_speed_mm_s: float
+    spindle_speed_rpm: float
     feed_per_tooth_mm: float
     depth_of_cut_mm: float
     phase_rad: float = 0.0
     initial_position_mm: tuple[float, float | None, float] = (0.0, None, 0.0)
 
+    @property
+    def angular_velocity_rad_s(self) -> float:
+        return 2.0 * math.pi * self.spindle_speed_rpm / 60.0
+
+    def feed_speed_mm_s(self, tool: ToolDefinition) -> float:
+        return self.feed_per_tooth_mm * tool.tooth_count * self.spindle_speed_rpm / 60.0
+
     def __post_init__(self) -> None:
         for name, value in (
+            ("spindle speed", self.spindle_speed_rpm),
             ("angular velocity", self.angular_velocity_rad_s),
-            ("feed speed", self.feed_speed_mm_s),
             ("feed per tooth", self.feed_per_tooth_mm),
             ("depth of cut", self.depth_of_cut_mm),
         ):
@@ -60,8 +71,8 @@ class ProcessParameters:
                 raise DomainError(f"{name} must be finite and > 0, got {value}")
         x0, y0, z0 = self.initial_position_mm
         for name, value in (("phase", self.phase_rad), ("initial x", x0),
-                            ("initial y", y0), ("initial z", z0)):
-            if value is not None and not math.isfinite(value):
+                            ("initial y", 0.0 if y0 is None else y0), ("initial z", z0)):
+            if value is None or not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
 
 
@@ -159,14 +170,13 @@ def derive_kinematics(
     """Resolve the speed pair (cutting speed / spindle speed) and the feed pair
     (feed per tooth / feed speed).
 
-    Standard machining relations: n = 1000 v_c / (pi D), omega = 2 pi n / 60,
+    Standard machining relations: n = 1000 v_c / (pi D) and
     v_f = f_z z_n n / 60, with the diameter D and the tooth count z_n read
     from ``tool``. Each pair needs at least one member. When both are given
     they must agree (1e-9 relative for the speeds, 1e-9 mm/s for the feeds),
     and the spindle speed and the feed per tooth are used. Errors name the
     keys as a config file's ``process`` block writes them.
     """
-    tooth_count = tool.tooth_count
     for key, value in (("cutting_speed_m_min", cutting_speed_m_min),
                        ("spindle_speed_rpm", spindle_speed_rpm),
                        ("feed_per_tooth_mm", feed_per_tooth_mm),
@@ -191,20 +201,13 @@ def derive_kinematics(
         raise ConfigError("process: one of feed_per_tooth_mm / feed_speed_mm_min is required")
     f_z = feed_per_tooth_mm
     if f_z is None:
-        f_z = feed_speed_mm_min / (tooth_count * rpm)
-    feed_mm_s = f_z * tooth_count * rpm / 60.0
-    both = feed_per_tooth_mm is not None and feed_speed_mm_min is not None
-    if both and abs(feed_mm_s - feed_speed_mm_min / 60.0) > 1e-9:
-        raise ConfigError(
-            "process.feed_per_tooth_mm and process.feed_speed_mm_min are inconsistent: "
-            f"f_z {f_z} implies {feed_mm_s * 60.0:.9f} mm/min, got {feed_speed_mm_min}"
-        )
-
-    return ProcessParameters(
-        angular_velocity_rad_s=2.0 * math.pi * rpm / 60.0,
-        feed_speed_mm_s=feed_mm_s,
-        feed_per_tooth_mm=f_z,
-        depth_of_cut_mm=depth_of_cut_mm,
-        phase_rad=phase_rad,
-        initial_position_mm=initial_position_mm,
-    )
+        f_z = feed_speed_mm_min / (tool.tooth_count * rpm)
+    process = ProcessParameters(rpm, f_z, depth_of_cut_mm, phase_rad, initial_position_mm)
+    if feed_per_tooth_mm is not None and feed_speed_mm_min is not None:
+        feed_mm_s = process.feed_speed_mm_s(tool)
+        if abs(feed_mm_s - feed_speed_mm_min / 60.0) > 1e-9:
+            raise ConfigError(
+                "process.feed_per_tooth_mm and process.feed_speed_mm_min are inconsistent: "
+                f"f_z {f_z} implies {feed_mm_s * 60.0:.9f} mm/min, got {feed_speed_mm_min}"
+            )
+    return process

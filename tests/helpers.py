@@ -81,7 +81,7 @@ def small_random_config(seed: int, random_z0: bool = False) -> SimulationConfig:
     target_steps = int(rng.integers(200, min(1000, 50_000 // (tooth_count * n_points))))
     half = effective_half_length(tool, depth, feed)
     travel = (grid.y_max_mm - grid.y_min_mm) + 2.0 * (diameter / 2.0 + half)
-    dt = (travel / process.feed_speed_mm_s) / target_steps
+    dt = (travel / process.feed_speed_mm_s(tool)) / target_steps
     if random_z0:
         x0, y0, _ = process.initial_position_mm
         process = dataclasses.replace(
@@ -143,7 +143,7 @@ def wide_cutter_config(seed: int) -> SimulationConfig:
     )
     n_points = int(rng.integers(4, 10))
     steps = 40_000 // (tooth_count * n_points)
-    t_end = (grid_l + 2.0 * reach) / process.feed_speed_mm_s
+    t_end = (grid_l + 2.0 * reach) / process.feed_speed_mm_s(tool)
     return SimulationConfig(
         tool=tool,
         process=process,
@@ -175,7 +175,7 @@ def front_cut_config(feed_per_tooth_mm: float, spacing_mm: float, runouts=(),
     # stop while the trailing edge (inner radius D/2 - half) is still short of the strip
     y_center_end = roi_len_mm - tool.cutting_diameter_mm / 2.0 + margin
     assert y_center_end < tool.cutting_diameter_mm / 2.0 - half, "back-cutting would reach the strip"
-    t_end = (y_center_end - y0) / process.feed_speed_mm_s
+    t_end = (y_center_end - y0) / process.feed_speed_mm_s(tool)
     return SimulationConfig(
         tool=tool,
         process=process,

@@ -27,6 +27,13 @@ def sim_config_dict():
     }
 
 
+def only_error(err: str) -> str:
+    """The one ``error:`` line of a run that printed no traceback."""
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    return line
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "sim.json"
@@ -136,13 +143,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_basename_outside_out_rejected(self, tmp_path):
+    def test_basename_outside_out_rejected(self, tmp_path, capsys):
         raw = sim_config_dict()
-        raw["output"]["basename"] = "../escaped"
+        path = tmp_path / "sim.json"
+        for basename in ("../escaped", "escaped\u0000"):
+            raw["output"]["basename"] = basename
+            path.write_text(json.dumps(raw))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+            assert only_error(capsys.readouterr().err).startswith("error: output.basename: ")
+        assert list(tmp_path.glob("escaped*")) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_named(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text("{not json")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert only_error(capsys.readouterr().err).startswith(f"error: malformed JSON in {path}: ")
+
+    @pytest.mark.parametrize("engine", [
+        pytest.param({"max_step_angle_deg": 1e-320}, id="derived_step_rounds_to_zero"),
+        pytest.param({"time_step_s": 5e-324}, id="infinite_step_count"),
+    ])
+    def test_step_that_cannot_cover_the_span(self, tmp_path, capsys, engine):
+        raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
+        raw["engine"] = engine
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert list(tmp_path.glob("escaped*")) == []
+        assert only_error(capsys.readouterr().err).startswith("error: time step ")
 
     @pytest.mark.parametrize("spacing", [1e-8, 1e-200])
     def test_grid_too_large_to_allocate(self, tmp_path, capsys, spacing):
@@ -366,6 +394,22 @@ class TestDatasetCommand:
         assert captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "sample_00000.srtf"]
 
+    def test_step_that_cannot_cover_the_span_fails_samples(self, tmp_path, capsys):
+        base = sim_config_dict()
+        base["engine"] = {"time_step_s": 5e-324}
+        (tmp_path / "sim.json").write_text(json.dumps(base))
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json", "count": 2, "seed": 3,
+            "ranges": [{"name": "feed_per_tooth_mm", "low": 0.2, "high": 0.4}],
+        }))
+        out = tmp_path / "d"
+        assert main(["dataset", "--config", str(ds_config), "--out", str(out)]) == 2
+        assert "(0 ok, 2 failed)" in capsys.readouterr().err
+        rows = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()[1:]]
+        assert [row["status"] for row in rows] == ["failed", "failed"]
+        assert all(row["error"].startswith("time step ") for row in rows)
+
     def test_spacing_range_on_broken_base(self, tmp_path, capsys):
         (tmp_path / "sim.json").write_text(json.dumps({**sim_config_dict(), "grid": []}))
         ds_config = tmp_path / "dataset.json"
@@ -424,6 +468,18 @@ class TestBenchCommand:
 
     def test_out_required(self, bench_config):
         assert main(["bench", "--config", str(bench_config)]) == 1
+
+    def test_scale_too_large_for_a_step_count(self, bench_config, tmp_path, capsys):
+        assert main(["bench", "--config", str(bench_config), "--scale", "1e308",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert only_error(capsys.readouterr().err).startswith("error: time step ")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_malformed_config_named(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text("{not json")
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert only_error(capsys.readouterr().err).startswith(f"error: malformed JSON in {path}: ")
 
 
 class TestExitCodes:

@@ -11,7 +11,6 @@ from millsurf import (
     ConfigError,
     GridSpec,
     HeightField,
-    ProcessParameters,
     SimulationConfig,
     ToolDefinition,
     areal_metrics,
@@ -84,7 +83,7 @@ class TestTimeStep:
 
     def test_feed_guard_wins_at_high_feed(self):
         cfg = tiny_config(time_step_s=None, max_step_angle_rad=math.radians(45.0))
-        assert time_step(cfg) == cfg.grid.spacing_mm / cfg.process.feed_speed_mm_s
+        assert time_step(cfg) == cfg.grid.spacing_mm / cfg.process.feed_speed_mm_s(cfg.tool)
 
     def test_monotone_in_spindle_speed(self):
         slow = case1_process(cutting_speed_m_min=100.0)
@@ -195,9 +194,7 @@ class TestSimulate:
 
 
 _Y0 = case1_process(y0=-3.0)
-# case1's cutter with twice the teeth. A process derived for it at 0.6 mm per
-# tooth would cut 1.2 mm per tooth on case1's two teeth, and a case1 process
-# 0.3 mm per tooth on these four.
+# case1's cutter with twice the teeth.
 _FOUR_TEETH = ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, tooth_count=4)
 
 
@@ -227,15 +224,6 @@ _FOUR_TEETH = ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, too
     pytest.param(dict(edge_point_count=1), id="edge_point_count=1"),
     pytest.param(dict(edge_point_count=True), id="edge_point_count=True"),
     pytest.param(dict(process=case1_process(depth_of_cut_mm=5.5)), id="depth-beyond-insert"),
-    pytest.param(dict(process=derive_kinematics(_FOUR_TEETH, depth_of_cut_mm=0.5,
-                                                cutting_speed_m_min=170.0,
-                                                feed_per_tooth_mm=0.6)),
-                 id="process-for-another-tool"),
-    pytest.param(dict(process=ProcessParameters(angular_velocity_rad_s=_Y0.angular_velocity_rad_s,
-                                                feed_speed_mm_s=2.0 * _Y0.feed_speed_mm_s,
-                                                feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)),
-                 id="hand-built-process"),
-    pytest.param(dict(tool=_FOUR_TEETH), id="tool-replaced"),
 ])
 def test_config_rejected_at_construction(overrides):
     with pytest.raises(ConfigError):
@@ -245,12 +233,21 @@ def test_config_rejected_at_construction(overrides):
         dataclasses.replace(valid, **overrides)
 
 
-def test_hand_built_process_for_the_tool_accepted():
-    rpm = 5000.0
-    process = ProcessParameters(angular_velocity_rad_s=2.0 * math.pi * rpm / 60.0,
-                                feed_speed_mm_s=0.6 * 2 * rpm / 60.0,
-                                feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
-    assert tiny_config(process=process).process is process
+def test_step_that_cannot_cover_the_span_rejected():
+    # The derived step angle / omega rounds to zero; 5e-324 s takes infinitely many steps.
+    for overrides in (dict(time_step_s=None, max_step_angle_rad=1e-320), dict(time_step_s=5e-324)):
+        with pytest.raises(ConfigError, match="time step"):
+            simulate(tiny_config(**overrides))
+    with pytest.raises(ConfigError, match="time step"):
+        run_benchmark(tiny_config(), [1e308])
+
+
+def test_tool_replaced_keeps_feed_per_tooth():
+    # The process keeps f_z and n, so on twice the teeth it feeds twice as fast.
+    cfg = dataclasses.replace(tiny_config(), tool=_FOUR_TEETH)
+    n = cfg.process.spindle_speed_rpm
+    assert cfg.process.feed_speed_mm_s(cfg.tool) == 0.6 * 4 * n / 60.0
+    assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
 
 
 def assert_trajectory_agrees(cfg):
@@ -533,7 +530,7 @@ def crossing_config() -> SimulationConfig:
                                 feed_per_tooth_mm=feed, phase_rad=0.3,
                                 initial_position_mm=(0.03, -reach - 0.1, 0.0))
     grid = GridSpec.from_extents(0.02, (-0.2, 0.2), (0.0, 0.2))
-    t_end = (reach + 0.2) / process.feed_speed_mm_s
+    t_end = (reach + 0.2) / process.feed_speed_mm_s(tool)
     return SimulationConfig(tool=tool, process=process, grid=grid, edge_point_count=6,
                             max_step_angle_rad=0.01, span_s=(0.0, t_end))
 

@@ -32,7 +32,7 @@ def chain(tool, params, tooth, t, point):
     ct = _edge_to_tool_rows(tool, tooth)
     ts = _tool_to_spindle_rows(params.phase_rad, tooth, tool.tooth_count,
                                params.angular_velocity_rad_s, t)
-    sw = _spindle_to_workpiece_rows(x0, y0, z0, params.feed_speed_mm_s, t)
+    sw = _spindle_to_workpiece_rows(x0, y0, z0, params.feed_speed_mm_s(tool), t)
     return _apply4(_matmul4(sw, ts), *_apply4(ct, *point))
 
 
@@ -63,7 +63,7 @@ def chain_oracle(tool, params, tooth, t, point):
     x0, y0, z0 = params.initial_position_mm
     spindle_to_work = np.array([
         [1.0, 0.0, 0.0, x0],
-        [0.0, 1.0, 0.0, y0 + params.feed_speed_mm_s * t],
+        [0.0, 1.0, 0.0, y0 + params.feed_speed_mm_s(tool) * t],
         [0.0, 0.0, 1.0, z0],
         [0.0, 0.0, 0.0, 1.0],
     ])
@@ -115,7 +115,7 @@ class TestSpindleToWorkpiece:
 
     def test_feed_translation(self):
         proc = case1_process()
-        m = _spindle_to_workpiece_rows(0.0, -10.0, 0.0, proc.feed_speed_mm_s, 0.1)
+        m = _spindle_to_workpiece_rows(0.0, -10.0, 0.0, proc.feed_speed_mm_s(case1_tool()), 0.1)
         assert m[1][3] == pytest.approx(0.8225, abs=1e-4)
 
     def test_pure_translation(self):
@@ -157,7 +157,7 @@ class TestTransformPoint:
         tool = case1_tool()
         proc = case1_process(x0=0.0, y0=-3.0)
         t = 0.0123
-        center_y = -3.0 + proc.feed_speed_mm_s * t
+        center_y = -3.0 + proc.feed_speed_mm_s(tool) * t
         p = edge_points(tool)[33]
         a = chain(tool, proc, 1, t, p)
         b = chain(tool, proc, 2, t, p)
@@ -171,7 +171,7 @@ class TestTransformPoint:
         tool = case1_tool()
         proc = case1_process(y0=-5.0)
         period = 2.0 * math.pi / (proc.angular_velocity_rad_s * tool.tooth_count)
-        shift = proc.feed_speed_mm_s * period
+        shift = proc.feed_speed_mm_s(tool) * period
         points = edge_points(tool)
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -204,7 +204,7 @@ class TestTransformPoint:
         proc = case1_process(x0=0.7, y0=-2.0)
         ct = _edge_to_tool_rows(tool, 2)
         ts = _tool_to_spindle_rows(proc.phase_rad, 2, 2, proc.angular_velocity_rad_s, 0.004)
-        sw = _spindle_to_workpiece_rows(0.7, -2.0, 0.0, proc.feed_speed_mm_s, 0.004)
+        sw = _spindle_to_workpiece_rows(0.7, -2.0, 0.0, proc.feed_speed_mm_s(tool), 0.004)
         point = (1.3, 0.0, 0.17)
         correct = chain(tool, proc, 2, 0.004, point)
         assert correct == _apply4(_matmul4(sw, ts), *_apply4(ct, *point))
@@ -238,10 +238,10 @@ class TestTransformInvariants:
 
 class TestProcessParameters:
     @pytest.mark.parametrize("kw", [
-        dict(angular_velocity_rad_s=math.nan),
-        dict(angular_velocity_rad_s=math.inf),
-        dict(feed_speed_mm_s=math.nan),
-        dict(feed_speed_mm_s=math.inf),
+        dict(spindle_speed_rpm=math.nan),
+        dict(spindle_speed_rpm=math.inf),
+        dict(spindle_speed_rpm=0.0),
+        dict(spindle_speed_rpm=5e-324),  # its angular velocity rounds to zero
         dict(feed_per_tooth_mm=math.nan),
         dict(feed_per_tooth_mm=-math.inf),
         dict(depth_of_cut_mm=math.nan),
@@ -252,10 +252,11 @@ class TestProcessParameters:
         dict(initial_position_mm=(0.0, math.inf, 0.0)),
         dict(initial_position_mm=(0.0, -3.0, math.nan)),
         dict(initial_position_mm=(0.0, None, -math.inf)),
+        dict(initial_position_mm=(None, None, 0.0)),
+        dict(initial_position_mm=(0.0, None, None)),
     ])
     def test_non_finite_rejected(self, kw):
-        fields = dict(angular_velocity_rad_s=566.7, feed_speed_mm_s=108.2,
-                      feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
+        fields = dict(spindle_speed_rpm=5411.3, feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
         ProcessParameters(**fields)
         with pytest.raises(DomainError):
             ProcessParameters(**{**fields, **kw})
@@ -264,13 +265,14 @@ class TestProcessParameters:
 class TestDeriveKinematics:
     def test_case1_closed_form(self):
         proc = case1_process()
-        rpm = proc.angular_velocity_rad_s * 60 / (2 * math.pi)
+        rpm = proc.spindle_speed_rpm
         assert rpm == pytest.approx(5411.27, abs=5e-3)
         assert proc.angular_velocity_rad_s == pytest.approx(566.667, abs=5e-4)
-        assert proc.feed_speed_mm_s == pytest.approx(108.225, abs=5e-4)
+        assert proc.feed_speed_mm_s(case1_tool()) == pytest.approx(108.225, abs=5e-4)
         # closed-form cross-checks
         assert rpm == pytest.approx(1000 * 170 / (math.pi * 10), rel=1e-12)
-        assert proc.feed_speed_mm_s == pytest.approx(0.6 * 2 * rpm / 60, rel=1e-12)
+        assert proc.angular_velocity_rad_s == pytest.approx(2 * math.pi * rpm / 60, rel=1e-15)
+        assert proc.feed_speed_mm_s(case1_tool()) == pytest.approx(0.6 * 2 * rpm / 60, rel=1e-12)
 
     def test_consistent_speed_pair_equals_rpm_only(self):
         common = dict(tool=case1_tool(), depth_of_cut_mm=0.5, feed_per_tooth_mm=0.6)
@@ -288,17 +290,15 @@ class TestDeriveKinematics:
             FOUR_TOOTH_50MM, depth_of_cut_mm=2.5,
             spindle_speed_rpm=995.0, feed_speed_mm_min=125.0,
         )
-        assert proc.feed_speed_mm_s == pytest.approx(2.0833, abs=5e-4)
+        assert proc.feed_speed_mm_s(FOUR_TOOTH_50MM) == pytest.approx(2.0833, abs=5e-4)
         assert proc.feed_per_tooth_mm == pytest.approx(125.0 / (4 * 995.0), rel=1e-12)
 
     def test_unit_case(self):
-        proc = derive_kinematics(
-            ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, tooth_count=1),
-            depth_of_cut_mm=0.5,
-            spindle_speed_rpm=60.0, feed_per_tooth_mm=1.0,
-        )
+        tool = ToolDefinition(cutting_diameter_mm=10.0, insert_radius_mm=5.0, tooth_count=1)
+        proc = derive_kinematics(tool, depth_of_cut_mm=0.5,
+                                 spindle_speed_rpm=60.0, feed_per_tooth_mm=1.0)
         assert proc.angular_velocity_rad_s == pytest.approx(2 * math.pi, rel=1e-15)
-        assert proc.feed_speed_mm_s == pytest.approx(1.0, rel=1e-15)
+        assert proc.feed_speed_mm_s(tool) == pytest.approx(1.0, rel=1e-15)
 
     def test_exclusive_speed_inputs(self):
         with pytest.raises(ConfigError):
