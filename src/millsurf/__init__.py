@@ -10,12 +10,11 @@ from .engine import (
     simulate,
     simulate_reference,
     time_step,
-    trajectory,
 )
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .kinematics import ProcessParameters, derive_kinematics
 from .roughness import ArealMetrics, LineProfile, areal_metrics, extract_profile, line_roughness
-from .surface_grid import GridSpec, HeightField, TrajectoryRecord
+from .surface_grid import GridSpec, HeightField
 from .surface_io import read_surface, write_surface
 from .tool_geometry import (
     EdgeDiscretization,
@@ -43,7 +42,6 @@ __all__ = [
     "SimulationResult",
     "SurfaceFormatError",
     "ToolDefinition",
-    "TrajectoryRecord",
     "areal_metrics",
     "derive_kinematics",
     "discretize_edge",
@@ -58,6 +56,5 @@ __all__ = [
     "simulate",
     "simulate_reference",
     "time_step",
-    "trajectory",
     "write_surface",
 ]

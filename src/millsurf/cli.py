@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import parse_config
 from .dataset import _load_dataset_config, generate_dataset
-from .engine import run_benchmark, simulate, trajectory
+from .engine import run_benchmark, simulate
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
 from .roughness import MM_TO_UM, areal_metrics, extract_profile, line_roughness
 from .surface_io import (
@@ -26,7 +26,6 @@ from .surface_io import (
     write_graymap,
     write_heights_csv,
     write_surface,
-    write_trajectory_csv,
 )
 
 
@@ -129,11 +128,6 @@ def _cmd_simulate(args) -> int:
             payload = {"error": str(exc)}
             _info(f"metrics skipped: {exc}")
         atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
-        written.append(path)
-
-    if "trajectory" in formats:
-        path = out_dir / f"{base}_trajectory.csv"
-        write_trajectory_csv(trajectory(sim_config), path)
         written.append(path)
 
     # wall time goes to stderr only: output files stay byte-identical across runs

@@ -32,7 +32,7 @@ from .kinematics import ProcessParameters, derive_kinematics
 from .surface_grid import GridSpec
 from .tool_geometry import ToolDefinition
 
-OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics", "trajectory")
+OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics")
 
 
 @dataclass(frozen=True)

@@ -111,20 +111,12 @@ Two kernels share one simulation plan and produce bit-identical results:
 
     The sweep computes heights only.
 
-``trajectory``
-    Per-(step, tooth) minimum-z edge point over every step of the plan, as a
-    stream of ``TrajectoryRecord`` chunks of ``_STEP_CHUNK`` steps. A tooth's
-    workpiece z does not depend on time, so that point is always the same
-    edge point, rotated and shifted as in the sweep's point stage.
-
 ``simulate_reference``
     Deliberately naive baseline: for every time step, tooth, and edge point it
     rebuilds all three 4x4 transforms, applies edge->tool to the point,
     multiplies spindle->workpiece by tool->spindle, applies that product, and
     updates one cell, single-threaded with per-point temporaries. It exists as
-    the correctness oracle and the benchmark baseline. ``trajectory_reference``
-    is the oracle of ``trajectory``: it scans the same points for each
-    (step, tooth) minimum.
+    the correctness oracle and the benchmark baseline.
 
 Bit-identity between the kernels holds by construction: both take the
 tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
@@ -140,7 +132,6 @@ excluded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import time
@@ -160,7 +151,7 @@ from .kinematics import (
     _tool_to_spindle_rows,
     tooth_angle,
 )
-from .surface_grid import GridSpec, HeightField, TrajectoryRecord, locate, update_min
+from .surface_grid import GridSpec, HeightField, locate, update_min
 from .tool_geometry import (
     EdgeDiscretization,
     ToolDefinition,
@@ -290,7 +281,6 @@ class _ToothData:
     x_tool: np.ndarray  # (N,) tool-frame x of every edge point
     y_tool: np.ndarray  # (N,) tool-frame y of every edge point
     z_workpiece: np.ndarray  # (N,) z' of every edge point; time-invariant
-    min_index: int  # argmin of z_workpiece, ties to the lowest index
     x_tool_range: tuple[float, float]
     y_tool_range: tuple[float, float]
     # Contiguous edge-index slices covering the edge, lowest first: ascending
@@ -379,8 +369,12 @@ def _plan(config: SimulationConfig) -> _Plan:
     else:
         t_start, t_end = config.span_s
     count = (t_end - t_start) / dt if dt > 0 else math.inf  # a derived dt can round to 0
-    if not count < math.inf:
-        raise ConfigError(f"time step {dt} s takes infinitely many steps over {t_end - t_start} s")
+    # Past 2**53 steps, t_start + step*dt cannot tell consecutive steps apart;
+    # the bound also keeps step numbers inside int64.
+    if not count < 2**53:
+        raise ConfigError(
+            f"time step {dt} s takes {count:.6g} steps over {t_end - t_start} s, more than 2**53"
+        )
     steps = int(math.floor(count)) + 1
 
     initial_height = z0 + proc.depth_of_cut_mm
@@ -402,7 +396,6 @@ def _plan(config: SimulationConfig) -> _Plan:
                 x_tool=xt,
                 y_tool=yt,
                 z_workpiece=zw,
-                min_index=int(np.argmin(zw)),
                 x_tool_range=(float(xt.min()), float(xt.max())),
                 y_tool_range=(float(yt.min()), float(yt.max())),
                 segments=tuple(slices[i] for i in order),
@@ -760,25 +753,6 @@ def _run_step_range(plan: _Plan, step_lo: int, step_hi: int, field: HeightField,
     return points.evaluated, points.in_grid
 
 
-def trajectory(config: SimulationConfig) -> Iterator[TrajectoryRecord]:
-    """Per-(step, tooth) minimum-z edge point over every step of ``config``,
-    yielded as one ``TrajectoryRecord`` per chunk of ``_STEP_CHUNK`` steps,
-    ordered by time, ties by tooth index ascending."""
-    plan = _plan(config)
-    n_teeth = plan.tool.tooth_count
-    for lo in range(0, plan.steps, _STEP_CHUNK):
-        t, ty = plan.step_times(np.arange(lo, min(lo + _STEP_CHUNK, plan.steps)))
-        xyz = np.empty((3, t.size, n_teeth))
-        for k_idx, td in enumerate(plan.teeth):
-            c, s = plan.tooth_trig(k_idx, t)
-            xt, yt, zw = (a[td.min_index] for a in (td.x_tool, td.y_tool, td.z_workpiece))
-            xyz[0, :, k_idx] = (c * xt + s * yt) + plan.x0
-            xyz[1, :, k_idx] = (c * yt - s * xt) + ty
-            xyz[2, :, k_idx] = zw
-        tooth = np.tile(np.arange(1, n_teeth + 1, dtype=np.int64), t.size)
-        yield TrajectoryRecord(np.repeat(t, n_teeth), tooth, *xyz.reshape(3, -1))
-
-
 def simulate(config: SimulationConfig) -> SimulationResult:
     """Run the optimized sweep. Heights are deterministic and independent of
     worker_count; the point counts are too at one worker."""
@@ -811,15 +785,19 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     )
 
 
-def _reference_points(plan: _Plan):
-    """Every (step, tooth, edge point) of the plan in workpiece coordinates,
-    built the expensive way: every matrix of the chain per point, per step.
-    Yields ``(t, tooth, x, y, z)`` in step, tooth, edge-point order."""
+def simulate_reference(config: SimulationConfig) -> SimulationResult:
+    """Naive baseline sweep: same contract and same results as ``simulate``,
+    built the expensive way (every matrix of the chain per point, per step)."""
+    plan = _plan(config)
+    grid = plan.grid
     n_teeth = plan.tool.tooth_count
     edge_xyz = [
         (float(plan.edge.x[p]), float(plan.edge.y[p]), float(plan.edge.z[p]))
         for p in range(plan.edge.point_count)
     ]
+    field = HeightField(grid, plan.initial_height)
+    in_grid = 0
+    t0 = time.perf_counter()
     for step in range(plan.steps):
         t = plan.t_start + step * plan.dt
         for k in range(1, n_teeth + 1):
@@ -827,22 +805,11 @@ def _reference_points(plan: _Plan):
                 ct = _edge_to_tool_rows(plan.tool, k)
                 ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
                 sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
-                yield (t, k, *_apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz)))
-
-
-def simulate_reference(config: SimulationConfig) -> SimulationResult:
-    """Naive baseline sweep: same contract and same results as ``simulate``,
-    built the expensive way (every matrix of the chain per point, per step)."""
-    plan = _plan(config)
-    grid = plan.grid
-    field = HeightField(grid, plan.initial_height)
-    in_grid = 0
-    t0 = time.perf_counter()
-    for _, _, x, y, z in _reference_points(plan):
-        idx = locate(x, y, grid)
-        if idx is not None:
-            update_min(field, idx, z)
-            in_grid += 1
+                x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz))
+                idx = locate(x, y, grid)
+                if idx is not None:
+                    update_min(field, idx, z)
+                    in_grid += 1
     wall = time.perf_counter() - t0
 
     return SimulationResult(
@@ -854,19 +821,6 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
         evaluated_points=plan.trajectory_points,
         in_grid_points=in_grid,
     )
-
-
-def trajectory_reference(config: SimulationConfig) -> TrajectoryRecord:
-    """Naive oracle of ``trajectory``, as one record: for each (step, tooth)
-    the first edge point of least z among all of them."""
-    plan = _plan(config)
-    points = _reference_points(plan)
-    n_points = plan.edge.point_count
-    minima = [
-        min(itertools.islice(points, n_points), key=lambda p: p[4])
-        for _ in range(plan.steps * plan.tool.tooth_count)
-    ]
-    return TrajectoryRecord(*map(np.array, zip(*minima)))
 
 
 @dataclass(frozen=True)

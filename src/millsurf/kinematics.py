@@ -17,9 +17,9 @@ nothing: the engine passes tooth indices from ``1..tooth_count`` and times
 from a span that ``SimulationConfig`` keeps at or after 0. Both engine
 kernels apply the edge-to-tool rows to the edge point first (``_apply4``).
 The naive reference then applies the product (``_matmul4``) of the
-spindle-to-workpiece and tool-to-spindle rows; the vectorized sweep and
-``engine.trajectory`` apply the same rotation by ``tooth_angle`` and shift
-directly, in the same evaluation order, which keeps the kernels bit-identical.
+spindle-to-workpiece and tool-to-spindle rows; the vectorized sweep applies
+the same rotation by ``tooth_angle`` and shift directly, in the same
+evaluation order, which keeps the kernels bit-identical.
 
 A ``ProcessParameters`` keeps the spindle speed n in rpm and derives
 omega = 2 pi n / 60 from it; its feed speed v_f = f_z z n / 60 follows from

@@ -1,4 +1,4 @@
-"""Workpiece height field: grid spec, min-z retention, trajectory minima.
+"""Workpiece height field: grid spec, cell lookup and min-z retention.
 
 The workpiece top surface is a regular grid of (m+1) x (n+1) nodes with
 spacing ``spacing_mm``; node (i, j) sits at (x_min + i*spacing, y_min +
@@ -15,7 +15,7 @@ border cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,26 +155,3 @@ def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
         return True
     return False
 
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Per-(time step, tooth) minimum-z edge point in workpiece coordinates.
-
-    Five equal-length arrays, ordered by time, ties by tooth index ascending.
-    ``engine.trajectory`` yields one record per chunk of steps, so a whole
-    run's trajectory is never held at once.
-    """
-
-    t_s: np.ndarray
-    tooth: np.ndarray
-    x_mm: np.ndarray
-    y_mm: np.ndarray
-    z_mm: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t_s)
-
-    def equals(self, other: "TrajectoryRecord") -> bool:
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )

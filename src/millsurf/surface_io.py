@@ -1,4 +1,4 @@
-"""Every file format millsurf writes: SRTF, heights CSV, PGM and trajectory CSV.
+"""Every file format millsurf writes: SRTF, heights CSV and PGM.
 
 SRTF layout, little-endian throughout:
 
@@ -20,14 +20,12 @@ file, for bad magic, an unknown version, a payload whose length does not
 match the header, a non-finite sentinel or height, and a header grid that
 ``GridSpec`` rejects (no cells, a bad spacing, a non-finite origin).
 
-The heights CSV and the 16-bit PGM cover the whole grid. The trajectory CSV
-holds one row per (time step, tooth) minimum-z point with floats in ``repr``
-form, so it round-trips exactly, written from a stream of records such as
-``engine.trajectory``. Every file millsurf writes goes through
-``atomic_write_bytes``, streamed in chunks to a uniquely named temp file in
-the target directory that is renamed over the target on success and removed
-on failure. Concurrent writers never share a temp file, and a write holds at
-most one chunk (a header, an array buffer, a block of CSV rows) beyond its data.
+The heights CSV and the 16-bit PGM cover the whole grid. Every file millsurf
+writes goes through ``atomic_write_bytes``, streamed in chunks to a uniquely
+named temp file in the target directory that is renamed over the target on
+success and removed on failure. Concurrent writers never share a temp file,
+and a write holds at most one chunk (a header, an array buffer, a block of
+CSV rows) beyond its data.
 """
 
 from __future__ import annotations
@@ -41,13 +39,12 @@ import numpy as np
 
 from .errors import DomainError, SurfaceFormatError
 from .roughness import MM_TO_UM
-from .surface_grid import GridSpec, HeightField, TrajectoryRecord
+from .surface_grid import GridSpec, HeightField
 
 MAGIC = b"SRTF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIdddd")
 _HEIGHTS_CHUNK_ROWS = 16  # CSV rows per chunk: about 0.15 MB of text on case1's grid
-_TRAJECTORY_CHUNK_ROWS = 4096  # about 0.3 MB of text
 
 GRAY_MID = 32768  # degenerate normalization (flat surface) maps machined cells here
 
@@ -160,26 +157,11 @@ def write_graymap(field: HeightField, path: Path) -> None:
 def _texts(values: np.ndarray, fmt) -> list[str]:
     """``fmt`` of each of the 1-D contiguous ``values``, computed once per
     distinct bit pattern (so ``-0.0`` keeps its sign). Formatting is most of
-    the cost of a CSV row, and both CSVs repeat values: a trajectory block
-    repeats each step's time once per tooth and each tooth's z on every step,
-    and a height field holds few distinct heights, since a tooth's z depends
-    only on the edge point."""
+    the cost of a CSV row, and a height field holds few distinct heights,
+    since a tooth's z depends only on the edge point."""
     _, first, index = np.unique(
         values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
     )
     texts = list(map(fmt, values[first].tolist()))
     return [texts[i] for i in index.tolist()]
 
-
-def write_trajectory_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
-    """One ``t_s,tooth,x_mm,y_mm,z_mm`` row per point of each record in turn, floats in repr."""
-
-    def chunks():
-        yield b"t_s,tooth,x_mm,y_mm,z_mm\n"
-        for record in records:
-            columns = (record.t_s, record.tooth, record.x_mm, record.y_mm, record.z_mm)
-            for lo in range(0, len(record), _TRAJECTORY_CHUNK_ROWS):
-                cells = (_texts(c[lo : lo + _TRAJECTORY_CHUNK_ROWS], repr) for c in columns)
-                yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
-
-    atomic_write_bytes(Path(path), chunks())

@@ -11,7 +11,6 @@ from millsurf import (
     HeightField,
     SimulationConfig,
     ToolDefinition,
-    TrajectoryRecord,
     derive_kinematics,
     effective_half_length,
 )
@@ -184,13 +183,6 @@ def front_cut_config(feed_per_tooth_mm: float, spacing_mm: float, runouts=(),
         span_s=(0.0, t_end),
         worker_count=4,
     )
-
-
-def concat(records) -> TrajectoryRecord:
-    """The records of a trajectory stream joined into one."""
-    records = list(records)
-    return TrajectoryRecord(*(np.concatenate([getattr(r, f.name) for r in records])
-                              for f in dataclasses.fields(TrajectoryRecord)))
 
 
 def machined_rect_roi(field: HeightField):

@@ -58,35 +58,18 @@ class TestSimulateCommand:
         field = read_surface(out / "part.srtf")
         assert (field.as_array() < field.initial_height_mm).all()
 
-    def test_trajectory_csv(self, tmp_path):
-        raw = sim_config_dict()
-        raw["output"]["formats"] = ["trajectory"]
-        path = tmp_path / "sim.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        lines = (out / "part_trajectory.csv").read_text().strip().split("\n")
-        assert lines[0] == "t_s,tooth,x_mm,y_mm,z_mm"
-        summary = json.loads((out / "part_summary.json").read_text())
-        assert summary["outputs"] == ["part_trajectory.csv"]
-        assert len(lines) - 1 == summary["time_steps"] * 2
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert int(first[1]) == 1
-        assert all(math.isfinite(float(v)) for v in first[2:])
-
     def test_trajectory_format_in_config(self, config_path, tmp_path, capsys):
-        # The CSV is listed after the metrics. The output format is the one
-        # way to ask for it: simulate has no --trajectory flag.
+        # The trajectory CSV is gone: neither an output format nor a flag asks for it.
         raw = sim_config_dict()
         raw["output"]["formats"].append("trajectory")
         config_path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-        summary = json.loads((out / "part_summary.json").read_text())
-        assert summary["outputs"] == ["part.srtf", "part.csv", "part.pgm", "part_metrics.json",
-                                      "part_trajectory.csv"]
-        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+        assert only_error(capsys.readouterr().err) == (
+            "error: output.formats: unknown format 'trajectory', "
+            "allowed: surface, csv, graymap, metrics"
+        )
+        assert not out.exists()
         assert main(["simulate", "--config", str(config_path), "--out", str(out),
                      "--trajectory"]) == 1
         assert "unrecognized arguments: --trajectory" in capsys.readouterr().err
@@ -473,6 +456,14 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(bench_config), "--scale", "1e308",
                      "--out", str(tmp_path / "r.json")]) == 1
         assert only_error(capsys.readouterr().err).startswith("error: time step ")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_scale_too_large_for_the_step_bound(self, tmp_path, capsys):
+        # A finite but huge step count: more than 2**53 steps, each one sweepable.
+        assert main(["bench", "--config", str(CONFIGS / "bench_10x5.json"), "--scale", "1e200",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        line = only_error(capsys.readouterr().err)
+        assert line.startswith("error: time step ") and line.endswith(", more than 2**53")
         assert not (tmp_path / "r.json").exists()
 
     def test_malformed_config_named(self, tmp_path, capsys):

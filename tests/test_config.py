@@ -178,12 +178,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="output.formats"):
             parse_config(json.dumps(raw))
 
-    def test_trajectory_is_an_output_format_not_an_engine_key(self):
+    def test_trajectory_is_neither_an_output_format_nor_an_engine_key(self):
         raw = case1_raw(**{"engine.record_trajectory": True})
         with pytest.raises(ConfigError, match=r"^engine\.record_trajectory: unknown key$"):
             parse_config(json.dumps(raw))
-        raw = case1_raw(**{"output.formats": ["trajectory"]})
-        assert parse_config(json.dumps(raw)).output.formats == ("trajectory",)
+        raw = case1_raw(**{"output.formats": ["surface", "trajectory"]})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert str(exc.value) == ("output.formats: unknown format 'trajectory', "
+                                  "allowed: surface, csv, graymap, metrics")
 
     @pytest.mark.parametrize("basename", ["../../x/y", "a/b", "/abs", "."])
     def test_basename_is_one_file_name(self, basename):

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "SimulationResult",
     "SurfaceFormatError",
     "ToolDefinition",
-    "TrajectoryRecord",
     "areal_metrics",
     "derive_kinematics",
     "discretize_edge",
@@ -39,14 +38,13 @@ PUBLIC_NAMES = [
     "simulate",
     "simulate_reference",
     "time_step",
-    "trajectory",
     "write_surface",
 ]
 
 
 def test_public_names_are_pinned():
     # growing or shrinking the public API must be a deliberate edit of this list
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(millsurf.__all__) == PUBLIC_NAMES
 
 
@@ -62,5 +60,5 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     lines = out.getvalue().splitlines()
-    assert lines[0].startswith("Sa ")
-    assert len(lines) > 8  # eight metric rows, then one line per trajectory record
+    names = ["Sa", "Sq", "Sp", "Sv", "Sz", "Ssk", "Sku", "cells"]
+    assert [line.split()[0] for line in lines] == names

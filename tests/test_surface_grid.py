@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from millsurf import DomainError, GridSpec, HeightField, TrajectoryRecord
+from millsurf import DomainError, GridSpec, HeightField
 from millsurf.surface_grid import locate, update_min
 
 
@@ -144,17 +144,3 @@ class TestHeightField:
         update_min(field, (2, 2), -0.1)
         assert field.machined_cell_count() == 2
 
-
-class TestTrajectoryRecord:
-    @staticmethod
-    def make(t_s, tooth, x, y, z):
-        return TrajectoryRecord(
-            np.array(t_s), np.array(tooth, dtype=np.int64), np.array(x), np.array(y), np.array(z)
-        )
-
-    def test_equals(self):
-        a = self.make([0.0], [1], [1.0], [2.0], [3.0])
-        b = self.make([0.0], [1], [1.0], [2.0], [3.0])
-        assert a.equals(b) and len(a) == 1
-        assert not a.equals(self.make([0.0, 0.1], [1, 2], [1.0] * 2, [2.0] * 2, [3.0] * 2))
-        assert not a.equals(self.make([0.0], [1], [1.0], [2.0], [-3.0]))

@@ -6,14 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from millsurf import GridSpec, HeightField, TrajectoryRecord, read_surface, write_surface
+from millsurf import GridSpec, HeightField, read_surface, write_surface
 from millsurf.errors import DomainError, SurfaceFormatError
 from millsurf.roughness import MM_TO_UM
 from millsurf.surface_io import (
     atomic_write_bytes,
     write_graymap,
     write_heights_csv,
-    write_trajectory_csv,
 )
 
 
@@ -292,55 +291,3 @@ class TestGraymap:
         with pytest.raises(DomainError):
             write_graymap(field, tmp_path / "g.pgm")
 
-
-class TestTrajectoryCsv:
-    def test_floats_round_trip(self, tmp_path):
-        rec = TrajectoryRecord(
-            t_s=np.array([0.1, 0.2]),
-            tooth=np.array([1, 2], dtype=np.int64),
-            x_mm=np.array([1.0 / 3.0, -4.0]),
-            y_mm=np.array([-2.5e-7, 5.0]),
-            z_mm=np.array([0.1 + 0.2, -0.0625]),
-        )
-        path = tmp_path / "t.csv"
-        write_trajectory_csv([rec], path)
-        header, *rows = path.read_text().splitlines()
-        assert header == "t_s,tooth,x_mm,y_mm,z_mm"
-        first = rows[0].split(",")
-        assert int(first[1]) == 1
-        assert [float(v) for v in first[2:]] == [1.0 / 3.0, -2.5e-7, 0.1 + 0.2]
-        assert rows[1] == "0.2,2,-4.0,5.0,-0.0625"
-
-    @pytest.mark.parametrize("rows", [0, 8])
-    def test_chunks_match_one_shot_rendering(self, tmp_path, monkeypatch, rows):
-        # The rows arrive as a stream of two records, split inside a chunk.
-        monkeypatch.setattr("millsurf.surface_io._TRAJECTORY_CHUNK_ROWS", 3)
-        rng = np.random.default_rng(rows)
-        columns = (rng.random(rows), np.arange(rows, dtype=np.int64) % 4 + 1,
-                   *rng.normal(size=(3, rows)))
-        path = tmp_path / "t.csv"
-        write_trajectory_csv(
-            (TrajectoryRecord(*(c[lo:hi] for c in columns)) for lo, hi in ((0, 5), (5, rows))),
-            path,
-        )
-        lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
-        lines.extend(
-            f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
-        )
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-
-    def test_repeated_and_special_values(self, tmp_path):
-        # Repeated values are formatted once per distinct bit pattern, so 0.0
-        # and -0.0 (equal as numbers) must still print with their own signs.
-        t = np.repeat([0.1, 0.2, 0.30000000000000004], 2)
-        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0])
-        columns = (t, np.tile(np.array([1, 2], dtype=np.int64), 3),
-                   specials, specials[::-1].copy(), np.tile([-0.0, 0.0], 3))
-        path = tmp_path / "t.csv"
-        write_trajectory_csv([TrajectoryRecord(*columns)], path)
-        lines = ["t_s,tooth,x_mm,y_mm,z_mm"]
-        lines.extend(
-            f"{t!r},{k},{x!r},{y!r},{z!r}" for t, k, x, y, z in zip(*(c.tolist() for c in columns))
-        )
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-        assert lines[2] == "0.1,2,-0.0,-inf,0.0"
