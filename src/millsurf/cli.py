@@ -77,10 +77,14 @@ def _parse_roi(field, roi_text: str | None):
         raise ConfigError(f"--roi must satisfy x0 < x1 and y0 < y1, got {roi_text!r}")
     grid = field.spec
     eps = 1e-9
-    i_lo = max(0, math.ceil((x0 - grid.x_min_mm) / grid.spacing_mm - eps))
-    j_lo = max(0, math.ceil((y0 - grid.y_min_mm) / grid.spacing_mm - eps))
-    i_hi = min(grid.m, math.floor((x1 - grid.x_min_mm) / grid.spacing_mm + eps))
-    j_hi = min(grid.n, math.floor((y1 - grid.y_min_mm) / grid.spacing_mm + eps))
+
+    def node(v, v_min, top):  # clipped to [-1, top + 1], so that inf rounds off the grid
+        return min(max((v - v_min) / grid.spacing_mm, -1.0), top + 1.0)
+
+    i_lo = max(0, math.ceil(node(x0, grid.x_min_mm, grid.m) - eps))
+    j_lo = max(0, math.ceil(node(y0, grid.y_min_mm, grid.n) - eps))
+    i_hi = min(grid.m, math.floor(node(x1, grid.x_min_mm, grid.m) + eps))
+    j_hi = min(grid.n, math.floor(node(y1, grid.y_min_mm, grid.n) + eps))
     if i_lo > i_hi or j_lo > j_hi:
         raise ConfigError(f"--roi {roi_text} contains no grid nodes")
     return (i_lo, j_lo, i_hi, j_hi)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import PurePath
 
 from .engine import SimulationConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kinematics import ProcessParameters, derive_kinematics
 from .surface_grid import GridSpec
 from .tool_geometry import ToolDefinition
@@ -234,9 +234,10 @@ def _parse_grid(block: dict, path: str = "grid") -> GridSpec:
     x_hi = _number(block, path, "x_max_mm")
     y_lo = _number(block, path, "y_min_mm")
     y_hi = _number(block, path, "y_max_mm")
-    if x_hi <= x_lo or y_hi <= y_lo:
-        raise ConfigError(f"{path}: ranges must satisfy min < max")
-    return GridSpec.from_extents(spacing, (x_lo, x_hi), (y_lo, y_hi))
+    try:
+        return GridSpec.from_extents(spacing, (x_lo, x_hi), (y_lo, y_hi))
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_engine(

@@ -99,12 +99,15 @@ def lhs_sample(ranges: list[ParameterRange], count: int, seed: int) -> np.ndarra
     if not ranges:
         raise ConfigError("at least one parameter range is required")
     rng = np.random.default_rng(seed)
-    out = np.empty((count, len(ranges)), dtype=np.float64)
-    for d, prm in enumerate(ranges):
-        strata = rng.permutation(count)
-        offsets = rng.random(count)
-        unit = (strata + offsets) / count
-        out[:, d] = prm.low + (prm.high - prm.low) * unit
+    try:
+        out = np.empty((count, len(ranges)), dtype=np.float64)
+        for d, prm in enumerate(ranges):
+            strata = rng.permutation(count)
+            offsets = rng.random(count)
+            unit = (strata + offsets) / count
+            out[:, d] = prm.low + (prm.high - prm.low) * unit
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise MillsurfError(f"cannot allocate {count} LHS samples: {exc}") from exc
     return out
 
 
@@ -139,7 +142,12 @@ def _apply_overrides(base_raw: dict, names: list[str], values: np.ndarray) -> di
     return raw
 
 
-def _run_sample(index: int, raw: dict, params: dict, out_dir: Path) -> dict:
+def _run_sample(index: int, names: list[str], values: np.ndarray, base_raw: dict,
+                out_dir: Path) -> dict:
+    """Simulate one sample: the base configuration with ``values`` applied to
+    ``names``, built here so that only the running samples hold a config."""
+    params = {name: float(value) for name, value in zip(names, values)}
+    raw = _apply_overrides(base_raw, names, values)
     filename = f"sample_{index:05d}.srtf"
     row: dict = {
         "index": index,
@@ -233,17 +241,14 @@ def generate_dataset(
         "base_config": base_raw,
     }
 
-    jobs = []
-    for i in range(count):
-        params = {name: float(samples[i, d]) for d, name in enumerate(names)}
-        jobs.append((i, _apply_overrides(base_raw, names, samples[i]), params))
-
     rows: list[dict] = []
 
     def lines():
         yield (json.dumps(header) + "\n").encode()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(lambda job: _run_sample(*job, out_dir), jobs):
+            tasks = pool.map(lambda i: _run_sample(i, names, samples[i], base_raw, out_dir),
+                             range(count))
+            for row in tasks:
                 rows.append(row)
                 yield (json.dumps(row) + "\n").encode()
 

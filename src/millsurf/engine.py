@@ -120,11 +120,11 @@ Two kernels share one simulation plan and produce bit-identical results:
 
 Bit-identity between the kernels holds by construction: both take the
 tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
-rows, take trig values from the same libm routines, and apply the same
-rotation of the same tool-frame coordinates in the same order (the product
-of the spindle->workpiece and tool->spindle rows has the exact entries c, s,
--s, x0, y(t) and z0, and its zero entries add only zeros); the minimum
-reduction is order-insensitive.
+rows at the same edge points (x, 0.0, z), take trig values from the same
+libm routines, and apply the same rotation of the same tool-frame
+coordinates in the same order (the product of the spindle->workpiece and
+tool->spindle rows has the exact entries c, s, -s, x0, y(t) and z0, and its
+zero entries add only zeros); the minimum reduction is order-insensitive.
 
 Wall time covers only the main loop; planning, validation and export are
 excluded.
@@ -155,7 +155,6 @@ from .surface_grid import GridSpec, HeightField, locate, update_min
 from .tool_geometry import (
     EdgeDiscretization,
     ToolDefinition,
-    default_point_count,
     discretize_edge,
     effective_half_length,
 )
@@ -262,7 +261,7 @@ def time_step(config: SimulationConfig) -> float:
 
     Without a step angle the angle is ``spacing / (D/2 + engaged half-length)``:
     the edge's outermost point then moves at most one grid spacing per step.
-    ``default_point_count`` derives the edge point count from the spacing too.
+    Without an edge-point count, ``_plan`` derives that from the spacing too.
     """
     if config.time_step_s is not None:
         return config.time_step_s
@@ -325,7 +324,7 @@ class _Plan:
 
     @property
     def trajectory_points(self) -> int:
-        return self.steps * self.tool.tooth_count * self.edge.point_count
+        return self.steps * self.tool.tooth_count * self.edge.x.size
 
     def step_times(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and spindle-axis y of the global steps ``steps``, computed in
@@ -352,7 +351,9 @@ def _plan(config: SimulationConfig) -> _Plan:
     half = effective_half_length(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
     n_points = config.edge_point_count
     if n_points is None:
-        n_points = default_point_count(half, grid.spacing_mm)
+        # The smallest N whose edge spacing 2*half/(N-1) is at most half the
+        # grid spacing, so the edge leaves a sample in every cell it crosses.
+        n_points = max(2, math.ceil(4.0 * half / grid.spacing_mm) + 1)
     edge = discretize_edge(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm, n_points)
 
     dt = time_step(config)
@@ -385,7 +386,7 @@ def _plan(config: SimulationConfig) -> _Plan:
     starts = cuts[:-1]
     teeth = []
     for k in range(1, tool.tooth_count + 1):
-        xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, edge.y, edge.z)
+        xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, 0.0, edge.z)
         zw = zt + z0
         seg_min_z = np.minimum.reduceat(zw, starts)
         order = np.argsort(seg_min_z, kind="stable")
@@ -791,21 +792,18 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
     plan = _plan(config)
     grid = plan.grid
     n_teeth = plan.tool.tooth_count
-    edge_xyz = [
-        (float(plan.edge.x[p]), float(plan.edge.y[p]), float(plan.edge.z[p]))
-        for p in range(plan.edge.point_count)
-    ]
+    edge_xz = list(zip(plan.edge.x.tolist(), plan.edge.z.tolist()))
     field = HeightField(grid, plan.initial_height)
     in_grid = 0
     t0 = time.perf_counter()
     for step in range(plan.steps):
         t = plan.t_start + step * plan.dt
         for k in range(1, n_teeth + 1):
-            for px, py, pz in edge_xyz:
+            for px, pz in edge_xz:
                 ct = _edge_to_tool_rows(plan.tool, k)
                 ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
                 sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
-                x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, py, pz))
+                x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, 0.0, pz))
                 idx = locate(x, y, grid)
                 if idx is not None:
                     update_min(field, idx, z)

@@ -15,7 +15,8 @@ The ``*_rows`` builders return plain nested lists of Python floats and are the
 single source of truth for matrix entries. They are private and check
 nothing: the engine passes tooth indices from ``1..tooth_count`` and times
 from a span that ``SimulationConfig`` keeps at or after 0. Both engine
-kernels apply the edge-to-tool rows to the edge point first (``_apply4``).
+kernels apply the edge-to-tool rows first (``_apply4``), to the edge point
+(x, 0.0, z) of an arc sample: the edge lies in its frame's y = 0 plane.
 The naive reference then applies the product (``_matmul4``) of the
 spindle-to-workpiece and tool-to-spindle rows; the vectorized sweep applies
 the same rotation by ``tooth_angle`` and shift directly, in the same

@@ -9,7 +9,9 @@ is the lower semicircular arc of the insert; a point at arc coordinate ``l``
 above the lowest point of the edge. Only the engaged part of the arc is
 discretized: the half-length combines the axial immersion (depth of cut) with
 a feed-per-tooth floor so that the sampled edge always spans at least one
-tooth advance.
+tooth advance. The module knows only the tool: how densely the edge is
+sampled is the caller's choice, and the engine's plan derives it from the
+grid spacing, as it does the time step.
 """
 
 from __future__ import annotations
@@ -69,25 +71,13 @@ class ToolDefinition:
 class EdgeDiscretization:
     """Uniform sampling of the engaged edge arc over [-half_length, +half_length].
 
-    ``points`` is one contiguous (N, 4) array of homogeneous edge-frame
-    coordinates, allocated once and never resized.
+    ``x`` holds the samples' arc coordinates l and ``z`` their heights z(l),
+    both in the edge frame, whose y is 0 along the whole edge.
     """
 
     half_length_mm: float
-    point_count: int
-    points: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.points[:, 2]
+    x: np.ndarray
+    z: np.ndarray
 
 
 def effective_half_length(
@@ -117,13 +107,6 @@ def effective_half_length(
     return max(half_immersion, half_feed)
 
 
-def default_point_count(half_length_mm: float, grid_spacing_mm: float) -> int:
-    """Smallest N with edge spacing 2*dL/(N-1) <= spacing/2: one sample per crossed cell."""
-    if grid_spacing_mm <= 0:
-        raise DomainError(f"grid_spacing_mm must be > 0, got {grid_spacing_mm}")
-    return max(2, math.ceil(4.0 * half_length_mm / grid_spacing_mm) + 1)
-
-
 def discretize_edge(
     tool: ToolDefinition,
     depth_of_cut_mm: float,
@@ -146,14 +129,10 @@ def discretize_edge(
         )
     n = point_count
     try:
-        l = -half + (2.0 * half) * np.arange(n, dtype=np.float64) / (n - 1)
-        l[0] = -half
-        l[-1] = half
-        points = np.empty((n, 4), dtype=np.float64)
-        points[:, 0] = l
-        points[:, 1] = 0.0
-        points[:, 2] = r - np.sqrt(r * r - l * l)
-        points[:, 3] = 1.0
+        x = -half + (2.0 * half) * np.arange(n, dtype=np.float64) / (n - 1)
+        x[0] = -half
+        x[-1] = half
+        z = r - np.sqrt(r * r - x * x)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise MillsurfError(f"cannot allocate {n} edge points: {exc}") from exc
-    return EdgeDiscretization(half_length_mm=half, point_count=n, points=points)
+    return EdgeDiscretization(half_length_mm=half, x=x, z=z)

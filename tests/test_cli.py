@@ -257,6 +257,21 @@ class TestRoughnessCommand:
     def test_bad_roi(self, surface_path, roi):
         assert main(["roughness", "--surface", str(surface_path), f"--roi={roi}"]) == 1
 
+    @pytest.mark.parametrize("far, near", [("0,0,1e308,1", "0,0,1,1"),
+                                           ("-1e308,0,1,1", "-1,0,1,1")])
+    def test_roi_edge_far_past_the_grid_clips(self, surface_path, capsys, far, near):
+        # (1e308 - x_min) / spacing overflows to inf; the ROI still clips to the grid
+        assert main(["roughness", "--surface", str(surface_path), f"--roi={near}"]) == 0
+        clipped = capsys.readouterr().out
+        assert main(["roughness", "--surface", str(surface_path), f"--roi={far}"]) == 0
+        assert capsys.readouterr().out == clipped
+
+    def test_roi_far_outside_the_grid(self, surface_path, capsys):
+        assert main(["roughness", "--surface", str(surface_path),
+                     "--roi=1e307,0,1.5e308,1"]) == 1
+        assert only_error(capsys.readouterr().err) == (
+            "error: --roi 1e307,0,1.5e308,1 contains no grid nodes")
+
     def test_corrupt_surface(self, tmp_path):
         path = tmp_path / "junk.srtf"
         path.write_bytes(b"JUNKJUNKJUNK" * 10)
@@ -340,6 +355,24 @@ class TestDatasetCommand:
         assert main(argv) == 1
         problem = "expected an integer" if isinstance(value, bool) else "must be >="
         assert f"error: dataset.{key}: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [10**15, 10**19])
+    def test_count_too_large_to_allocate(self, config_path, tmp_path, capsys, count):
+        # numpy refuses both sample arrays before allocating anything: 10**15
+        # rows with a MemoryError, 10**19 with a ValueError
+        ds_config = tmp_path / "dataset.json"
+        ds_config.write_text(json.dumps({
+            "base_config": "sim.json",
+            "ranges": [{"name": "feed_per_tooth_mm", "low": 0.2, "high": 0.4}],
+            "count": count, "seed": 3,
+        }))
+        out = tmp_path / "d"
+        assert main(["dataset", "--config", str(ds_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if line.startswith("runtime failure:")]
+        assert line.startswith(f"runtime failure: cannot allocate {count} LHS samples: ")
+        assert not (out / "manifest.jsonl").exists()
 
     @pytest.mark.parametrize("engine, spacing_range, noted", [
         ({"max_step_angle_deg": 0.08, "span_s": [0.0, 0.001]}, True, True),

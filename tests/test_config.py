@@ -200,6 +200,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("path, value", [
+        ("grid.x_max_mm", -4.999),  # (-5.0, -4.999) is under one cell at spacing 0.01
+        ("grid.spacing_mm", 1e-310),  # 10 mm / 1e-310 cells overflows
+    ], ids=["under_one_cell", "cell_count_overflows"])
+    def test_grid_error_names_the_grid(self, path, value):
+        with pytest.raises(ConfigError, match=r"^grid: grid extents "):
+            parse_config(json.dumps(case1_raw(**{path: value})))
+
     def test_defaults_without_engine_and_output(self):
         raw = case1_raw()
         del raw["engine"]

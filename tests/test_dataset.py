@@ -244,6 +244,27 @@ class TestGenerateDataset:
                              base_raw=base_raw(), out_dir=tmp_path, workers=0)
         assert not (tmp_path / "manifest.jsonl").exists()
 
+    def test_each_sample_builds_its_config_when_it_runs(self, tmp_path, monkeypatch):
+        # Sample configs are built in the sample's own task, one just before
+        # each simulation, not all of them before the first sample runs.
+        built, built_at_simulate = [], []
+        apply_overrides, simulate = millsurf.dataset._apply_overrides, millsurf.dataset.simulate
+
+        def counting_overrides(*args):
+            built.append(args)
+            return apply_overrides(*args)
+
+        def counting_simulate(config):
+            built_at_simulate.append(len(built))
+            return simulate(config)
+
+        monkeypatch.setattr(millsurf.dataset, "_apply_overrides", counting_overrides)
+        monkeypatch.setattr(millsurf.dataset, "simulate", counting_simulate)
+        generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 4, seed=0,
+                         base_raw=base_raw(), out_dir=tmp_path, workers=1)
+        # 2 range-end checks, then one build per sample
+        assert built_at_simulate == [3, 4, 5, 6]
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -11,6 +11,7 @@ from millsurf import (
     ConfigError,
     GridSpec,
     HeightField,
+    ProcessParameters,
     SimulationConfig,
     ToolDefinition,
     areal_metrics,
@@ -106,6 +107,30 @@ class TestTimeStep:
             time_step(tiny_config(**overrides))
         with pytest.raises(ConfigError):
             simulate(tiny_config(**overrides))
+
+
+class TestEdgePointCount:
+    # Without an edge-point count the plan takes the fewest points whose edge
+    # spacing is at most half a grid cell.
+
+    def test_half_cell_rule(self):
+        spacing = 0.01
+        grid = GridSpec.from_extents(spacing, (-0.05, 0.05), (0.0, 0.05))
+        edge = engine._plan(tiny_config(grid=grid, edge_point_count=None)).edge
+        half, n = edge.half_length_mm, edge.x.size
+        assert half == effective_half_length(case1_tool(), 0.5, 0.6)
+        assert 2.0 * half / (n - 1) <= spacing / 2.0
+        assert 2.0 * half / (n - 2) > spacing / 2.0  # minimal
+
+    def test_floor_of_two(self):
+        # An engaged half-length that rounds to 0 (a depth and a feed per
+        # tooth far below the insert radius's ulp) still samples two points.
+        process = ProcessParameters(spindle_speed_rpm=5000.0, feed_per_tooth_mm=5e-324,
+                                    depth_of_cut_mm=1e-17, initial_position_mm=(0.0, 0.0, 0.0))
+        cfg = tiny_config(process=process, edge_point_count=None, span_s=(0.0, 1e-3))
+        edge = engine._plan(cfg).edge
+        assert edge.half_length_mm == 0.0
+        assert edge.x.size == 2
 
 
 class TestSimulate:

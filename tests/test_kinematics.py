@@ -38,7 +38,8 @@ def chain(tool, params, tooth, t, point):
 
 def edge_points(tool):
     """Edge-frame (x, y, z) samples of the case1 engaged arc, |l| <= 2.18 mm."""
-    return [tuple(map(float, row[:3])) for row in discretize_edge(tool, 0.5, 0.6, 41).points]
+    edge = discretize_edge(tool, 0.5, 0.6, 41)
+    return [(x, 0.0, z) for x, z in zip(edge.x.tolist(), edge.z.tolist())]
 
 
 def chain_oracle(tool, params, tooth, t, point):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from millsurf import (
     DomainError,
+    EdgeDiscretization,
     ToolDefinition,
     discretize_edge,
     effective_half_length,
 )
-from millsurf.tool_geometry import default_point_count
 
 # direct evaluation of the edge-arc relation at l = 2.5, R = 5
 Z_AT_2_5 = 5.0 - math.sqrt(25.0 - 6.25)  # 0.6698729810778064
@@ -27,16 +28,15 @@ class TestEdgePoint:
 
     def test_lowest_point(self):
         edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
-        assert tuple(edge.points[1]) == (0.0, 0.0, 0.0, 1.0)
+        assert (edge.x[1], edge.z[1]) == (0.0, 0.0)
 
     def test_full_radius(self):
         edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
-        assert tuple(edge.points[-1]) == (5.0, 0.0, 5.0, 1.0)
+        assert (edge.x[-1], edge.z[-1]) == (5.0, 5.0)
 
     def test_mid_arc(self):
         edge = discretize_edge(make_tool(), 5.0, 0.1, 5)
         assert edge.x[3] == 2.5
-        assert edge.y[3] == 0.0
         assert edge.z[3] == pytest.approx(0.669873, abs=1e-6)
         assert edge.z[3] == pytest.approx(Z_AT_2_5, abs=1e-15)
 
@@ -110,7 +110,8 @@ class TestDiscretizeEdge:
     def test_pure_function(self):
         a = discretize_edge(make_tool(), 0.5, 0.6, 21)
         b = discretize_edge(make_tool(), 0.5, 0.6, 21)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.z, b.z)
 
     def test_bad_point_count(self):
         with pytest.raises(DomainError):
@@ -120,23 +121,15 @@ class TestDiscretizeEdge:
         with pytest.raises(DomainError):
             discretize_edge(make_tool(), 0.5, 11.0, 5)
 
-    def test_contiguous_homogeneous_buffer(self):
+    def test_arc_samples_only(self):
+        # the edge is its arc coordinates and heights; its y is 0 by construction
+        assert [f.name for f in dataclasses.fields(EdgeDiscretization)] == [
+            "half_length_mm", "x", "z"]
         edge = discretize_edge(make_tool(), 0.5, 0.6, 9)
-        assert edge.points.flags["C_CONTIGUOUS"]
-        assert edge.points.shape == (9, 4)
-        assert np.all(edge.points[:, 3] == 1.0)
-        assert np.all(edge.points[:, 1] == 0.0)
-
-
-class TestDefaultPointCount:
-    def test_half_cell_rule(self):
-        half, spacing = 2.179449471770337, 0.01
-        n = default_point_count(half, spacing)
-        assert 2.0 * half / (n - 1) <= spacing / 2.0
-        assert 2.0 * half / (n - 2) > spacing / 2.0  # minimal
-
-    def test_floor_of_two(self):
-        assert default_point_count(1e-9, 10.0) == 2
+        for arr in (edge.x, edge.z):
+            assert arr.shape == (9,)
+            assert arr.dtype == np.float64
+            assert arr.flags["C_CONTIGUOUS"]
 
 
 class TestToolDefinition:
