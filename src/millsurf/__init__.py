@@ -16,12 +16,7 @@ from .kinematics import ProcessParameters, derive_kinematics
 from .roughness import ArealMetrics, LineProfile, areal_metrics, extract_profile, line_roughness
 from .surface_grid import GridSpec, HeightField
 from .surface_io import read_surface, write_surface
-from .tool_geometry import (
-    EdgeDiscretization,
-    ToolDefinition,
-    discretize_edge,
-    effective_half_length,
-)
+from .tool_geometry import ToolDefinition, effective_half_length
 
 __version__ = "0.1.0"
 
@@ -31,7 +26,6 @@ __all__ = [
     "ConfigDocument",
     "ConfigError",
     "DomainError",
-    "EdgeDiscretization",
     "GridSpec",
     "HeightField",
     "LineProfile",
@@ -44,7 +38,6 @@ __all__ = [
     "ToolDefinition",
     "areal_metrics",
     "derive_kinematics",
-    "discretize_edge",
     "effective_half_length",
     "extract_profile",
     "generate_dataset",

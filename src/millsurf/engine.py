@@ -118,8 +118,9 @@ Two kernels share one simulation plan and produce bit-identical results:
     updates one cell, single-threaded with per-point temporaries. It exists as
     the correctness oracle and the benchmark baseline.
 
-Bit-identity between the kernels holds by construction: both take the
-tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
+Bit-identity between the kernels holds by construction: both read the arc
+samples that ``_plan`` takes once per job (``edge_x`` and ``edge_z``), take
+the tool-frame coordinates from ``kinematics._apply4`` of the same edge->tool
 rows at the same edge points (x, 0.0, z), take trig values from the same
 libm routines, and apply the same rotation of the same tool-frame
 coordinates in the same order (the product of the spindle->workpiece and
@@ -141,7 +142,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, MillsurfError
+from .errors import ConfigError, DomainError, MillsurfError
 from .kinematics import (
     ProcessParameters,
     _apply4,
@@ -152,12 +153,7 @@ from .kinematics import (
     tooth_angle,
 )
 from .surface_grid import GridSpec, HeightField, locate, update_min
-from .tool_geometry import (
-    EdgeDiscretization,
-    ToolDefinition,
-    discretize_edge,
-    effective_half_length,
-)
+from .tool_geometry import ToolDefinition, effective_half_length
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
 # The coarse pass (_live_steps: annulus band and box bounds of anchors) bounds
@@ -300,7 +296,10 @@ class _ToothData:
 class _Plan:
     tool: ToolDefinition
     grid: GridSpec
-    edge: EdgeDiscretization
+    # Arc samples of the engaged edge: arc coordinate x and edge-frame height z
+    # of each point, (N,) each; the edge's y is 0 along its whole length.
+    edge_x: np.ndarray
+    edge_z: np.ndarray
     teeth: tuple[_ToothData, ...]
     dt: float
     t_start: float
@@ -324,7 +323,7 @@ class _Plan:
 
     @property
     def trajectory_points(self) -> int:
-        return self.steps * self.tool.tooth_count * self.edge.x.size
+        return self.steps * self.tool.tooth_count * self.edge_x.size
 
     def step_times(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and spindle-axis y of the global steps ``steps``, computed in
@@ -354,7 +353,20 @@ def _plan(config: SimulationConfig) -> _Plan:
         # The smallest N whose edge spacing 2*half/(N-1) is at most half the
         # grid spacing, so the edge leaves a sample in every cell it crosses.
         n_points = max(2, math.ceil(4.0 * half / grid.spacing_mm) + 1)
-    edge = discretize_edge(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm, n_points)
+    r = tool.insert_radius_mm
+    if half > r:
+        raise DomainError(
+            f"engaged half-length {half:.6g} mm exceeds the insert radius {r} mm "
+            "(feed per tooth too large for this insert)"
+        )
+    # Arc samples: uniform over [-half, half], endpoints exact.
+    try:
+        edge_x = -half + (2.0 * half) * np.arange(n_points, dtype=np.float64) / (n_points - 1)
+        edge_x[0] = -half
+        edge_x[-1] = half
+        edge_z = r - np.sqrt(r * r - edge_x * edge_x)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise MillsurfError(f"cannot allocate {n_points} edge points: {exc}") from exc
 
     dt = time_step(config)
     v_f = proc.feed_speed_mm_s(tool)
@@ -363,7 +375,7 @@ def _plan(config: SimulationConfig) -> _Plan:
         # Auto-span: tool centre travels from just below the grid to just past
         # it, with a margin that covers the full edge footprint, so entry and
         # exit cuts are captured.
-        margin = tool.cutting_diameter_mm / 2.0 + edge.half_length_mm
+        margin = tool.cutting_diameter_mm / 2.0 + half
         y0 = grid.y_min_mm - margin
         t_start = 0.0
         t_end = (grid.y_max_mm + margin - y0) / v_f
@@ -386,7 +398,7 @@ def _plan(config: SimulationConfig) -> _Plan:
     starts = cuts[:-1]
     teeth = []
     for k in range(1, tool.tooth_count + 1):
-        xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge.x, 0.0, edge.z)
+        xt, yt, zt = _apply4(_edge_to_tool_rows(tool, k), edge_x, 0.0, edge_z)
         zw = zt + z0
         seg_min_z = np.minimum.reduceat(zw, starts)
         order = np.argsort(seg_min_z, kind="stable")
@@ -442,7 +454,8 @@ def _plan(config: SimulationConfig) -> _Plan:
     return _Plan(
         tool=tool,
         grid=grid,
-        edge=edge,
+        edge_x=edge_x,
+        edge_z=edge_z,
         teeth=tuple(teeth),
         dt=dt,
         t_start=t_start,
@@ -792,7 +805,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
     plan = _plan(config)
     grid = plan.grid
     n_teeth = plan.tool.tooth_count
-    edge_xz = list(zip(plan.edge.x.tolist(), plan.edge.z.tolist()))
+    edge_xz = list(zip(plan.edge_x.tolist(), plan.edge_z.tolist()))
     field = HeightField(grid, plan.initial_height)
     in_grid = 0
     t0 = time.perf_counter()

@@ -43,6 +43,10 @@ class GridSpec:
             raise DomainError(
                 f"grid origin must be finite, got ({self.x_min_mm}, {self.y_min_mm})"
             )
+        for name in ("m", "n"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise DomainError(f"grid cell count {name} must be an integer, got {count!r}")
         if self.m < 1 or self.n < 1:
             raise DomainError(f"grid must have at least one cell per axis, got m={self.m}, n={self.n}")
 
@@ -108,7 +112,8 @@ class HeightField:
 
     The backing array is one contiguous row-major float64 buffer of length
     (m+1)*(n+1), allocated once at construction and never resized; index
-    (i, j) maps to flat offset i*(n+1) + j. Its methods take no lock: the
+    (i, j) maps to flat offset i*(n+1) + j. The initial height, which is also
+    the uncut sentinel, must be finite. Its methods take no lock: the
     workers of a concurrent simulation share one field and guard its reads
     and writes with a lock of their own.
     """
@@ -118,6 +123,8 @@ class HeightField:
     def __init__(self, spec: GridSpec, initial_height_mm: float, heights: np.ndarray | None = None):
         self.spec = spec
         self.initial_height_mm = float(initial_height_mm)
+        if not math.isfinite(self.initial_height_mm):
+            raise DomainError(f"uncut sentinel height is {self.initial_height_mm}, not finite")
         if heights is None:
             try:
                 self.heights = np.full(spec.node_count, self.initial_height_mm, dtype=np.float64)

@@ -96,8 +96,6 @@ def read_surface(path: Path) -> HeightField:
             f"{path}: payload is {payload_size} bytes, header promises {expected} "
             f"({m + 1}x{n + 1} float64)"
         )
-    if not np.isfinite(sentinel):
-        raise SurfaceFormatError(f"{path}: uncut sentinel height is {sentinel}, not finite")
     heights = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(heights))
     if bad.size:
@@ -106,9 +104,9 @@ def read_surface(path: Path) -> HeightField:
         )
     try:
         spec = GridSpec(spacing_mm=spacing, x_min_mm=x_min, y_min_mm=y_min, m=m, n=n)
-    except DomainError as exc:  # no cells, a bad spacing or a non-finite origin
+        return HeightField(spec, sentinel, heights)
+    except DomainError as exc:  # no cells, a bad spacing, a non-finite origin or sentinel
         raise SurfaceFormatError(f"{path}: {exc}") from exc
-    return HeightField(spec, sentinel, heights)
 
 
 def write_heights_csv(field: HeightField, path: Path) -> None:

@@ -1,4 +1,4 @@
-"""Discrete cutting-edge representation of an indexable face mill with circular inserts.
+"""Cutting edge of an indexable face mill with circular inserts.
 
 Internal units are millimetres and radians everywhere. The active cutting edge
 is the lower semicircular arc of the insert; a point at arc coordinate ``l``
@@ -6,12 +6,12 @@ is the lower semicircular arc of the insert; a point at arc coordinate ``l``
 
     z(l) = R - sqrt(R^2 - l^2)
 
-above the lowest point of the edge. Only the engaged part of the arc is
-discretized: the half-length combines the axial immersion (depth of cut) with
-a feed-per-tooth floor so that the sampled edge always spans at least one
-tooth advance. The module knows only the tool: how densely the edge is
-sampled is the caller's choice, and the engine's plan derives it from the
-grid spacing, as it does the time step.
+above the lowest point of the edge. Only the engaged part of the arc cuts:
+its half-length combines the axial immersion (depth of cut) with a
+feed-per-tooth floor so that the engaged edge always spans at least one tooth
+advance. The module knows the tool and its engaged arc, not how the arc is
+sampled: the engine's plan samples it, at a density it derives from the grid
+spacing as it does the time step.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DomainError, MillsurfError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,6 @@ class ToolDefinition:
                 )
 
 
-@dataclass(frozen=True)
-class EdgeDiscretization:
-    """Uniform sampling of the engaged edge arc over [-half_length, +half_length].
-
-    ``x`` holds the samples' arc coordinates l and ``z`` their heights z(l),
-    both in the edge frame, whose y is 0 along the whole edge.
-    """
-
-    half_length_mm: float
-    x: np.ndarray
-    z: np.ndarray
-
-
 def effective_half_length(
     tool: ToolDefinition,
     depth_of_cut_mm: float,
@@ -105,34 +90,3 @@ def effective_half_length(
     half_immersion = math.sqrt(r * r - (r - a_p) * (r - a_p))
     half_feed = feed_per_tooth_mm / (2.0 * math.cos(tool.radial_rake_rad))
     return max(half_immersion, half_feed)
-
-
-def discretize_edge(
-    tool: ToolDefinition,
-    depth_of_cut_mm: float,
-    feed_per_tooth_mm: float,
-    point_count: int,
-) -> EdgeDiscretization:
-    """Sample the engaged edge arc into ``point_count`` uniform points.
-
-    The result is a pure function of its inputs; endpoints land exactly on
-    +-half_length.
-    """
-    if point_count < 2:
-        raise DomainError(f"point_count must be >= 2, got {point_count}")
-    r = tool.insert_radius_mm
-    half = effective_half_length(tool, depth_of_cut_mm, feed_per_tooth_mm)
-    if half > r:
-        raise DomainError(
-            f"engaged half-length {half:.6g} mm exceeds the insert radius {r} mm "
-            "(feed per tooth too large for this insert)"
-        )
-    n = point_count
-    try:
-        x = -half + (2.0 * half) * np.arange(n, dtype=np.float64) / (n - 1)
-        x[0] = -half
-        x[-1] = half
-        z = r - np.sqrt(r * r - x * x)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        raise MillsurfError(f"cannot allocate {n} edge points: {exc}") from exc
-    return EdgeDiscretization(half_length_mm=half, x=x, z=z)

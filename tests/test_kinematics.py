@@ -6,11 +6,13 @@ import pytest
 from millsurf import (
     ConfigError,
     DomainError,
+    GridSpec,
     ProcessParameters,
+    SimulationConfig,
     ToolDefinition,
     derive_kinematics,
-    discretize_edge,
 )
+from millsurf import engine
 from millsurf.kinematics import (
     _apply4,
     _edge_to_tool_rows,
@@ -37,9 +39,11 @@ def chain(tool, params, tooth, t, point):
 
 
 def edge_points(tool):
-    """Edge-frame (x, y, z) samples of the case1 engaged arc, |l| <= 2.18 mm."""
-    edge = discretize_edge(tool, 0.5, 0.6, 41)
-    return [(x, 0.0, z) for x, z in zip(edge.x.tolist(), edge.z.tolist())]
+    """Edge-frame (x, y, z) samples of a case1 plan's engaged arc, |l| <= 2.18 mm."""
+    grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.5))
+    plan = engine._plan(SimulationConfig(tool=tool, process=case1_process(), grid=grid,
+                                         edge_point_count=41))
+    return [(x, 0.0, z) for x, z in zip(plan.edge_x.tolist(), plan.edge_z.tolist())]
 
 
 def chain_oracle(tool, params, tooth, t, point):

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "ConfigDocument",
     "ConfigError",
     "DomainError",
-    "EdgeDiscretization",
     "GridSpec",
     "HeightField",
     "LineProfile",
@@ -26,7 +25,6 @@ PUBLIC_NAMES = [
     "ToolDefinition",
     "areal_metrics",
     "derive_kinematics",
-    "discretize_edge",
     "effective_half_length",
     "extract_profile",
     "generate_dataset",
@@ -44,7 +42,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     # growing or shrinking the public API must be a deliberate edit of this list
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 29
     assert sorted(millsurf.__all__) == PUBLIC_NAMES
 
 

@@ -31,6 +31,13 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             make_spec(spacing=0.0)
 
+    @pytest.mark.parametrize("axis", ["m", "n"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_non_integer_cell_count(self, axis, count):
+        # a float count would give a float node_count; True would be a 1-cell grid
+        with pytest.raises(DomainError, match=f"cell count {axis} must be an integer"):
+            make_spec(**{axis: count})
+
     def test_node_coords(self):
         spec = make_spec(spacing=0.5, m=2, n=3, x_min=-1.0, y_min=2.0)
         assert np.allclose(spec.x_coords(), [-1.0, -0.5, 0.0])
@@ -136,6 +143,12 @@ class TestHeightField:
     def test_buffer_shape_checked(self):
         with pytest.raises(DomainError):
             HeightField(make_spec(m=2, n=2), 1.0, heights=np.zeros(4))
+
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_height(self, height):
+        # a NaN sentinel would read every cell as uncut and every metric as NaN
+        with pytest.raises(DomainError, match="uncut sentinel height is .*, not finite"):
+            HeightField(make_spec(m=2, n=2), height)
 
     def test_machined_cell_count(self):
         field = HeightField(make_spec(m=2, n=2), 1.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +5,13 @@ import pytest
 
 from millsurf import (
     DomainError,
-    EdgeDiscretization,
+    GridSpec,
+    SimulationConfig,
     ToolDefinition,
-    discretize_edge,
+    derive_kinematics,
     effective_half_length,
 )
+from millsurf import engine
 
 # direct evaluation of the edge-arc relation at l = 2.5, R = 5
 Z_AT_2_5 = 5.0 - math.sqrt(25.0 - 6.25)  # 0.6698729810778064
@@ -22,31 +23,43 @@ def make_tool(**kw):
     return ToolDefinition(**defaults)
 
 
+def edge_samples(point_count, depth=0.5, feed=0.6, **tool_kw):
+    """Engaged half-length and the arc samples (x, z) that the engine's plan
+    takes for a case1-like job with ``point_count`` edge points."""
+    tool = make_tool(**tool_kw)
+    process = derive_kinematics(tool, depth_of_cut_mm=depth, cutting_speed_m_min=170.0,
+                                feed_per_tooth_mm=feed, initial_position_mm=(0.0, None, 0.0))
+    grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.5))
+    plan = engine._plan(SimulationConfig(tool=tool, process=process, grid=grid,
+                                         edge_point_count=point_count, time_step_s=2e-4))
+    return effective_half_length(tool, depth, feed), plan.edge_x, plan.edge_z
+
+
 class TestEdgePoint:
     # depth of cut = R engages the whole arc: half_length == R, so the samples
     # land exactly on l = -R, ..., 0, ..., R
 
     def test_lowest_point(self):
-        edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
-        assert (edge.x[1], edge.z[1]) == (0.0, 0.0)
+        _, x, z = edge_samples(3, depth=5.0, feed=0.1)
+        assert (x[1], z[1]) == (0.0, 0.0)
 
     def test_full_radius(self):
-        edge = discretize_edge(make_tool(), 5.0, 0.1, 3)
-        assert (edge.x[-1], edge.z[-1]) == (5.0, 5.0)
+        _, x, z = edge_samples(3, depth=5.0, feed=0.1)
+        assert (x[-1], z[-1]) == (5.0, 5.0)
 
     def test_mid_arc(self):
-        edge = discretize_edge(make_tool(), 5.0, 0.1, 5)
-        assert edge.x[3] == 2.5
-        assert edge.z[3] == pytest.approx(0.669873, abs=1e-6)
-        assert edge.z[3] == pytest.approx(Z_AT_2_5, abs=1e-15)
+        _, x, z = edge_samples(5, depth=5.0, feed=0.1)
+        assert x[3] == 2.5
+        assert z[3] == pytest.approx(0.669873, abs=1e-6)
+        assert z[3] == pytest.approx(Z_AT_2_5, abs=1e-15)
 
     def test_defining_relation(self):
         r = 4.0
-        edge = discretize_edge(make_tool(insert_radius_mm=r), r, 0.1, 23)
-        assert edge.half_length_mm == r
-        assert np.allclose(edge.x, np.linspace(-r, r, 23), atol=1e-12)
-        for l, z in zip(edge.x, edge.z):
-            assert abs(z - (r - math.sqrt(r * r - l * l))) < 1e-12
+        half, x, z = edge_samples(23, depth=r, feed=0.1, insert_radius_mm=r)
+        assert half == r
+        assert np.allclose(x, np.linspace(-r, r, 23), atol=1e-12)
+        for l, zl in zip(x, z):
+            assert abs(zl - (r - math.sqrt(r * r - l * l))) < 1e-12
 
 
 class TestEffectiveHalfLength:
@@ -81,52 +94,47 @@ class TestEffectiveHalfLength:
 
 
 class TestDiscretizeEdge:
+    # the plan samples the engaged arc uniformly over [-half, half]
+
     def test_three_point_case(self):
-        edge = discretize_edge(make_tool(radial_rake_rad=math.radians(0.6)), 0.5, 0.6, 3)
-        half = edge.half_length_mm
+        half, x, _ = edge_samples(3, radial_rake_rad=math.radians(0.6))
         assert half == pytest.approx(2.17945, abs=1e-5)
-        assert list(edge.x) == [-half, 0.0, half]
+        assert list(x) == [-half, 0.0, half]
 
     def test_two_points_are_endpoints(self):
-        edge = discretize_edge(make_tool(), 0.3, 0.2, 2)
-        assert edge.x[0] == -edge.half_length_mm
-        assert edge.x[1] == edge.half_length_mm
+        half, x, _ = edge_samples(2, depth=0.3, feed=0.2)
+        assert list(x) == [-half, half]
 
     def test_full_immersion_five_points(self):
-        edge = discretize_edge(make_tool(), 5.0, 0.1, 5)
-        assert np.allclose(edge.x, [-5.0, -2.5, 0.0, 2.5, 5.0], atol=1e-12)
-        assert np.allclose(edge.z, [5.0, Z_AT_2_5, 0.0, Z_AT_2_5, 5.0], atol=1e-12)
+        _, x, z = edge_samples(5, depth=5.0, feed=0.1)
+        assert np.allclose(x, [-5.0, -2.5, 0.0, 2.5, 5.0], atol=1e-12)
+        assert np.allclose(z, [5.0, Z_AT_2_5, 0.0, Z_AT_2_5, 5.0], atol=1e-12)
 
     def test_uniform_spacing(self):
-        edge = discretize_edge(make_tool(), 0.5, 0.6, 11)
-        assert np.allclose(np.diff(edge.x), np.diff(edge.x)[0], atol=1e-12)
+        _, x, _ = edge_samples(11)
+        assert np.allclose(np.diff(x), np.diff(x)[0], atol=1e-12)
 
     def test_z_range_and_symmetry(self):
-        edge = discretize_edge(make_tool(), 1.3, 0.45, 37)
-        assert np.all(edge.z >= 0.0)
-        assert np.all(edge.z <= 5.0)
-        assert np.allclose(edge.z, edge.z[::-1], atol=1e-12)
+        _, _, z = edge_samples(37, depth=1.3, feed=0.45)
+        assert np.all(z >= 0.0)
+        assert np.all(z <= 5.0)
+        assert np.allclose(z, z[::-1], atol=1e-12)
 
     def test_pure_function(self):
-        a = discretize_edge(make_tool(), 0.5, 0.6, 21)
-        b = discretize_edge(make_tool(), 0.5, 0.6, 21)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.z, b.z)
-
-    def test_bad_point_count(self):
-        with pytest.raises(DomainError):
-            discretize_edge(make_tool(), 0.5, 0.6, 1)
+        _, xa, za = edge_samples(21)
+        _, xb, zb = edge_samples(21)
+        assert np.array_equal(xa, xb)
+        assert np.array_equal(za, zb)
 
     def test_feed_half_length_beyond_radius(self):
-        with pytest.raises(DomainError):
-            discretize_edge(make_tool(), 0.5, 11.0, 5)
+        # f_z / (2 cos(radial rake)) = 5.5 mm against an insert radius of 5 mm
+        with pytest.raises(DomainError, match="exceeds the insert radius"):
+            edge_samples(5, feed=11.0)
 
     def test_arc_samples_only(self):
         # the edge is its arc coordinates and heights; its y is 0 by construction
-        assert [f.name for f in dataclasses.fields(EdgeDiscretization)] == [
-            "half_length_mm", "x", "z"]
-        edge = discretize_edge(make_tool(), 0.5, 0.6, 9)
-        for arr in (edge.x, edge.z):
+        _, x, z = edge_samples(9)
+        for arr in (x, z):
             assert arr.shape == (9,)
             assert arr.dtype == np.float64
             assert arr.flags["C_CONTIGUOUS"]
