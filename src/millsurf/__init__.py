@@ -12,11 +12,10 @@ from .engine import (
     time_step,
 )
 from .errors import ConfigError, DomainError, MillsurfError, SurfaceFormatError
-from .kinematics import ProcessParameters, derive_kinematics
+from .kinematics import ProcessParameters, ToolDefinition, derive_kinematics
 from .roughness import ArealMetrics, LineProfile, areal_metrics, extract_profile, line_roughness
 from .surface_grid import GridSpec, HeightField
 from .surface_io import read_surface, write_surface
-from .tool_geometry import ToolDefinition, effective_half_length
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,6 @@ __all__ = [
     "ToolDefinition",
     "areal_metrics",
     "derive_kinematics",
-    "effective_half_length",
     "extract_profile",
     "generate_dataset",
     "lhs_sample",

@@ -28,9 +28,8 @@ from pathlib import PurePath
 
 from .engine import SimulationConfig
 from .errors import ConfigError, DomainError
-from .kinematics import ProcessParameters, derive_kinematics
+from .kinematics import ProcessParameters, ToolDefinition, derive_kinematics
 from .surface_grid import GridSpec
-from .tool_geometry import ToolDefinition
 
 OUTPUT_FORMATS = ("surface", "csv", "graymap", "metrics")
 

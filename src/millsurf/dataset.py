@@ -13,7 +13,8 @@ counters (wall time is deliberately excluded).
 
 Ranges are checked by the configuration's own readers, at each end. A sample
 fails in its manifest row only for what a run finds: a feed per tooth whose
-engaged half-length exceeds the insert radius, or an allocation failure.
+engaged half-length exceeds the insert radius, a grid spacing that derives
+more than 2**53 edge points, or an allocation failure.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class DatasetManifest:
 def lhs_sample(ranges: list[ParameterRange], count: int, seed: int) -> np.ndarray:
     """Seeded Latin hypercube: (count, len(ranges)) array, one sample per
     stratum in every dimension, identical output for identical inputs."""
+    for name, value in (("sample count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
     if seed < 0:
@@ -198,8 +202,8 @@ def generate_dataset(
     is rejected up front when the base configuration with either end applied
     does not parse.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     config_from_dict(base_raw)  # fail fast on a broken base configuration
     names = [prm.name for prm in ranges]
     notes = []

@@ -145,6 +145,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, MillsurfError
 from .kinematics import (
     ProcessParameters,
+    ToolDefinition,
     _apply4,
     _edge_to_tool_rows,
     _matmul4,
@@ -153,7 +154,6 @@ from .kinematics import (
     tooth_angle,
 )
 from .surface_grid import GridSpec, HeightField, locate, update_min
-from .tool_geometry import ToolDefinition, effective_half_length
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
 # The coarse pass (_live_steps: annulus band and box bounds of anchors) bounds
@@ -250,6 +250,28 @@ class SimulationResult:
     in_grid_points: int
 
 
+def _engaged_half_length(
+    tool: ToolDefinition, depth_of_cut_mm: float, feed_per_tooth_mm: float
+) -> float:
+    """Half-length of the engaged cutting edge, in mm.
+
+    The active edge is the lower semicircular arc of the insert: a point at
+    arc coordinate ``l`` (along the edge-frame X axis) sits at height
+    ``z(l) = R - sqrt(R^2 - l^2)`` above the edge's lowest point. Only the
+    engaged part of the arc cuts. Its half-length is the larger of the
+    half-chord of the arc at axial depth ``depth_of_cut_mm`` and the feed
+    floor f_z / (2 cos(radial rake)), so the sampled edge spans at least one
+    tooth advance even at shallow depths. Both callers read the values from a
+    ``SimulationConfig``: its process keeps them finite and > 0, and the
+    config keeps the depth within R, so nothing is checked here.
+    """
+    r = tool.insert_radius_mm
+    a_p = depth_of_cut_mm
+    half_immersion = math.sqrt(r * r - (r - a_p) * (r - a_p))
+    half_feed = feed_per_tooth_mm / (2.0 * math.cos(tool.radial_rake_rad))
+    return max(half_immersion, half_feed)
+
+
 def time_step(config: SimulationConfig) -> float:
     """Resolved time increment: explicit value, else min of the step-angle and
     feed guards (tool turns at most max_step_angle and advances at most one
@@ -264,7 +286,7 @@ def time_step(config: SimulationConfig) -> float:
     proc = config.process
     angle = config.max_step_angle_rad
     if angle is None:
-        half = effective_half_length(config.tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
+        half = _engaged_half_length(config.tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
         angle = config.grid.spacing_mm / (config.tool.cutting_diameter_mm / 2.0 + half)
     by_angle = angle / proc.angular_velocity_rad_s
     by_feed = config.grid.spacing_mm / proc.feed_speed_mm_s(config.tool)
@@ -347,18 +369,25 @@ def _plan(config: SimulationConfig) -> _Plan:
     tool = config.tool
     proc = config.process
     grid = config.grid
-    half = effective_half_length(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
-    n_points = config.edge_point_count
-    if n_points is None:
-        # The smallest N whose edge spacing 2*half/(N-1) is at most half the
-        # grid spacing, so the edge leaves a sample in every cell it crosses.
-        n_points = max(2, math.ceil(4.0 * half / grid.spacing_mm) + 1)
+    half = _engaged_half_length(tool, proc.depth_of_cut_mm, proc.feed_per_tooth_mm)
     r = tool.insert_radius_mm
     if half > r:
         raise DomainError(
             f"engaged half-length {half:.6g} mm exceeds the insert radius {r} mm "
             "(feed per tooth too large for this insert)"
         )
+    n_points = config.edge_point_count
+    if n_points is None:
+        # The smallest N whose edge spacing 2*half/(N-1) is at most half the
+        # grid spacing, so the edge leaves a sample in every cell it crosses.
+        # Past 2**53, float64 cannot tell consecutive sample indices apart;
+        # the bound also keeps a quotient that overflows to inf out of ceil.
+        count = 4.0 * half / grid.spacing_mm
+        if not count < 2**53:
+            raise ConfigError(
+                f"grid spacing {grid.spacing_mm} mm takes {count:.6g} edge points, more than 2**53"
+            )
+        n_points = max(2, math.ceil(count) + 1)
     # Arc samples: uniform over [-half, half], endpoints exact.
     try:
         edge_x = -half + (2.0 * half) * np.arange(n_points, dtype=np.float64) / (n_points - 1)

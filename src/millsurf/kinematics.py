@@ -11,6 +11,12 @@ placement (cutter radius and per-tooth run-out), the tool-to-spindle transform
 is a pure Z rotation by the instantaneous tooth angle, and the spindle-to-
 workpiece transform is the straight-line feed translation along Y.
 
+The tool is an indexable face mill with circular inserts: a
+``ToolDefinition`` holds its cutting diameter, insert radius, tooth count,
+rakes and one (radial, axial) run-out pair per tooth. Tooth K is mounted
+(K - 1) times its pair off the nominal placement, so tooth 1 is always the
+reference tooth.
+
 The ``*_rows`` builders return plain nested lists of Python floats and are the
 single source of truth for matrix entries. They are private and check
 nothing: the engine passes tooth indices from ``1..tooth_count`` and times
@@ -38,10 +44,52 @@ their checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
-from .tool_geometry import ToolDefinition
+
+
+@dataclass(frozen=True)
+class ToolDefinition:
+    """Cutter geometry: diameter, circular-insert radius, tooth count, rakes, run-outs.
+
+    ``runouts_mm`` holds one (radial, axial) pair per tooth, index K = 1..tooth_count.
+    Tooth K's mounting offset is (K - 1) times its pair, so tooth 1 is always the
+    reference tooth. An empty tuple means zero run-out on every tooth.
+    """
+
+    cutting_diameter_mm: float
+    insert_radius_mm: float
+    tooth_count: int
+    radial_rake_rad: float = 0.0
+    axial_rake_rad: float = 0.0
+    runouts_mm: tuple[tuple[float, float], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        for name in ("cutting_diameter_mm", "insert_radius_mm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
+        for name in ("radial_rake_rad", "axial_rake_rad"):
+            value = getattr(self, name)
+            if not abs(value) < math.pi / 2:  # also rejects NaN
+                raise DomainError(f"{name} must satisfy |rake| < pi/2, got {value}")
+        teeth = self.tooth_count
+        if isinstance(teeth, bool) or not isinstance(teeth, int) or teeth < 1:
+            raise DomainError(f"tooth_count must be an integer >= 1, got {teeth!r}")
+        if not self.runouts_mm:
+            object.__setattr__(self, "runouts_mm", ((0.0, 0.0),) * self.tooth_count)
+        if len(self.runouts_mm) != self.tooth_count:
+            raise DomainError(
+                f"runouts_mm must have one (radial, axial) pair per tooth: "
+                f"got {len(self.runouts_mm)} pairs for {self.tooth_count} teeth"
+            )
+        for k, (eps_r, eps_a) in enumerate(self.runouts_mm, start=1):
+            if not (abs(eps_r) < self.insert_radius_mm and abs(eps_a) < self.insert_radius_mm):
+                raise DomainError(
+                    f"run-out of tooth {k} ({eps_r}, {eps_a}) mm is not finite and small "
+                    f"against the insert radius {self.insert_radius_mm} mm"
+                )
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,11 @@ class LineProfile:
     spacing_mm: float
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_roi(
     field: HeightField, roi: tuple[int, int, int, int] | None
 ) -> tuple[int, int, int, int]:
@@ -97,6 +102,8 @@ def _check_roi(
     grid = field.spec
     if roi is None:
         return (0, 0, grid.m, grid.n)
+    if len(roi) != 4 or not all(map(_is_index, roi)):
+        raise DomainError(f"roi {roi} must hold 4 integer node indices")
     i_lo, j_lo, i_hi, j_hi = roi
     if not (0 <= i_lo <= i_hi <= grid.m and 0 <= j_lo <= j_hi <= grid.n):
         raise DomainError(f"roi {roi} outside grid [0, {grid.m}] x [0, {grid.n}] or empty")
@@ -190,6 +197,8 @@ def extract_profile(
     grid = field.spec
     arr = field.as_array()
     i_lo, j_lo, i_hi, j_hi = _check_roi(field, roi)
+    if index is not None and not _is_index(index):
+        raise DomainError(f"profile index must be an integer, got {index!r}")
 
     if direction == "feed":
         idx = round(grid.m / 2) if index is None else index

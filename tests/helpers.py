@@ -12,20 +12,20 @@ from millsurf import (
     SimulationConfig,
     ToolDefinition,
     derive_kinematics,
-    effective_half_length,
 )
+from millsurf.engine import _engaged_half_length
+
+
+def make_tool(**fields) -> ToolDefinition:
+    """Case1's cutter (10 mm diameter, 5 mm inserts, 2 teeth) with ``fields`` set."""
+    return ToolDefinition(**{"cutting_diameter_mm": 10.0, "insert_radius_mm": 5.0,
+                             "tooth_count": 2, **fields})
 
 
 def case1_tool(runouts=(), radial_rake_rad=0.0, axial_rake_rad=0.0) -> ToolDefinition:
     """Two-insert face mill, 10 mm cutting diameter, 5 mm circular inserts."""
-    return ToolDefinition(
-        cutting_diameter_mm=10.0,
-        insert_radius_mm=5.0,
-        tooth_count=2,
-        radial_rake_rad=radial_rake_rad,
-        axial_rake_rad=axial_rake_rad,
-        runouts_mm=runouts,
-    )
+    return make_tool(radial_rake_rad=radial_rake_rad, axial_rake_rad=axial_rake_rad,
+                     runouts_mm=runouts)
 
 
 def case1_process(feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5, x0=0.0, y0=None,
@@ -78,7 +78,7 @@ def small_random_config(seed: int, random_z0: bool = False) -> SimulationConfig:
 
     n_points = int(rng.integers(4, 14))
     target_steps = int(rng.integers(200, min(1000, 50_000 // (tooth_count * n_points))))
-    half = effective_half_length(tool, depth, feed)
+    half = _engaged_half_length(tool, depth, feed)
     travel = (grid.y_max_mm - grid.y_min_mm) + 2.0 * (diameter / 2.0 + half)
     dt = (travel / process.feed_speed_mm_s(tool)) / target_steps
     if random_z0:
@@ -124,7 +124,7 @@ def wide_cutter_config(seed: int) -> SimulationConfig:
             for _ in range(tooth_count)
         ),
     )
-    half = effective_half_length(tool, depth, feed)
+    half = _engaged_half_length(tool, depth, feed)
     reach = diameter / 2.0 + half + float(rng.uniform(0.25, 0.5)) * diameter
     x0 = float(rng.uniform(-1.0, 1.0))
     offset = grid_w / 2.0 + 2.0 * spacing + float(rng.uniform(0.0, 0.1)) * diameter
@@ -167,7 +167,7 @@ def front_cut_config(feed_per_tooth_mm: float, spacing_mm: float, runouts=(),
     margin = feed_per_tooth_mm / 2.0 + 0.3  # nearest-cusp formation margin plus padding
     y0 = -(tool.cutting_diameter_mm / 2.0) - margin  # first cusp fully formed at y=0
     process = case1_process(feed_per_tooth_mm=feed_per_tooth_mm, depth_of_cut_mm=depth, y0=y0)
-    half = effective_half_length(tool, depth, feed_per_tooth_mm)
+    half = _engaged_half_length(tool, depth, feed_per_tooth_mm)
     r_max = tool.cutting_diameter_mm / 2.0 + half
     dt = (spacing_mm / r_max) / process.angular_velocity_rad_s
     grid = GridSpec.from_extents(spacing_mm, (-x_half_mm, x_half_mm), (0.0, roi_len_mm))

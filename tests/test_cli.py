@@ -191,11 +191,12 @@ class TestSimulateCommand:
         assert errors == ["error: process.depth_of_cut_mm: integer too large for a float"]
 
     def test_edge_too_long_to_allocate(self, tmp_path, capsys):
-        # without edge_points the edge count follows the spacing; at 1e-200
-        # numpy refuses the size before allocating anything
+        # without edge_points the edge count follows the spacing; at 1e-14 it
+        # is 8.7e14 points, under the 2**53 bound, and numpy cannot allocate
+        # their 6 PiB, so it fails before touching any memory
         raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
         del raw["engine"]["edge_points"]
-        raw["grid"]["spacing_mm"] = 1e-200
+        raw["grid"]["spacing_mm"] = 1e-14
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -205,6 +206,22 @@ class TestSimulateCommand:
         assert len(failures) == 1
         assert failures[0].startswith("runtime failure: cannot allocate ")
         assert " edge points: " in failures[0]
+
+
+    @pytest.mark.parametrize("spacing", [1e-308, 1e-200])
+    def test_edge_point_count_bounded(self, tmp_path, capsys, spacing):
+        # without edge_points the edge count follows the spacing: over one
+        # cell, 4*half/spacing overflows to inf at 1e-308 and is past 2**53 at 1e-200
+        raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
+        del raw["engine"]["edge_points"]
+        raw["grid"] = {"spacing_mm": spacing, "x_min_mm": 0.0, "x_max_mm": spacing,
+                       "y_min_mm": 0.0, "y_max_mm": spacing}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        line = only_error(capsys.readouterr().err)
+        assert line.startswith(f"error: grid spacing {spacing} mm takes ")
+        assert line.endswith(" edge points, more than 2**53")
 
 
 class TestRoughnessCommand:

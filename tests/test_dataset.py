@@ -76,6 +76,11 @@ class TestLhsSample:
         with pytest.raises(ConfigError):
             lhs_sample([], 5, seed=0)
 
+    @pytest.mark.parametrize("count, seed", [(2.5, 0), (True, 0), (2.0, 0), (5, 1.5), (5, False)])
+    def test_non_integer_count_or_seed_rejected(self, count, seed):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            lhs_sample([ParameterRange("phase_deg", 0.0, 1.0)], count, seed)
+
 
 class TestParameterRange:
     def test_unknown_name(self):
@@ -243,6 +248,13 @@ class TestGenerateDataset:
             generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
                              base_raw=base_raw(), out_dir=tmp_path, workers=0)
         assert not (tmp_path / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [1.5, True, 2.0])
+    def test_non_integer_workers_rejected(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match="workers must be an integer"):
+            generate_dataset([ParameterRange("phase_deg", 0.0, 90.0)], 2, seed=0,
+                             base_raw=base_raw(), out_dir=tmp_path, workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_each_sample_builds_its_config_when_it_runs(self, tmp_path, monkeypatch):
         # Sample configs are built in the sample's own task, one just before

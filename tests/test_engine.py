@@ -9,6 +9,7 @@ import pytest
 
 from millsurf import (
     ConfigError,
+    DomainError,
     GridSpec,
     HeightField,
     ProcessParameters,
@@ -16,7 +17,6 @@ from millsurf import (
     ToolDefinition,
     areal_metrics,
     derive_kinematics,
-    effective_half_length,
     run_benchmark,
     simulate,
     simulate_reference,
@@ -24,8 +24,8 @@ from millsurf import (
 )
 from millsurf import engine
 
-from helpers import (case1_tool, case1_process, machined_rect_roi, small_random_config,
-                     wide_cutter_config)
+from helpers import (case1_tool, case1_process, machined_rect_roi, make_tool,
+                     small_random_config, wide_cutter_config)
 
 
 def tiny_config(**overrides):
@@ -62,7 +62,7 @@ class TestTimeStep:
         cfg = tiny_config(time_step_s=None)
         dt = time_step(cfg)
         assert dt == pytest.approx(1.2290e-5, rel=1e-4)
-        half = effective_half_length(cfg.tool, 0.5, 0.6)
+        half = engine._engaged_half_length(cfg.tool, 0.5, 0.6)
         assert dt == cfg.grid.spacing_mm / (5.0 + half) / cfg.process.angular_velocity_rad_s
 
     @pytest.mark.parametrize("seed", range(5))
@@ -118,7 +118,7 @@ class TestEdgePointCount:
         grid = GridSpec.from_extents(spacing, (-0.05, 0.05), (0.0, 0.05))
         plan = engine._plan(tiny_config(grid=grid, edge_point_count=None))
         half, n = plan.edge_x[-1], plan.edge_x.size
-        assert half == effective_half_length(case1_tool(), 0.5, 0.6)
+        assert half == engine._engaged_half_length(case1_tool(), 0.5, 0.6)
         assert 2.0 * half / (n - 1) <= spacing / 2.0
         assert 2.0 * half / (n - 2) > spacing / 2.0  # minimal
 
@@ -131,6 +131,118 @@ class TestEdgePointCount:
         plan = engine._plan(cfg)
         assert plan.edge_x[-1] == 0.0
         assert plan.edge_x.size == 2
+
+
+# direct evaluation of the edge-arc relation at l = 2.5, R = 5
+Z_AT_2_5 = 5.0 - math.sqrt(25.0 - 6.25)  # 0.6698729810778064
+
+
+def edge_samples(point_count, depth=0.5, feed=0.6, **tool_kw):
+    """Engaged half-length and the arc samples (x, z) that the engine's plan
+    takes for a case1-like job with ``point_count`` edge points."""
+    tool = make_tool(**tool_kw)
+    process = derive_kinematics(tool, depth_of_cut_mm=depth, cutting_speed_m_min=170.0,
+                                feed_per_tooth_mm=feed, initial_position_mm=(0.0, None, 0.0))
+    grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.5))
+    plan = engine._plan(SimulationConfig(tool=tool, process=process, grid=grid,
+                                         edge_point_count=point_count, time_step_s=2e-4))
+    return engine._engaged_half_length(tool, depth, feed), plan.edge_x, plan.edge_z
+
+
+class TestEdgePoint:
+    # depth of cut = R engages the whole arc: half_length == R, so the samples
+    # land exactly on l = -R, ..., 0, ..., R
+
+    def test_lowest_point(self):
+        _, x, z = edge_samples(3, depth=5.0, feed=0.1)
+        assert (x[1], z[1]) == (0.0, 0.0)
+
+    def test_full_radius(self):
+        _, x, z = edge_samples(3, depth=5.0, feed=0.1)
+        assert (x[-1], z[-1]) == (5.0, 5.0)
+
+    def test_mid_arc(self):
+        _, x, z = edge_samples(5, depth=5.0, feed=0.1)
+        assert x[3] == 2.5
+        assert z[3] == pytest.approx(0.669873, abs=1e-6)
+        assert z[3] == pytest.approx(Z_AT_2_5, abs=1e-15)
+
+    def test_defining_relation(self):
+        r = 4.0
+        half, x, z = edge_samples(23, depth=r, feed=0.1, insert_radius_mm=r)
+        assert half == r
+        assert np.allclose(x, np.linspace(-r, r, 23), atol=1e-12)
+        for l, zl in zip(x, z):
+            assert abs(zl - (r - math.sqrt(r * r - l * l))) < 1e-12
+
+
+class TestEngagedHalfLength:
+    def test_depth_branch_dominates(self):
+        half = engine._engaged_half_length(make_tool(radial_rake_rad=math.radians(0.6)), 0.5, 0.6)
+        assert half == pytest.approx(math.sqrt(25.0 - 20.25), abs=1e-12)
+        assert half == pytest.approx(2.17945, abs=1e-5)
+
+    def test_full_immersion(self):
+        assert engine._engaged_half_length(make_tool(), 5.0, 0.1) == pytest.approx(5.0, abs=1e-12)
+
+    def test_feed_branch_dominates(self):
+        assert engine._engaged_half_length(make_tool(), 1e-6, 0.6) == pytest.approx(0.3, abs=1e-15)
+
+    def test_monotone_in_depth_and_feed(self):
+        tool = make_tool()
+        depths = np.linspace(0.05, 5.0, 40)
+        halves = [engine._engaged_half_length(tool, float(a), 0.01) for a in depths]
+        assert all(b >= a for a, b in zip(halves, halves[1:]))
+        feeds = np.linspace(0.05, 2.0, 40)
+        halves = [engine._engaged_half_length(tool, 0.01, float(f)) for f in feeds]
+        assert all(b >= a for a, b in zip(halves, halves[1:]))
+
+
+class TestDiscretizeEdge:
+    # the plan samples the engaged arc uniformly over [-half, half]
+
+    def test_three_point_case(self):
+        half, x, _ = edge_samples(3, radial_rake_rad=math.radians(0.6))
+        assert half == pytest.approx(2.17945, abs=1e-5)
+        assert list(x) == [-half, 0.0, half]
+
+    def test_two_points_are_endpoints(self):
+        half, x, _ = edge_samples(2, depth=0.3, feed=0.2)
+        assert list(x) == [-half, half]
+
+    def test_full_immersion_five_points(self):
+        _, x, z = edge_samples(5, depth=5.0, feed=0.1)
+        assert np.allclose(x, [-5.0, -2.5, 0.0, 2.5, 5.0], atol=1e-12)
+        assert np.allclose(z, [5.0, Z_AT_2_5, 0.0, Z_AT_2_5, 5.0], atol=1e-12)
+
+    def test_uniform_spacing(self):
+        _, x, _ = edge_samples(11)
+        assert np.allclose(np.diff(x), np.diff(x)[0], atol=1e-12)
+
+    def test_z_range_and_symmetry(self):
+        _, _, z = edge_samples(37, depth=1.3, feed=0.45)
+        assert np.all(z >= 0.0)
+        assert np.all(z <= 5.0)
+        assert np.allclose(z, z[::-1], atol=1e-12)
+
+    def test_pure_function(self):
+        _, xa, za = edge_samples(21)
+        _, xb, zb = edge_samples(21)
+        assert np.array_equal(xa, xb)
+        assert np.array_equal(za, zb)
+
+    def test_feed_half_length_beyond_radius(self):
+        # f_z / (2 cos(radial rake)) = 5.5 mm against an insert radius of 5 mm
+        with pytest.raises(DomainError, match="exceeds the insert radius"):
+            edge_samples(5, feed=11.0)
+
+    def test_arc_samples_only(self):
+        # the edge is its arc coordinates and heights; its y is 0 by construction
+        _, x, z = edge_samples(9)
+        for arr in (x, z):
+            assert arr.shape == (9,)
+            assert arr.dtype == np.float64
+            assert arr.flags["C_CONTIGUOUS"]
 
 
 class TestSimulate:
@@ -157,10 +269,8 @@ class TestSimulate:
         # narrow grid well inside the cutter swath, with the step angle tight
         # enough that every crossed cell column receives a sample: every cell
         # must then be cut
-        from millsurf import effective_half_length
-
         grid = GridSpec.from_extents(0.05, (-0.5, 0.5), (0.0, 0.3))
-        half = effective_half_length(case1_tool(), 0.5, 0.6)
+        half = engine._engaged_half_length(case1_tool(), 0.5, 0.6)
         angle = grid.spacing_mm / (5.0 + half)
         cfg = tiny_config(grid=grid, edge_point_count=None, time_step_s=None,
                           max_step_angle_rad=angle)
@@ -266,6 +376,20 @@ def test_step_count_bounded(steps):
         engine._plan(cfg)
     assert str(exc.value).endswith(f" takes {steps:.6g} steps over 1.0 s, more than 2**53")
     assert engine._plan(dataclasses.replace(cfg, time_step_s=2.0**-52)).steps == 2**52 + 1
+
+
+@pytest.mark.parametrize("spacing", [1e-308, 1e-200])
+def test_edge_point_count_bounded(spacing):
+    # Without an edge-point count, 4*half/spacing edge intervals: over one
+    # cell it overflows to inf at 1e-308 and is finite but past 2**53 at
+    # 1e-200. The plan rejects both before any edge array is built.
+    cfg = tiny_config(grid=GridSpec(spacing, 0.0, 0.0, 1, 1), edge_point_count=None)
+    count = 4.0 * engine._engaged_half_length(cfg.tool, 0.5, 0.6) / spacing
+    with pytest.raises(ConfigError) as exc:
+        simulate(cfg)
+    assert str(exc.value) == (
+        f"grid spacing {spacing} mm takes {count:.6g} edge points, more than 2**53"
+    )
 
 
 def test_tool_replaced_keeps_feed_per_tooth():
@@ -542,7 +666,7 @@ def crossing_config() -> SimulationConfig:
     annulus's hole."""
     tool = ToolDefinition(cutting_diameter_mm=4.4, insert_radius_mm=0.5, tooth_count=2)
     depth, feed = 0.2, 0.3
-    reach = 2.2 + effective_half_length(tool, depth, feed)
+    reach = 2.2 + engine._engaged_half_length(tool, depth, feed)
     process = derive_kinematics(tool, depth_of_cut_mm=depth, cutting_speed_m_min=120.0,
                                 feed_per_tooth_mm=feed, phase_rad=0.3,
                                 initial_position_mm=(0.03, -reach - 0.1, 0.0))

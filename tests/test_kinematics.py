@@ -21,7 +21,7 @@ from millsurf.kinematics import (
     _tool_to_spindle_rows,
 )
 
-from helpers import case1_tool, case1_process
+from helpers import case1_tool, case1_process, make_tool
 
 EDGE_ORIGIN = (0.0, 0.0, 0.0)  # lowest point of the edge arc
 FOUR_TOOTH_50MM = ToolDefinition(cutting_diameter_mm=50.0, insert_radius_mm=6.0, tooth_count=4)
@@ -241,6 +241,49 @@ class TestTransformInvariants:
                 assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
 
 
+class TestToolDefinition:
+    def test_runout_defaults_to_zero_pairs(self):
+        tool = make_tool(tooth_count=3)
+        assert tool.runouts_mm == ((0.0, 0.0),) * 3
+
+    def test_runout_length_mismatch(self):
+        with pytest.raises(DomainError):
+            make_tool(runouts_mm=((0.0, 0.0),))
+
+    def test_runout_magnitude_bound(self):
+        with pytest.raises(DomainError):
+            make_tool(runouts_mm=((0.0, 0.0), (5.0, 0.0)))
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0)])
+    def test_non_finite_runout(self, pair):
+        with pytest.raises(DomainError):
+            make_tool(runouts_mm=((0.0, 0.0), pair))
+
+    @pytest.mark.parametrize("kw", [
+        dict(cutting_diameter_mm=0.0),
+        dict(insert_radius_mm=-1.0),
+        dict(tooth_count=0),
+        dict(cutting_diameter_mm=math.nan),
+        dict(cutting_diameter_mm=math.inf),
+        dict(insert_radius_mm=math.nan),
+        dict(insert_radius_mm=math.inf),
+        dict(radial_rake_rad=math.nan),
+        dict(radial_rake_rad=-math.inf),
+        dict(axial_rake_rad=math.nan),
+        dict(axial_rake_rad=math.inf),
+        dict(radial_rake_rad=math.pi / 2),
+        dict(radial_rake_rad=-2.0),
+        dict(axial_rake_rad=2.0),
+        dict(axial_rake_rad=-math.pi / 2),
+        dict(tooth_count=2.5),
+        dict(tooth_count=2.0),
+        dict(tooth_count=True),
+    ])
+    def test_basic_bounds(self, kw):
+        with pytest.raises(DomainError):
+            make_tool(**kw)
+
+
 class TestProcessParameters:
     @pytest.mark.parametrize("kw", [
         dict(spindle_speed_rpm=math.nan),
@@ -259,6 +302,10 @@ class TestProcessParameters:
         dict(initial_position_mm=(0.0, None, -math.inf)),
         dict(initial_position_mm=(None, None, 0.0)),
         dict(initial_position_mm=(0.0, None, None)),
+        dict(feed_per_tooth_mm=0.0),
+        dict(feed_per_tooth_mm=-0.6),
+        dict(depth_of_cut_mm=0.0),
+        dict(depth_of_cut_mm=-0.1),
     ])
     def test_non_finite_rejected(self, kw):
         fields = dict(spindle_speed_rpm=5411.3, feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)

@@ -346,6 +346,32 @@ class TestExtractProfile:
             extract_profile(field, "feed", index=20)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: extract_profile(f, "feed", True), id="profile-index-True"),
+    pytest.param(lambda f: extract_profile(f, "feed", 2.5), id="profile-index-2.5"),
+    pytest.param(lambda f: extract_profile(f, "pickfeed", 1.0), id="profile-index-1.0"),
+    pytest.param(lambda f: extract_profile(f, "feed", 1, roi=(0, 0, True, 4)),
+                 id="profile-roi-True"),
+    pytest.param(lambda f: areal_metrics(f, roi=(0, 0, 2.0, 2)), id="areal-roi-2.0"),
+    pytest.param(lambda f: areal_metrics(f, roi=(0, False, 2, 2)), id="areal-roi-False"),
+    pytest.param(lambda f: areal_metrics(f, roi=(0, 0, 2)), id="areal-roi-3-values"),
+])
+def test_non_integer_index_rejected(call):
+    # A bool is not an index: extract_profile(field, "feed", True) used to
+    # return the whole field as one "profile"; floats, and an roi that is not
+    # four values, raised Python's and numpy's own errors.
+    field = field_from_um(np.arange(25.0).reshape(5, 5))
+    with pytest.raises(DomainError, match="integer"):
+        call(field)
+
+
+def test_numpy_integer_indices_accepted():
+    field = field_from_um(np.arange(25.0).reshape(5, 5))
+    assert extract_profile(field, "feed", np.int64(1)).index == 1
+    roi = (np.int32(0), 0, 2, np.int64(2))
+    assert areal_metrics(field, roi=roi) == areal_metrics(field, roi=(0, 0, 2, 2))
+
+
 class TestLineRoughness:
     def test_constant_profile(self):
         profile = LineProfile("feed", 0, np.arange(5.0), np.ones(5), 1.0)
