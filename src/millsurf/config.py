@@ -2,9 +2,9 @@
 
 Configuration files use industry units (degrees, m/min, mm/min, rpm) and are
 converted to the internal mm/s/rad system at parse time. Validation is strict:
-unknown keys are rejected so a typo in a cutting parameter cannot silently
-produce a plausible but wrong surface, and every error names the offending
-JSON path.
+unknown and repeated keys are rejected so a typo in a cutting parameter
+cannot silently produce a plausible but wrong surface, and every error names
+the offending JSON path.
 
 The ``process`` block gives the speed pair (cutting_speed_m_min /
 spindle_speed_rpm) and the feed pair (feed_per_tooth_mm / feed_speed_mm_min).
@@ -311,9 +311,19 @@ def config_from_dict(raw: dict) -> ConfigDocument:
     return ConfigDocument(simulation=simulation, output=_parse_output(raw.get("output")))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads``' object hook: a key given twice is an error, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> ConfigDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
     return config_from_dict(raw)

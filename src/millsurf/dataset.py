@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _check_keys, _integer, _number, _require_dict, config_from_dict
+from .config import _check_keys, _integer, _number, _require_dict, _unique_keys, config_from_dict
 from .engine import simulate, time_step
 from .errors import ConfigError, MillsurfError
 from .roughness import areal_metrics
@@ -71,10 +71,9 @@ class ParameterRange:
             raise ConfigError(
                 f"unknown dataset parameter {self.name!r}; known: {', '.join(PARAMETER_NAMES)}"
             )
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            raise ConfigError(
-                f"range for {self.name}: bounds must be finite, got [{self.low}, {self.high}]"
-            )
+        if not math.isfinite(self.high - self.low):  # also an infinite or NaN end
+            raise ConfigError(f"range for {self.name}: bounds and their width must be "
+                              f"finite, got [{self.low}, {self.high}]")
         if not self.low < self.high:
             raise ConfigError(f"range for {self.name}: low {self.low} must be < high {self.high}")
 
@@ -262,7 +261,7 @@ def generate_dataset(
 
 def _read_json(path: Path, what: str):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit

@@ -70,7 +70,7 @@ Two kernels share one simulation plan and produce bit-identical results:
 
     The point stage runs in blocks of about ``_POINT_BLOCK`` elements so
     its buffers stay in cache; it computes the cell index in place with the
-    same operations as ``surface_grid.locate``. The culls only choose which
+    same operations as ``_locate``. The culls only choose which
     points are computed, never how: a kept point goes through exactly the
     arithmetic it would without them, a dropped point either lies outside the
     widened window, so it cannot land in a cell, or lands in the grid at or
@@ -126,6 +126,10 @@ libm routines, and apply the same rotation of the same tool-frame
 coordinates in the same order (the product of the spindle->workpiece and
 tool->spindle rows has the exact entries c, s, -s, x0, y(t) and z0, and its
 zero entries add only zeros); the minimum reduction is order-insensitive.
+Cell membership uses half-open intervals via rounding, so a point exactly on a
+shared cell boundary belongs to the higher-index cell and every point maps to
+exactly one cell; points outside the grid are skipped, never clamped onto
+border cells.
 
 Wall time covers only the main loop; planning, validation and export are
 excluded.
@@ -153,7 +157,7 @@ from .kinematics import (
     _tool_to_spindle_rows,
     tooth_angle,
 )
-from .surface_grid import GridSpec, HeightField, locate, update_min
+from .surface_grid import GridSpec, HeightField
 
 # Vectorized-kernel block sizes; they bound temporary memory, not results.
 # The coarse pass (_live_steps: annulus band and box bounds of anchors) bounds
@@ -709,7 +713,7 @@ class _PointStage:
             yw += tyj[b : b + r]
 
             # Cell index floor((w - w_min)/dd + 1/2), computed in place in
-            # the same operation order as surface_grid.locate.
+            # the same operation order as _locate.
             xw -= x_min
             xw /= dd
             xw += 0.5
@@ -828,6 +832,20 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     )
 
 
+def _locate(x_mm: float, y_mm: float, grid: GridSpec) -> tuple[int, int] | None:
+    """Cell (i, j) of the point (x, y), i = floor((x - x_min)/spacing + 1/2)
+    and likewise j, or None off the grid. The bounds are tested on the float
+    quotient q: for a finite q, ``0 <= q < m + 1`` is ``0 <= floor(q) <= m``,
+    and a q that overflows to inf is off the grid, as in the sweep."""
+    if not (math.isfinite(x_mm) and math.isfinite(y_mm)):
+        raise DomainError(f"non-finite coordinates ({x_mm}, {y_mm})")
+    qx = (x_mm - grid.x_min_mm) / grid.spacing_mm + 0.5
+    qy = (y_mm - grid.y_min_mm) / grid.spacing_mm + 0.5
+    if 0 <= qx < grid.m + 1 and 0 <= qy < grid.n + 1:
+        return (math.floor(qx), math.floor(qy))
+    return None
+
+
 def simulate_reference(config: SimulationConfig) -> SimulationResult:
     """Naive baseline sweep: same contract and same results as ``simulate``,
     built the expensive way (every matrix of the chain per point, per step)."""
@@ -836,6 +854,7 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
     n_teeth = plan.tool.tooth_count
     edge_xz = list(zip(plan.edge_x.tolist(), plan.edge_z.tolist()))
     field = HeightField(grid, plan.initial_height)
+    heights = field.as_array()
     in_grid = 0
     t0 = time.perf_counter()
     for step in range(plan.steps):
@@ -846,9 +865,10 @@ def simulate_reference(config: SimulationConfig) -> SimulationResult:
                 ts = _tool_to_spindle_rows(plan.phase, k, n_teeth, plan.omega, t)
                 sw = _spindle_to_workpiece_rows(plan.x0, plan.y0, plan.z0, plan.feed_speed, t)
                 x, y, z = _apply4(_matmul4(sw, ts), *_apply4(ct, px, 0.0, pz))
-                idx = locate(x, y, grid)
+                idx = _locate(x, y, grid)
                 if idx is not None:
-                    update_min(field, idx, z)
+                    if z < heights[idx]:
+                        heights[idx] = z
                     in_grid += 1
     wall = time.perf_counter() - t0
 

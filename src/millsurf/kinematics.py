@@ -66,14 +66,15 @@ class ToolDefinition:
     runouts_mm: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        # Comparisons take True and False as 1 and 0, so a bool is rejected.
         for name in ("cutting_diameter_mm", "insert_radius_mm"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value}")
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be a finite number > 0, got {value}")
         for name in ("radial_rake_rad", "axial_rake_rad"):
             value = getattr(self, name)
-            if not abs(value) < math.pi / 2:  # also rejects NaN
-                raise DomainError(f"{name} must satisfy |rake| < pi/2, got {value}")
+            if isinstance(value, bool) or not abs(value) < math.pi / 2:  # also rejects NaN
+                raise DomainError(f"{name} must be a number with |rake| < pi/2, got {value}")
         teeth = self.tooth_count
         if isinstance(teeth, bool) or not isinstance(teeth, int) or teeth < 1:
             raise DomainError(f"tooth_count must be an integer >= 1, got {teeth!r}")
@@ -84,11 +85,12 @@ class ToolDefinition:
                 f"runouts_mm must have one (radial, axial) pair per tooth: "
                 f"got {len(self.runouts_mm)} pairs for {self.tooth_count} teeth"
             )
+        r = self.insert_radius_mm
         for k, (eps_r, eps_a) in enumerate(self.runouts_mm, start=1):
-            if not (abs(eps_r) < self.insert_radius_mm and abs(eps_a) < self.insert_radius_mm):
+            if any(isinstance(e, bool) or not abs(e) < r for e in (eps_r, eps_a)):
                 raise DomainError(
-                    f"run-out of tooth {k} ({eps_r}, {eps_a}) mm is not finite and small "
-                    f"against the insert radius {self.insert_radius_mm} mm"
+                    f"run-out of tooth {k} ({eps_r}, {eps_a}) mm is not two finite numbers "
+                    f"small against the insert radius {r} mm"
                 )
 
 
@@ -117,13 +119,13 @@ class ProcessParameters:
             ("feed per tooth", self.feed_per_tooth_mm),
             ("depth of cut", self.depth_of_cut_mm),
         ):
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value}")
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be a finite number > 0, got {value}")
         x0, y0, z0 = self.initial_position_mm
         for name, value in (("phase", self.phase_rad), ("initial x", x0),
                             ("initial y", 0.0 if y0 is None else y0), ("initial z", z0)):
-            if value is None or not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+            if value is None or isinstance(value, bool) or not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value}")
 
 
 def tooth_angle(
@@ -231,8 +233,8 @@ def derive_kinematics(
                        ("spindle_speed_rpm", spindle_speed_rpm),
                        ("feed_per_tooth_mm", feed_per_tooth_mm),
                        ("feed_speed_mm_min", feed_speed_mm_min)):
-        if value is not None and not 0 < value < math.inf:  # also rejects NaN
-            raise ConfigError(f"process.{key}: must be finite and > 0, got {value}")
+        if value is not None and (isinstance(value, bool) or not 0 < value < math.inf):
+            raise ConfigError(f"process.{key}: must be a finite number > 0, got {value}")
 
     if cutting_speed_m_min is None and spindle_speed_rpm is None:
         raise ConfigError("process: one of cutting_speed_m_min / spindle_speed_rpm is required")

@@ -1,15 +1,10 @@
-"""Workpiece height field: grid spec, cell lookup and min-z retention.
+"""Workpiece height field: the grid spec and the min-z height buffer.
 
 The workpiece top surface is a regular grid of (m+1) x (n+1) nodes with
 spacing ``spacing_mm``; node (i, j) sits at (x_min + i*spacing, y_min +
 j*spacing). Each node stores the lowest z any trajectory point has deposited
 in its cell; untouched cells keep the initial stock height, which doubles as
-the uncut sentinel.
-
-Cell membership uses half-open intervals via rounding, so a point exactly on a
-shared cell boundary belongs to the higher-index cell and every point maps to
-exactly one cell. Points outside the grid are skipped, never clamped onto
-border cells.
+the uncut sentinel. Which cell a point lands in is the engine's rule.
 """
 
 from __future__ import annotations
@@ -23,8 +18,9 @@ from .errors import DomainError, MillsurfError
 
 
 def _check_spacing(spacing_mm: float) -> None:
-    if not (math.isfinite(spacing_mm) and spacing_mm > 0):
-        raise DomainError(f"grid spacing must be finite and > 0, got {spacing_mm}")
+    # Comparisons take True and False as 1 and 0, so a bool is rejected.
+    if isinstance(spacing_mm, bool) or not (math.isfinite(spacing_mm) and spacing_mm > 0):
+        raise DomainError(f"grid spacing must be a finite number > 0, got {spacing_mm}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +35,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         _check_spacing(self.spacing_mm)
-        if not (math.isfinite(self.x_min_mm) and math.isfinite(self.y_min_mm)):
-            raise DomainError(
-                f"grid origin must be finite, got ({self.x_min_mm}, {self.y_min_mm})"
-            )
+        x_min, y_min = self.x_min_mm, self.y_min_mm
+        if any(isinstance(w, bool) or not math.isfinite(w) for w in (x_min, y_min)):
+            raise DomainError(f"grid origin must be two finite numbers, got ({x_min}, {y_min})")
         for name in ("m", "n"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, int):
@@ -93,20 +88,6 @@ class GridSpec:
         return self.y_min_mm + self.spacing_mm * np.arange(self.n + 1)
 
 
-def locate(x_mm: float, y_mm: float, spec: GridSpec) -> tuple[int, int] | None:
-    """Grid cell containing (x, y), or None when the point falls outside.
-
-    Index formula: i = floor((x - x_min)/spacing + 1/2), likewise j.
-    """
-    if not (math.isfinite(x_mm) and math.isfinite(y_mm)):
-        raise DomainError(f"non-finite coordinates ({x_mm}, {y_mm})")
-    i = math.floor((x_mm - spec.x_min_mm) / spec.spacing_mm + 0.5)
-    j = math.floor((y_mm - spec.y_min_mm) / spec.spacing_mm + 0.5)
-    if 0 <= i <= spec.m and 0 <= j <= spec.n:
-        return (i, j)
-    return None
-
-
 class HeightField:
     """Mutable min-z height field over a GridSpec.
 
@@ -145,20 +126,4 @@ class HeightField:
 
     def machined_cell_count(self) -> int:
         return int(np.count_nonzero(self.heights < self.initial_height_mm))
-
-
-def update_min(field: HeightField, idx: tuple[int, int], z_mm: float) -> bool:
-    """Lower the cell at ``idx`` to ``z_mm`` if strictly below the stored height.
-
-    Returns True when the cell changed. Out-of-range indices are rejected,
-    never written.
-    """
-    i, j = idx
-    if not (0 <= i <= field.spec.m and 0 <= j <= field.spec.n):
-        raise DomainError(f"grid index ({i}, {j}) outside [0, {field.spec.m}] x [0, {field.spec.n}]")
-    flat = i * (field.spec.n + 1) + j
-    if z_mm < field.heights[flat]:
-        field.heights[flat] = z_mm
-        return True
-    return False
 

@@ -143,6 +143,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert only_error(capsys.readouterr().err).startswith(f"error: malformed JSON in {path}: ")
 
+    def test_duplicate_key_named(self, tmp_path, capsys):
+        # json.loads alone keeps the last value, a plausible f_z of 0.3
+        path = tmp_path / "sim.json"
+        text = json.dumps(sim_config_dict())
+        path.write_text(text.replace('"feed_per_tooth_mm": 0.3',
+                                     '"feed_per_tooth_mm": 0.6, "feed_per_tooth_mm": 0.3'))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert only_error(capsys.readouterr().err) == (
+            f"error: malformed JSON in {path}: duplicate key 'feed_per_tooth_mm'")
+
     @pytest.mark.parametrize("engine", [
         pytest.param({"max_step_angle_deg": 1e-320}, id="derived_step_rounds_to_zero"),
         pytest.param({"time_step_s": 5e-324}, id="infinite_step_count"),

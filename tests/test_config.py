@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from millsurf import ConfigError, parse_config, time_step
+from millsurf.dataset import _load_dataset_config
 
 
 def case1_raw(**overrides):
@@ -64,6 +65,13 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed JSON"):
             parse_config("{not json")
+
+    def test_duplicate_key(self):
+        # json.loads alone keeps the last value; a nested object is checked too
+        text = json.dumps(case1_raw()).replace('"depth_of_cut_mm": 0.5',
+                                               '"depth_of_cut_mm": 0.5, "depth_of_cut_mm": 0.2')
+        with pytest.raises(ConfigError, match="^malformed JSON: duplicate key 'depth_of_cut_mm'$"):
+            parse_config(text)
 
     def test_unknown_key_names_path(self):
         raw = case1_raw()
@@ -284,6 +292,24 @@ class TestParseConfig:
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_readme_config_examples_parse(tmp_path):
+    # README's two jsonc blocks, with their // comments stripped: the
+    # Configuration example, then the Dataset config example, whose
+    # base_config names case1.json beside it
+    readme = (CONFIGS.parent / "README.md").read_text()
+    blocks = [re.sub(r"//.*", "", block) for block in re.findall(r"```jsonc\n(.*?)```", readme, re.S)]
+    assert len(blocks) == 2
+    doc = parse_config(blocks[0])
+    assert doc.simulation.worker_count == 4
+    assert doc.output.basename == "case1"
+    (tmp_path / "case1.json").write_text((CONFIGS / "case1.json").read_text())
+    (tmp_path / "dataset.json").write_text(blocks[1])
+    job = _load_dataset_config(tmp_path / "dataset.json")
+    assert [prm.name for prm in job["ranges"]] == ["feed_per_tooth_mm"]
+    assert (job["count"], job["seed"], job["workers"]) == (16, 42, 4)
+    assert job["base_raw"] == json.loads((CONFIGS / "case1.json").read_text())
 
 
 @pytest.mark.parametrize("name", [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,11 @@ class TestParameterRange:
     def test_non_finite_bounds(self, low, high):
         with pytest.raises(ConfigError, match="finite"):
             ParameterRange("cutting_speed_m_min", low, high)
+
+    def test_width_overflow(self):
+        # both ends are finite, but high - low is inf, so every LHS sample would be
+        with pytest.raises(ConfigError, match=r"^range for phase_deg: bounds and their width "):
+            ParameterRange("phase_deg", -1e308, 1e308)
 
 
 class TestGenerateDataset:
@@ -301,6 +307,21 @@ class TestLoadDatasetConfig:
     def test_flags_replace_count_and_seed(self, tmp_path):
         job = _load_dataset_config(self.write(tmp_path, count=0, seed=None), count=5, seed=7)
         assert (job["count"], job["seed"], job["workers"]) == (5, 7, 1)
+
+    def test_duplicate_key_in_dataset_config(self, tmp_path):
+        path = self.write(tmp_path)
+        path.write_text(path.read_text().replace('"seed": 3', '"seed": 3, "seed": 4'))
+        with pytest.raises(ConfigError, match=f"^malformed JSON in {re.escape(str(path))}: "
+                                              "duplicate key 'seed'$"):
+            _load_dataset_config(path)
+
+    def test_duplicate_key_in_base_config(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(base_raw()).replace('"tooth_count": 2',
+                                                       '"tooth_count": 2, "tooth_count": 4'))
+        with pytest.raises(ConfigError, match=f"^malformed JSON in {re.escape(str(base))}: "
+                                              "duplicate key 'tooth_count'$"):
+            _load_dataset_config(self.write(tmp_path, base_config="base.json"))
 
     def test_null_workers_means_one(self, tmp_path):
         assert _load_dataset_config(self.write(tmp_path, workers=None))["workers"] == 1

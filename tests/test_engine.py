@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,13 @@ from millsurf import (
     time_step,
 )
 from millsurf import engine
+from millsurf.config import config_from_dict
 
 from helpers import (case1_tool, case1_process, machined_rect_roi, make_tool,
                      small_random_config, wide_cutter_config)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_config(**overrides):
@@ -453,6 +459,59 @@ def dense_config():
                             max_step_angle_rad=0.05)
 
 
+def grid_spec(spacing=0.01, m=10, n=10, x_min=0.0, y_min=0.0):
+    return GridSpec(spacing_mm=spacing, x_min_mm=x_min, y_min_mm=y_min, m=m, n=n)
+
+
+class TestLocate:
+    def test_interior_point(self):
+        spec = grid_spec()
+        assert engine._locate(0.012, 0.0, spec) == (1, 0)
+
+    def test_origin_node(self):
+        assert engine._locate(0.0, 0.0, grid_spec()) == (0, 0)
+
+    def test_below_range(self):
+        assert engine._locate(-0.006, 0.0, grid_spec()) is None
+
+    def test_above_range(self):
+        spec = grid_spec(m=10)
+        assert engine._locate(10 * 0.01 + 0.0051, 0.0, spec) is None
+
+    def test_boundary_goes_to_upper_cell(self):
+        # a point exactly on a shared cell boundary belongs to the higher cell
+        spec = grid_spec(spacing=0.01)
+        assert engine._locate(0.005, 0.0, spec) == (1, 0)
+        assert engine._locate(0.015, 0.0, spec) == (2, 0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            engine._locate(math.nan, 0.0, grid_spec())
+        with pytest.raises(DomainError):
+            engine._locate(0.0, math.inf, grid_spec())
+
+    def test_overflowing_quotient_off_grid(self):
+        # 1e307 / 0.01 overflows to inf: off the grid, as the sweep's in-grid
+        # test has it, not an OverflowError from floor
+        assert engine._locate(1e307, 0.0, grid_spec()) is None
+        assert engine._locate(0.0, -1e307, grid_spec()) is None
+
+    def test_membership_agrees_with_index(self):
+        # away from exact boundaries, the located cell is the one whose node is
+        # within half a spacing of the point
+        spec = grid_spec(spacing=0.013, m=40, n=40, x_min=-0.1, y_min=-0.2)
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            x = float(rng.uniform(-0.09, 0.4))
+            y = float(rng.uniform(-0.19, 0.3))
+            hit = engine._locate(x, y, spec)
+            if hit is None:
+                continue
+            i, j = hit
+            assert abs(x - (spec.x_min_mm + i * spec.spacing_mm)) <= spec.spacing_mm / 2 + 1e-12
+            assert abs(y - (spec.y_min_mm + j * spec.spacing_mm)) <= spec.spacing_mm / 2 + 1e-12
+
+
 @pytest.mark.usefixtures("cull_off")
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -475,6 +534,17 @@ class TestKernelEquivalence:
         # reference moves points across cell edges.
         cfg = far_from_origin(small_random_config(seed))
         assert_kernels_agree(simulate(cfg), simulate_reference(cfg))
+
+    def test_cell_index_overflow_identical(self):
+        # bench_10x5 started 1e307 mm along x: every point's cell quotient
+        # overflows to inf, so no point lands in either kernel.
+        raw = json.loads((CONFIGS / "bench_10x5.json").read_text())
+        raw["process"]["initial_position_mm"]["x"] = 1e307
+        raw["engine"]["time_step_s"] = 0.01
+        cfg = config_from_dict(raw).simulation
+        ref = simulate_reference(cfg)
+        assert ref.in_grid_points == 0
+        assert_kernels_agree(simulate(cfg), ref)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_cutter_culls_and_agrees(self, seed):

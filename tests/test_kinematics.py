@@ -254,7 +254,8 @@ class TestToolDefinition:
         with pytest.raises(DomainError):
             make_tool(runouts_mm=((0.0, 0.0), (5.0, 0.0)))
 
-    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0),
+                                      (True, 0.0), (0.0, False)])
     def test_non_finite_runout(self, pair):
         with pytest.raises(DomainError):
             make_tool(runouts_mm=((0.0, 0.0), pair))
@@ -278,6 +279,11 @@ class TestToolDefinition:
         dict(tooth_count=2.5),
         dict(tooth_count=2.0),
         dict(tooth_count=True),
+        # comparisons would read a bool as 1 or 0
+        dict(cutting_diameter_mm=True),
+        dict(insert_radius_mm=True),
+        dict(radial_rake_rad=True),
+        dict(axial_rake_rad=False),
     ])
     def test_basic_bounds(self, kw):
         with pytest.raises(DomainError):
@@ -306,6 +312,14 @@ class TestProcessParameters:
         dict(feed_per_tooth_mm=-0.6),
         dict(depth_of_cut_mm=0.0),
         dict(depth_of_cut_mm=-0.1),
+        # comparisons would read a bool as 1 or 0
+        dict(spindle_speed_rpm=True),
+        dict(feed_per_tooth_mm=True),
+        dict(depth_of_cut_mm=True),
+        dict(phase_rad=False),
+        dict(initial_position_mm=(True, None, 0.0)),
+        dict(initial_position_mm=(0.0, False, 0.0)),
+        dict(initial_position_mm=(0.0, None, False)),
     ])
     def test_non_finite_rejected(self, kw):
         fields = dict(spindle_speed_rpm=5411.3, feed_per_tooth_mm=0.6, depth_of_cut_mm=0.5)
@@ -366,6 +380,14 @@ class TestDeriveKinematics:
             derive_kinematics(case1_tool(), depth_of_cut_mm=0.5,
                               cutting_speed_m_min=170.0, feed_per_tooth_mm=0.6,
                               feed_speed_mm_min=125.0)
+
+    @pytest.mark.parametrize("key", ["cutting_speed_m_min", "spindle_speed_rpm",
+                                     "feed_per_tooth_mm", "feed_speed_mm_min"])
+    def test_bool_rejected(self, key):
+        kw = {"cutting_speed_m_min": 170.0, "feed_per_tooth_mm": 0.6, key: True}
+        with pytest.raises(ConfigError, match=f"^process.{key}: must be a finite number > 0, "
+                                              "got True$"):
+            derive_kinematics(case1_tool(), depth_of_cut_mm=0.5, **kw)
 
     def test_positivity(self):
         for value in (-5.0, math.nan, math.inf):
