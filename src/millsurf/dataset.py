@@ -71,6 +71,9 @@ class ParameterRange:
             raise ConfigError(
                 f"unknown dataset parameter {self.name!r}; known: {', '.join(PARAMETER_NAMES)}"
             )
+        if isinstance(self.low, bool) or isinstance(self.high, bool):  # arithmetic takes 1 and 0
+            raise ConfigError(f"range for {self.name}: bounds must be numbers, "
+                              f"got [{self.low!r}, {self.high!r}]")
         if not math.isfinite(self.high - self.low):  # also an infinite or NaN end
             raise ConfigError(f"range for {self.name}: bounds and their width must be "
                               f"finite, got [{self.low}, {self.high}]")

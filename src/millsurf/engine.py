@@ -170,7 +170,10 @@ from .surface_grid import GridSpec, HeightField
 # The point stage (_PointStage: rotation, cell index, scatter-min, dominance
 # map) runs over each edge segment's kept rows in blocks of about _POINT_BLOCK
 # (edge point, row) elements, rows fastest; its three float64 buffers take
-# 0.5 MB each, so they fit a 2 MB L2 cache together.
+# 0.5 MB each, so they fit a 2 MB L2 cache together. The row stage's segment
+# bounds run in blocks of about _POINT_BLOCK (segment, row) elements too, so
+# their four float64 temporaries take 0.5 MB each, not 2 MB, while the run's
+# (segment, row) masks cover all its rows.
 _STEP_CHUNK = 32_768
 _POINT_BLOCK = 65_536
 # Cull granularity, chosen by measurement; results do not depend on them.
@@ -517,8 +520,9 @@ def _box_hits(c, s, x_range, y_range, x0, ty, window, inner=None):
     by (c, s) and shifted by (x0, ty): True where it can overlap ``window``
     ``(x_lo, x_hi, y_lo, y_hi)``. Broadcasts over steps and boxes: 1-D
     steps against (S, 1) boxes give (S, R) results, steps fastest. It works
-    in place in four arrays, since the (segment, row) bounds are the
-    kernel's largest temporaries after the point-stage buffers.
+    in place in four arrays. ``_rows`` bounds segments in blocks of about
+    ``_POINT_BLOCK`` (segment, row) pairs, so these arrays stay a block's
+    size however many rows a run keeps.
 
     With an ``inner`` window it returns ``(hits, inside)``, where ``inside``
     is True where the bound lies wholly inside ``inner``."""
@@ -609,7 +613,9 @@ def _rows(plan: _Plan, steps: np.ndarray):
     keep, inside)``: the kept rows' cos, sin and spindle-axis y as 1-D (R,)
     arrays, and (S, R) masks of the (segment, row) pairs to evaluate with the
     in-grid test and of the interior pairs, so that a segment's rows are one
-    contiguous mask row."""
+    contiguous mask row. The segment bounds run over blocks of about
+    ``_POINT_BLOCK`` (segment, row) elements, so their float temporaries
+    stay a block's size while the masks cover the run."""
     x0, window, inner = plan.x0, plan.window, plan.inner
     t, ty = plan.step_times(steps)
     for k_idx, td in enumerate(plan.teeth):
@@ -620,8 +626,16 @@ def _rows(plan: _Plan, steps: np.ndarray):
         if ki.size == 0:
             continue
         ck, sk, tyk = c[ki], s[ki], ty[ki]
-        keep, inside = _box_hits(ck, sk, td.seg_x_range, td.seg_y_range, x0, tyk, window, inner)
-        keep &= ~inside
+        keep = np.empty((len(td.segments), ki.size), dtype=bool)
+        inside = np.empty_like(keep)
+        block = max(1, _POINT_BLOCK // len(td.segments))
+        for b in range(0, ki.size, block):
+            rows = slice(b, b + block)
+            hits, ins = _box_hits(ck[rows], sk[rows], td.seg_x_range, td.seg_y_range, x0,
+                                  tyk[rows], window, inner)
+            hits &= ~ins
+            keep[:, rows] = hits
+            inside[:, rows] = ins
         yield td, ck, sk, tyk, keep, inside
 
 

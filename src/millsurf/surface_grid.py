@@ -103,6 +103,8 @@ class HeightField:
 
     def __init__(self, spec: GridSpec, initial_height_mm: float, heights: np.ndarray | None = None):
         self.spec = spec
+        if isinstance(initial_height_mm, bool):  # float() would take it as 1.0 or 0.0
+            raise DomainError(f"uncut sentinel height must be a number, got {initial_height_mm!r}")
         self.initial_height_mm = float(initial_height_mm)
         if not math.isfinite(self.initial_height_mm):
             raise DomainError(f"uncut sentinel height is {self.initial_height_mm}, not finite")

@@ -25,12 +25,16 @@ writes goes through ``atomic_write_bytes``, streamed in chunks to a uniquely
 named temp file in the target directory that is renamed over the target on
 success and removed on failure. Concurrent writers never share a temp file,
 and a write holds at most one chunk (a header, an array buffer, a block of
-CSV rows) beyond its data.
+CSV rows) beyond its data. The graymap is rendered through one field-sized
+float64 scratch array beside its 16-bit pixels, and the reader reads a
+regular file's payload straight into the height array (a pipe, whose size
+is unknown until read, is read whole first).
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from collections.abc import Iterable
 from pathlib import Path
@@ -81,24 +85,36 @@ def write_surface(field: HeightField, path: Path) -> None:
 
 
 def read_surface(path: Path) -> HeightField:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise SurfaceFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, version, m, n, spacing, x_min, y_min, sentinel = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise SurfaceFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise SurfaceFormatError(f"{path}: unsupported format version {version}")
-    expected = (m + 1) * (n + 1) * 8
-    payload_size = len(blob) - _HEADER.size
-    if payload_size != expected:
-        raise SurfaceFormatError(
-            f"{path}: payload is {payload_size} bytes, header promises {expected} "
-            f"({m + 1}x{n + 1} float64)"
-        )
-    heights = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(heights))
-    if bad.size:
+    with open(path, "rb") as handle:
+        head = handle.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise SurfaceFormatError(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, version, m, n, spacing, x_min, y_min, sentinel = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise SurfaceFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise SurfaceFormatError(f"{path}: unsupported format version {version}")
+        expected = (m + 1) * (n + 1) * 8
+        st = os.fstat(handle.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # Check the size first, then read straight into the height array.
+            payload_size = st.st_size - _HEADER.size
+            if payload_size == expected:
+                heights = np.empty(expected // 8, dtype="<f8")
+                payload_size = handle.readinto(heights)  # short if the file shrank since
+        else:  # a pipe has no size to check before reading
+            blob = handle.read()
+            payload_size = len(blob)
+            if payload_size == expected:
+                heights = np.frombuffer(blob, dtype="<f8").copy()
+        if payload_size != expected:
+            raise SurfaceFormatError(
+                f"{path}: payload is {payload_size} bytes, header promises {expected} "
+                f"({m + 1}x{n + 1} float64)"
+            )
+    finite = np.isfinite(heights)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
         raise SurfaceFormatError(
             f"{path}: {bad.size} height(s) not finite, first at flat index {bad[0]}"
         )
@@ -138,12 +154,17 @@ def write_graymap(field: HeightField, path: Path) -> None:
     machined = block < field.initial_height_mm
     if not machined.any():
         raise DomainError("graymap export needs at least one machined cell")
-    z_lo = block[machined].min()
-    z_hi = block[machined].max()
+    # Reductions and the cast run under the machined mask, so no copy of the
+    # machined cells is made; the scaling works in one scratch array.
+    z_lo = np.min(block, where=machined, initial=np.inf)
+    z_hi = np.max(block, where=machined, initial=-np.inf)
     pixels = np.zeros(block.shape, dtype=np.uint16)
     if z_hi > z_lo:
-        scaled = (block - z_lo) * (65535.0 / (z_hi - z_lo))
-        pixels[machined] = np.rint(scaled[machined]).astype(np.uint16)
+        scaled = np.subtract(block, z_lo)
+        scaled *= 65535.0 / (z_hi - z_lo)
+        np.rint(scaled, out=scaled)
+        np.copyto(pixels, scaled, casting="unsafe", where=machined)
+        del scaled  # freed before the byte-swapped copy below
     else:
         pixels[machined] = GRAY_MID
     width = block.shape[0]

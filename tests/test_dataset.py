@@ -102,6 +102,12 @@ class TestParameterRange:
         with pytest.raises(ConfigError, match=r"^range for phase_deg: bounds and their width "):
             ParameterRange("phase_deg", -1e308, 1e308)
 
+    @pytest.mark.parametrize("low, high", [(False, True), (0.0, True), (False, 1.0)])
+    def test_bool_bounds(self, low, high):
+        # arithmetic would take the bools as 0 and 1 and draw phases in [0, 1)
+        with pytest.raises(ConfigError, match="bounds must be numbers"):
+            ParameterRange("phase_deg", low, high)
+
 
 class TestGenerateDataset:
     def test_batch_outputs_and_manifest(self, tmp_path):

@@ -1087,6 +1087,58 @@ class TestBroadcastLayout:
         assert paths == {False, True}
 
 
+class TestRowBlocks:
+    """The row stage bounds each tooth's segments in blocks of about
+    ``_POINT_BLOCK`` (segment, row) pairs, so its float temporaries stay a
+    block's size; the masks, heights and counts are those of one bound over
+    the whole run."""
+
+    def test_blocks_keep_counts(self, monkeypatch):
+        cfg = tiny_config()
+        want = simulate(cfg)
+        widths = []
+        rows = engine._rows
+
+        def spy(plan, steps):
+            for out in rows(plan, steps):
+                widths.append(out[4].shape)  # keep: (segments, kept rows)
+                yield out
+
+        monkeypatch.setattr(engine, "_rows", spy)
+        monkeypatch.setattr(engine, "_POINT_BLOCK", 64)
+        got = simulate(cfg)
+        # Some tooth's kept rows span several blocks of rows.
+        assert max(r // max(1, 64 // s) for s, r in widths) >= 2, widths
+        assert np.array_equal(got.field.heights.view(np.int64), want.field.heights.view(np.int64))
+        assert (got.evaluated_points, got.in_grid_points) == (
+            want.evaluated_points, want.in_grid_points)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_blocks_agree_with_reference(self, monkeypatch, workers):
+        # Small blocks also take the field's lock far more often per sweep.
+        ref = simulate_reference(tiny_config())
+        monkeypatch.setattr(engine, "_POINT_BLOCK", 64)
+        opt = simulate(tiny_config(worker_count=workers))
+        assert np.array_equal(opt.field.heights.view(np.int64), ref.field.heights.view(np.int64))
+
+    def test_row_stage_peak_on_case1(self):
+        # The first full run of case1's live steps: 32,768 rows per tooth,
+        # whose segment bounds, four (8, R) float64 arrays, take 8 MB when
+        # computed in one piece.
+        cfg = config_from_dict(json.loads((CONFIGS / "case1.json").read_text())).simulation
+        plan = engine._plan(cfg)
+        steps = next(run for run in engine._live_steps(plan, 0, plan.steps)
+                     if run.size == engine._STEP_CHUNK)
+        tracemalloc.start()
+        try:
+            for _ in engine._rows(plan, steps):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000, peak
+
+
 class TestBenchmark:
     def test_single_size_report(self):
         report = run_benchmark(tiny_config(), [1], case_id="tiny")

@@ -64,6 +64,11 @@ class TestHeightField:
         with pytest.raises(DomainError, match="uncut sentinel height is .*, not finite"):
             HeightField(make_spec(m=2, n=2), height)
 
+    @pytest.mark.parametrize("height", [True, False])
+    def test_bool_initial_height(self, height):
+        with pytest.raises(DomainError, match="uncut sentinel height must be a number"):
+            HeightField(make_spec(m=2, n=2), height)
+
     def test_machined_cell_count(self):
         field = HeightField(make_spec(m=2, n=2), 1.0)
         assert field.machined_cell_count() == 0

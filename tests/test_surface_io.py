@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from millsurf.surface_io import (
     write_graymap,
     write_heights_csv,
 )
+
+
+def traced_peak(call, *args):
+    """``call(*args)``'s result and the peak of the memory traced during it."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_field(seed=0, m=6, n=9, sentinel=0.5):
@@ -134,6 +144,34 @@ class TestSurfaceRoundTrip:
         path.write_bytes(b"SRTF")
         with pytest.raises(SurfaceFormatError, match="header"):
             read_surface(path)
+
+    def test_reads_payload_in_place(self, tmp_path):
+        # The payload goes straight into the height array: no copy of the
+        # file's bytes beside it.
+        field = random_field(m=499, n=399)
+        path = tmp_path / "s.srtf"
+        write_surface(field, path)
+        read, peak = traced_peak(read_surface, path)
+        assert np.array_equal(read.heights.view(np.int64), field.heights.view(np.int64))
+        assert peak <= 1.25 * field.heights.nbytes, peak / field.heights.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        # A pipe has no size to check before reading, so it is read whole.
+        field = random_field()
+        write_surface(field, tmp_path / "s.srtf")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        blob = (tmp_path / "s.srtf").read_bytes()
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            read = read_surface(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(read.heights.view(np.int64), field.heights.view(np.int64))
+        assert read.heights.flags.writeable
 
     def test_no_temp_file_left(self, tmp_path):
         write_surface(random_field(), tmp_path / "s.srtf")
@@ -291,3 +329,19 @@ class TestGraymap:
         with pytest.raises(DomainError):
             write_graymap(field, tmp_path / "g.pgm")
 
+    def test_one_scratch_array(self, tmp_path):
+        # Masked reductions and one float scratch array: no boolean-index
+        # copies of the machined cells, and the pixels of a rendering that
+        # makes them.
+        field = random_field(m=499, n=399)
+        assert 0 < field.machined_cell_count() < field.spec.node_count
+        path = tmp_path / "g.pgm"
+        _, peak = traced_peak(write_graymap, field, path)
+        assert peak < 2 * field.heights.nbytes, peak / field.heights.nbytes
+        block = field.as_array()
+        machined = block < field.initial_height_mm
+        z = block[machined]
+        want = np.zeros(block.shape, dtype=np.uint16)
+        want[machined] = np.rint((z - z.min()) * (65535.0 / (z.max() - z.min())))
+        pixels = np.frombuffer(path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
+        assert np.array_equal(pixels, want.T.ravel())
